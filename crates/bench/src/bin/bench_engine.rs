@@ -1,26 +1,83 @@
-//! Records engine throughput (interactions/sec) on 3-state majority into
-//! `BENCH_engine.json` — the committed snapshot behind the batched-engine
-//! acceptance numbers.
+//! Records engine throughput (interactions/sec) into `BENCH_engine.json`
+//! — the committed snapshot behind the batched-engine numbers.
 //!
-//! Three engines at `n ∈ {10⁴, 10⁶, 10⁸}`:
+//! Two grids, each point measured [`REPEATS`] times and reported as
+//! median, min and max:
 //!
-//! * `sequential` — per-agent scheduler (`Simulation::step`),
-//! * `batch_pairwise` — the seed configuration-space engine (per-pair
-//!   draws, linear-scan sampling),
-//! * `batch_multinomial` — the Fenwick/multinomial engine.
+//! * 3-state majority at `n ∈ {10⁴, 10⁶, 10⁸}` on three engines:
+//!   `sequential` (per-agent `Simulation::step`), `batch_pairwise` (the
+//!   seed configuration-space engine) and `batch_multinomial`
+//!   (`BatchSimulation`), plus a thread sweep of the latter at `n = 10⁸`;
+//! * USD with `k ∈ {2, 64, 1024}` opinions on `bias_one(n, k)` at
+//!   `n ∈ {10⁴, 10⁶, 10⁸}` on `BatchSimulation`, at 1 thread and, where
+//!   the host has them, 2. These span the state count `S = k + 1`, which
+//!   decides between the lumped and the per-initiator tally.
 //!
-//! Each rate drives a fresh 60/40 configuration for a fixed interaction
-//! budget well below the convergence horizon (so the configuration stays
-//! mixed and the tally work is representative), repeating until ≥ 0.5 s of
-//! wall clock has been accumulated.
+//! Each rate drives a fresh configuration for a fixed interaction budget
+//! below the convergence horizon, repeating until ≥ 0.5 s of wall clock
+//! has been accumulated. For USD the JSON also records the set-up time
+//! (construction plus the first batch, which builds the change table) at
+//! `n = 10⁸`.
 //!
 //! Usage: `cargo run --release -p plurality-bench --bin bench_engine
 //! [-- path/to/BENCH_engine.json]`
 
 use std::time::Instant;
 
-use pp_engine::{BatchSimulation, PairwiseBatchSimulation, Simulation};
+use pp_baselines::UsdTable;
+use pp_engine::{BatchSimulation, PairwiseBatchSimulation, Simulation, TableProtocol};
 use pp_majority::ThreeState;
+use pp_workloads::Counts;
+
+/// Measurements per grid point.
+const REPEATS: usize = 3;
+
+const GRID: [(u64, &str); 3] = [(10_000, "1e4"), (1_000_000, "1e6"), (100_000_000, "1e8")];
+
+/// Median, min and max of [`REPEATS`] measurements.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut f: impl FnMut() -> f64) -> Self {
+        let mut v: Vec<f64> = (0..REPEATS).map(|_| f()).collect();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite measurement"));
+        Self {
+            median: v[v.len() / 2],
+            min: v[0],
+            max: v[v.len() - 1],
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.0}, \"min\": {:.0}, \"max\": {:.0}}}",
+            self.median, self.min, self.max
+        )
+    }
+
+    fn json_ms(&self) -> String {
+        format!(
+            "{{\"median\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}}",
+            self.median * 1e3,
+            self.min * 1e3,
+            self.max * 1e3
+        )
+    }
+
+    fn human(&self) -> String {
+        format!(
+            "{} [{}, {}]",
+            human(self.median),
+            human(self.min),
+            human(self.max)
+        )
+    }
+}
 
 /// Repeat `run` — which simulates `target` interactions from a fresh
 /// configuration and returns the seconds spent *stepping only* (setup such
@@ -38,62 +95,75 @@ fn rate(target: u64, mut run: impl FnMut() -> f64) -> f64 {
     (reps * target) as f64 / secs
 }
 
+/// Interactions per second of `BatchSimulation` stepping `target`
+/// interactions from `counts` at `threads`.
+fn batch_rate<P: TableProtocol + Clone>(
+    protocol: &P,
+    counts: &[u64],
+    target: u64,
+    threads: usize,
+) -> f64 {
+    rate(target, || {
+        let mut sim = BatchSimulation::new(protocol.clone(), counts.to_vec(), 42);
+        sim.set_threads(threads);
+        let t0 = Instant::now();
+        while sim.interactions() < target {
+            sim.step_batch();
+        }
+        t0.elapsed().as_secs_f64()
+    })
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_engine.json".into());
-    let grid: [u64; 3] = [10_000, 1_000_000, 100_000_000];
-    let labels = ["1e4", "1e6", "1e8"];
-    let counts = |n: u64| vec![0u64, n * 3 / 5, n * 2 / 5];
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let majority = |n: u64| vec![0u64, n * 3 / 5, n * 2 / 5];
 
-    let mut rows: Vec<(&str, Vec<f64>)> = Vec::new();
-
-    let seq: Vec<f64> = grid
+    let mut rows: Vec<(&str, Vec<Spread>)> = Vec::new();
+    let seq = GRID
         .iter()
-        .map(|&n| {
+        .map(|&(n, _)| {
             // Cap the budget: pre-convergence and bounded wall clock.
             let target = (5 * n).min(30_000_000);
-            rate(target, || {
-                let states = ThreeState::initial_states((n * 3 / 5) as usize, (n * 2 / 5) as usize);
-                let mut sim = Simulation::new(ThreeState, states, 42);
-                let t0 = Instant::now();
-                for _ in 0..target {
-                    sim.step();
-                }
-                t0.elapsed().as_secs_f64()
+            Spread::of(|| {
+                rate(target, || {
+                    let states =
+                        ThreeState::initial_states((n * 3 / 5) as usize, (n * 2 / 5) as usize);
+                    let mut sim = Simulation::new(ThreeState, states, 42);
+                    let t0 = Instant::now();
+                    for _ in 0..target {
+                        sim.step();
+                    }
+                    t0.elapsed().as_secs_f64()
+                })
             })
         })
         .collect();
     rows.push(("sequential", seq));
-
-    let pairwise: Vec<f64> = grid
+    let pairwise = GRID
         .iter()
-        .map(|&n| {
+        .map(|&(n, _)| {
             let target = (5 * n).min(50_000_000);
-            rate(target, || {
-                let mut sim = PairwiseBatchSimulation::new(ThreeState, counts(n), 42);
-                let t0 = Instant::now();
-                while sim.interactions() < target {
-                    sim.step_batch();
-                }
-                t0.elapsed().as_secs_f64()
+            Spread::of(|| {
+                rate(target, || {
+                    let mut sim = PairwiseBatchSimulation::new(ThreeState, majority(n), 42);
+                    let t0 = Instant::now();
+                    while sim.interactions() < target {
+                        sim.step_batch();
+                    }
+                    t0.elapsed().as_secs_f64()
+                })
             })
         })
         .collect();
     rows.push(("batch_pairwise", pairwise));
-
-    let multinomial: Vec<f64> = grid
+    let multinomial = GRID
         .iter()
-        .map(|&n| {
+        .map(|&(n, _)| {
             let target = (5 * n).min(1_000_000_000);
-            rate(target, || {
-                let mut sim = BatchSimulation::new(ThreeState, counts(n), 42);
-                let t0 = Instant::now();
-                while sim.interactions() < target {
-                    sim.step_batch();
-                }
-                t0.elapsed().as_secs_f64()
-            })
+            Spread::of(|| batch_rate(&ThreeState, &majority(n), target, 1))
         })
         .collect();
     rows.push(("batch_multinomial", multinomial));
@@ -101,98 +171,130 @@ fn main() {
     // Thread sweep on the multinomial engine at n = 1e8: 1/2/4/max
     // (deduplicated), same seed — the engine is thread-count-invariant, so
     // every sweep point simulates the byte-identical trajectory.
-    let max_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut sweep_threads: Vec<usize> = [1usize, 2, 4, max_threads]
+    let mut sweep_threads: Vec<usize> = [1usize, 2, 4, nproc]
         .into_iter()
-        .filter(|&t| t <= max_threads)
+        .filter(|&t| t <= nproc)
         .collect();
     sweep_threads.dedup();
-    let sweep_n = 100_000_000u64;
-    let sweep: Vec<(usize, f64)> = sweep_threads
+    let sweep: Vec<(usize, Spread)> = sweep_threads
         .iter()
         .map(|&threads| {
-            let target = 1_000_000_000u64;
-            let r = rate(target, || {
-                let mut sim = BatchSimulation::new(ThreeState, counts(sweep_n), 42);
-                sim.set_threads(threads);
-                let t0 = Instant::now();
-                while sim.interactions() < target {
-                    sim.step_batch();
-                }
-                t0.elapsed().as_secs_f64()
-            });
+            let counts = majority(100_000_000);
+            let r = Spread::of(|| batch_rate(&ThreeState, &counts, 1_000_000_000, threads));
             (threads, r)
         })
         .collect();
-    // The threaded engine at --threads 1 IS the serial path (the pool
-    // never engages), so it must not regress the untouched baseline row
-    // beyond measurement noise.
-    let serial_ratio = sweep[0].1 / rows[2].1[2];
-    assert!(
-        serial_ratio >= 0.8,
-        "threads=1 sweep fell to {serial_ratio:.2}x of the serial multinomial rate"
-    );
 
-    println!("interactions/sec on 3-state majority (60/40 start):");
-    println!(
-        "{:>20} {:>12} {:>12} {:>12}",
-        "engine", "n=1e4", "n=1e6", "n=1e8"
-    );
+    // USD over the state-count axis, at 1 thread and (where available) 2.
+    let usd_threads: Vec<usize> = [1usize, 2].into_iter().filter(|&t| t <= nproc).collect();
+    let mut usd: Vec<(usize, usize, Vec<Spread>)> = Vec::new();
+    let mut usd_setup: Vec<(usize, Spread)> = Vec::new();
+    for k in [2usize, 64, 1024] {
+        let table = UsdTable::new(k);
+        for &threads in &usd_threads {
+            let rates = GRID
+                .iter()
+                .map(|&(n, _)| {
+                    let counts = table.initial_counts(Counts::bias_one(n as usize, k).supports());
+                    let target = (2 * n).min(20_000_000);
+                    Spread::of(|| batch_rate(&table, &counts, target, threads))
+                })
+                .collect();
+            usd.push((k, threads, rates));
+        }
+        let counts = table.initial_counts(Counts::bias_one(100_000_000, k).supports());
+        let setup = Spread::of(|| {
+            let t0 = Instant::now();
+            let mut sim = BatchSimulation::new(table.clone(), counts.clone(), 42);
+            sim.step_batch();
+            t0.elapsed().as_secs_f64()
+        });
+        usd_setup.push((k, setup));
+    }
+
+    println!("interactions/sec, median [min, max] of {REPEATS} (nproc = {nproc})");
+    println!("3-state majority (60/40 start):");
     for (name, rates) in &rows {
+        let cells: Vec<String> = rates.iter().map(Spread::human).collect();
+        println!("{name:>20} {}", cells.join("  "));
+    }
+    let speedup = rows[2].1[1].median / rows[1].1[1].median;
+    println!("multinomial vs pairwise at n=1e6: {speedup:.1}x");
+    println!("thread sweep, batch_multinomial at n=1e8:");
+    for &(threads, r) in &sweep {
+        println!("{:>20} {}", format!("threads={threads}"), r.human());
+    }
+    println!("USD on bias_one(n, k), budget min(2n, 2e7) interactions:");
+    for (k, threads, rates) in &usd {
+        let cells: Vec<String> = rates.iter().map(Spread::human).collect();
         println!(
-            "{name:>20} {:>12} {:>12} {:>12}",
-            human(rates[0]),
-            human(rates[1]),
-            human(rates[2])
+            "{:>20} {}",
+            format!("k={k} threads={threads}"),
+            cells.join("  ")
         );
     }
-    let speedup = rows[2].1[1] / rows[1].1[1];
-    println!("multinomial vs pairwise at n=1e6: {speedup:.1}x (acceptance bar: 10x)");
-    println!("thread sweep, batch_multinomial at n=1e8 (of {max_threads} cores):");
-    for &(threads, r) in &sweep {
+    for (k, setup) in &usd_setup {
         println!(
-            "{:>20} {:>12}  ({:.2}x vs 1 thread)",
-            format!("threads={threads}"),
-            human(r),
-            r / sweep[0].1
+            "{:>20} {:.3} ms [{:.3}, {:.3}]",
+            format!("setup k={k} n=1e8"),
+            setup.median * 1e3,
+            setup.min * 1e3,
+            setup.max * 1e3
         );
     }
 
+    let grid_json = |rates: &[Spread]| -> String {
+        let cells: Vec<String> = GRID
+            .iter()
+            .zip(rates)
+            .map(|(&(_, label), r)| format!("\"{label}\": {}", r.json()))
+            .collect();
+        format!("{{{}}}", cells.join(", "))
+    };
     let mut json = String::from("{\n");
-    json.push_str("  \"protocol\": \"three_state_majority\",\n");
-    json.push_str("  \"configuration\": \"60/40 opinion split, pre-convergence budget\",\n");
     json.push_str(
         "  \"generated_by\": \"cargo run --release -p plurality-bench --bin bench_engine\",\n",
     );
-    json.push_str(&format!("  \"threads_available\": {max_threads},\n"));
-    json.push_str("  \"interactions_per_sec\": {\n");
-    for (r, (name, rates)) in rows.iter().enumerate() {
-        json.push_str(&format!("    \"{name}\": {{"));
-        for (i, label) in labels.iter().enumerate() {
-            json.push_str(&format!("\"{label}\": {:.0}", rates[i]));
-            if i + 1 < labels.len() {
-                json.push_str(", ");
-            }
-        }
-        json.push('}');
-        if r + 1 < rows.len() {
-            json.push(',');
-        }
-        json.push('\n');
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"threads_sweep_n1e8\": {");
-    for (i, &(threads, r)) in sweep.iter().enumerate() {
-        json.push_str(&format!("\"{threads}\": {r:.0}"));
-        if i + 1 < sweep.len() {
-            json.push_str(", ");
-        }
-    }
-    json.push_str("},\n");
+    json.push_str(&format!("  \"nproc\": {nproc},\n"));
     json.push_str(&format!(
-        "  \"speedup_multinomial_vs_pairwise_n1e6\": {speedup:.2}\n"
+        "  \"unit\": \"interactions/s, median/min/max of {REPEATS} repeats\",\n"
     ));
-    json.push_str("}\n");
+    json.push_str("  \"three_state_majority\": {\n");
+    json.push_str("    \"configuration\": \"60/40 opinion split, pre-convergence budget\",\n");
+    for (name, rates) in &rows {
+        json.push_str(&format!("    \"{name}\": {},\n", grid_json(rates)));
+    }
+    let sweep_cells: Vec<String> = sweep
+        .iter()
+        .map(|(threads, r)| format!("\"{threads}\": {}", r.json()))
+        .collect();
+    json.push_str(&format!(
+        "    \"threads_sweep_n1e8\": {{{}}},\n",
+        sweep_cells.join(", ")
+    ));
+    json.push_str(&format!(
+        "    \"speedup_multinomial_vs_pairwise_n1e6\": {speedup:.2}\n"
+    ));
+    json.push_str("  },\n");
+    json.push_str("  \"usd\": {\n");
+    json.push_str(
+        "    \"configuration\": \"bias_one(n, k), budget min(2n, 2e7) interactions, BatchSimulation\",\n",
+    );
+    for (k, threads, rates) in &usd {
+        json.push_str(&format!(
+            "    \"k{k}_threads{threads}\": {},\n",
+            grid_json(rates)
+        ));
+    }
+    let setup_cells: Vec<String> = usd_setup
+        .iter()
+        .map(|(k, s)| format!("\"k{k}\": {}", s.json_ms()))
+        .collect();
+    json.push_str(&format!(
+        "    \"setup_ms_n1e8\": {{{}}}\n",
+        setup_cells.join(", ")
+    ));
+    json.push_str("  }\n}\n");
     std::fs::write(&path, json).expect("write BENCH_engine.json");
     eprintln!("wrote {path}");
 }

@@ -25,6 +25,47 @@
 //! interactions costs `O(S·√ℓ + S log S)` RNG-and-memory work in the worst
 //! case, `o(ℓ)` for `ℓ ≫ S²`.
 //!
+//! # Lumped tallies
+//!
+//! A deterministic table needs less: only each pair's *count change*
+//! matters, and merging the cells of a multinomial gives a multinomial
+//! over the merged cells. So, with no adversary or scheduler installed, a
+//! batch is drawn as **one multinomial over the table's distinct count
+//! changes plus one null cell** (`batch/lumped.rs`); USD's `(k + 1)²` ordered
+//! pairs collapse to `2k` changes.
+//!
+//! * **Cost model.** One binomial per non-empty cell, plus the member-list
+//!   work that weights the changes: `O(min(|members|, S − |members|))` per
+//!   `(change, responder)` list, `O(k)` per batch for USD. The per-initiator
+//!   split costs `O(S_occupied)` binomials per initiator, about `S²` per
+//!   batch once every state is occupied. The change table is built once,
+//!   on the first batch that could use it, with up to `O(S²)` calls of
+//!   `delta`. A build stops as soon as the changes reach its cap (the
+//!   batch length, and at least twice the last cap), so a table with too
+//!   many changes is never built in full; a stopped build is retried only
+//!   by a batch longer than its cap.
+//! * **The `2ℓ` rule.** A batch has `2ℓ` participants, so a state holding
+//!   at least `2ℓ` agents can never be overdrawn. A batch is lumped only
+//!   if every occupied state holds that many: then the per-initiator split
+//!   would never redraw either, and both draw the same multinomial. A
+//!   batch with a smaller occupied state takes the split, whose
+//!   feasibility check, redraws and per-pair fallback are unchanged.
+//! * **The selection rule.** A batch is lumped when the `2ℓ` rule holds
+//!   and the changes plus the null cell number at most `ℓ`. Otherwise (a
+//!   small `n`, many changes, a near-empty state) it takes the
+//!   per-initiator split, which costs at most about `ℓ` tree draws.
+//!   Randomized tables, adversaries and schedulers always take the split,
+//!   unchanged.
+//!
+//! The lumped draw runs inline on the main stream, so it is
+//! thread-count-invariant by construction and never enters the tally pool.
+//! Nor does the split such a run falls back to: on 2 cores the pool
+//! slowed those batches at every measured grid point (USD `k = 1024` at
+//! `n = 10⁶` ran at 1.2M/s on 2 threads against 4.7M/s on 1), so it
+//! serves only the per-initiator split of randomized tables and
+//! adversarial runs (`batch/tally.rs`). [`BatchSimulation::tally_paths`]
+//! counts which path each batch took.
+//!
 //! The older per-pair engine ([`PairwiseBatchSimulation`]) samples and
 //! applies every interaction of the batch individually; it is retained as
 //! the semantic reference for A/B distribution tests and benchmarks.
@@ -51,7 +92,7 @@
 //! whose convergence predicate reads only the per-state counts. Randomized
 //! transitions are supported ([`TableProtocol::delta`] receives the
 //! scheduler RNG); deterministic ones additionally get the
-//! once-per-distinct-pair fast path by overriding
+//! once-per-distinct-pair fast path and the lumped tally by overriding
 //! [`TableProtocol::is_deterministic`] to `true`. The paper's own protocols carry
 //! `Θ(k + log n)` states *per phase-clock value* and milestone bookkeeping,
 //! and stay on the sequential engine; the constant-state baselines (USD,
@@ -59,6 +100,7 @@
 
 pub mod birthday;
 pub mod fenwick;
+mod lumped;
 pub mod multinomial;
 pub mod pairwise;
 mod pool;
@@ -67,7 +109,7 @@ pub(crate) mod tally;
 
 pub use fenwick::{Fenwick, ShardedFenwick, StateSampler};
 pub use pairwise::PairwiseBatchSimulation;
-pub use sim::BatchSimulation;
+pub use sim::{AdmitError, BatchSimulation, TallyPaths};
 
 use crate::protocol::SimRng;
 

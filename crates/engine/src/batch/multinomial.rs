@@ -332,15 +332,58 @@ pub fn multinomial_into(
     total: u64,
     out: &mut Vec<(usize, u64)>,
 ) {
-    debug_assert_eq!(total, weights.iter().sum::<u64>());
-    debug_assert!(total > 0);
+    split_exact(rng, trials, weights, total, out);
+}
+
+/// [`multinomial_into`] over `u128` weights — the lumped tally, whose cell
+/// weights are products of two counts and overflow `u64` once `n > 2³²`.
+pub(crate) fn multinomial_wide_into(
+    rng: &mut SimRng,
+    trials: u64,
+    weights: &[u128],
+    total: u128,
+    out: &mut Vec<(usize, u64)>,
+) {
+    split_exact(rng, trials, weights, total, out);
+}
+
+/// An exact integer weight: the running remainder stays exact, so the
+/// last non-zero cell is recognised by equality.
+trait Weight: Copy + Eq + std::fmt::Debug + std::iter::Sum + std::ops::SubAssign {
+    const ZERO: Self;
+    fn to_f64(self) -> f64;
+}
+
+impl Weight for u64 {
+    const ZERO: Self = 0;
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Weight for u128 {
+    const ZERO: Self = 0;
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+fn split_exact<W: Weight>(
+    rng: &mut SimRng,
+    trials: u64,
+    weights: &[W],
+    total: W,
+    out: &mut Vec<(usize, u64)>,
+) {
+    debug_assert_eq!(total, weights.iter().copied().sum::<W>());
+    debug_assert!(total != W::ZERO);
     let mut remaining = trials;
     let mut rest = total;
     for (index, &w) in weights.iter().enumerate() {
         if remaining == 0 {
             return;
         }
-        if w == 0 {
+        if w == W::ZERO {
             continue;
         }
         if w == rest {
@@ -348,7 +391,7 @@ pub fn multinomial_into(
             out.push((index, remaining));
             return;
         }
-        let x = binomial(rng, remaining, w as f64 / rest as f64);
+        let x = binomial(rng, remaining, w.to_f64() / rest.to_f64());
         if x > 0 {
             out.push((index, x));
         }

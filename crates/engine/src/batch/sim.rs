@@ -6,7 +6,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::batch::birthday::draw_batch_len;
 use crate::batch::fenwick::ShardedFenwick;
-use crate::batch::multinomial::{binomial, multinomial_into, multinomial_weighted_into};
+use crate::batch::lumped::{Change, ChangeTable};
+use crate::batch::multinomial::{
+    binomial, multinomial_into, multinomial_weighted_into, multinomial_wide_into,
+};
 use crate::batch::pool::{TallyJob, TallyPool};
 use crate::batch::tally::{self, run_subtree, TallyCtx, TallyScratch, TallySpec};
 use crate::batch::TableProtocol;
@@ -39,13 +42,100 @@ const MAX_TALLY_RETRIES: u32 = 8;
 /// [`crate::batch::tally`]), so this cutoff cannot affect results.
 const PARALLEL_CUTOFF: u64 = 1024;
 
+/// How a simulation's batches were tallied. Process-local counts, like
+/// [`BatchSimulation::batches`]: never checkpointed, zero after a
+/// restore.
+///
+/// Every batch counts once in `lumped`, `inline` or `pooled`; a split
+/// batch by the path of its last attempt. Only the `inline`/`pooled`
+/// split depends on the thread count; every other count is a function of
+/// the trajectory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TallyPaths {
+    /// One multinomial over a deterministic table's count changes.
+    pub lumped: u64,
+    /// Split per initiator on the calling thread (every scheduled batch
+    /// included).
+    pub inline: u64,
+    /// Split per initiator on the tally pool.
+    pub pooled: u64,
+    /// Applied pair by pair after `MAX_TALLY_RETRIES` (eight)
+    /// infeasible tallies in a row.
+    pub pairwise: u64,
+    /// Infeasible tallies drawn again.
+    pub redraws: u64,
+}
+
+/// Where one per-initiator tally attempt ran.
+#[derive(Debug, Clone, Copy)]
+enum TallyPath {
+    Inline,
+    Pooled,
+}
+
+impl TallyPaths {
+    fn count(&mut self, path: TallyPath) {
+        match path {
+            TallyPath::Inline => self.inline += 1,
+            TallyPath::Pooled => self.pooled += 1,
+        }
+    }
+}
+
+/// Why [`BatchSimulation::admit`] refused agents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AdmitError {
+    /// The state is outside the protocol's state space `0..states`.
+    State { state: usize, states: usize },
+    /// The grown population would not fit in `u64`.
+    Overflow { n: u64, count: u64 },
+}
+
+impl std::fmt::Display for AdmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::State { state, states } => {
+                write!(f, "state {state} is outside 0..{states}")
+            }
+            Self::Overflow { n, count } => {
+                write!(
+                    f,
+                    "admitting {count} agents to {n} overflows the population"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for AdmitError {}
+
+/// One batch's lumped tally, laid out by
+/// [`BatchSimulation::plan_lumped`] and drawn by
+/// [`BatchSimulation::draw_lumped`].
+#[derive(Debug, Default)]
+struct LumpedPlan {
+    /// Cells of the multinomial, each a transition: the null cell first,
+    /// then every change with positive weight.
+    cells: Vec<Change>,
+    weights: Vec<u128>,
+    /// `n²`, the weights' sum.
+    total: u128,
+    // Per-batch scratch.
+    change_weights: Vec<u128>,
+    drawn: Vec<(usize, u64)>,
+}
+
 /// A configuration-space simulation advancing in collision-free batches,
-/// each applied as one multinomial tally of ordered state pairs.
+/// each applied as one multinomial tally: over a deterministic table's
+/// count changes (the lumped tally) or over ordered state pairs, split per
+/// initiator.
 ///
 /// Per-interaction cost is sub-constant for long batches: a batch of `ℓ`
-/// interactions costs `O(S·√ℓ)` binomial work plus `O(log S)` per
-/// *distinct* transition applied, instead of `O(S)` per interaction in the
-/// seed engine (see [`crate::batch`] module docs for the accounting, and
+/// interactions costs one binomial per lumped cell, or `O(S·√ℓ)` binomial
+/// work on the split, plus `O(log S)` per *distinct* transition applied,
+/// instead of `O(S)` per interaction in the seed engine (see
+/// [`crate::batch`] module docs for the accounting and the rule between
+/// the two tallies, and
 /// [`PairwiseBatchSimulation`](crate::batch::PairwiseBatchSimulation) for
 /// the retained reference implementation).
 #[derive(Debug)]
@@ -100,6 +190,14 @@ pub struct BatchSimulation<P: TableProtocol> {
     pool: Option<TallyPool<P>>,
     /// Coordinator-side kernel scratch, reused across batches.
     scratch: TallyScratch,
+    /// A deterministic table's count changes, built on the first batch
+    /// that may use them and shared by clones.
+    changes: Option<Arc<ChangeTable>>,
+    /// Until `changes` is built: a lower bound on their number, the cap
+    /// at which the last build stopped (0 before any).
+    changes_seen: u64,
+    lumped: LumpedPlan,
+    paths: TallyPaths,
 }
 
 impl<P: TableProtocol> Clone for BatchSimulation<P> {
@@ -128,6 +226,10 @@ impl<P: TableProtocol> Clone for BatchSimulation<P> {
             threads: self.threads,
             pool: None,
             scratch: TallyScratch::default(),
+            changes: self.changes.clone(),
+            changes_seen: self.changes_seen,
+            lumped: LumpedPlan::default(),
+            paths: self.paths,
         }
     }
 }
@@ -172,15 +274,22 @@ impl<P: TableProtocol> BatchSimulation<P> {
             threads: 1,
             pool: None,
             scratch: TallyScratch::default(),
+            changes: None,
+            changes_seen: 0,
+            lumped: LumpedPlan::default(),
+            paths: TallyPaths::default(),
         }
     }
 
     /// Set the worker budget for this run. `1` (the default) keeps
-    /// everything on the calling thread; larger values run tally subtrees
-    /// and census rebuilds on up to `threads` workers (the calling thread
-    /// included). **Results are byte-identical at every setting** — every
-    /// parallel draw runs on a counter-based substream keyed by its place
-    /// in the tally structure, never by thread (see
+    /// everything on the calling thread; larger values run the subtrees of
+    /// per-initiator tallies and census rebuilds on up to `threads` workers
+    /// (the calling thread included). A deterministic table with no
+    /// adversary or scheduler installed tallies every batch on the calling
+    /// thread, lumped or split, so for it this sizes only census rebuilds.
+    /// **Results are byte-identical at every setting**
+    /// — every parallel draw runs on a counter-based substream keyed by its
+    /// place in the tally structure, never by thread (see
     /// [`crate::batch::tally`]) — so this is purely a throughput knob.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -292,27 +401,38 @@ impl<P: TableProtocol> BatchSimulation<P> {
         self.batches
     }
 
+    /// Which tally path each batch took so far. Process-local, like
+    /// [`batches`](Self::batches).
+    pub fn tally_paths(&self) -> TallyPaths {
+        self.paths
+    }
+
     /// Add `count` fresh agents in `state` to the live population — the
     /// ingest path of a long-running service. Uses the same clock-folding
     /// bookkeeping as churn joins, and draws no randomness, so the engine's
     /// RNG stream is exactly the stream of the ingest-free run.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `state` is outside the protocol's state space.
-    pub fn admit(&mut self, state: usize, count: u64) {
-        assert!(
-            state < self.counts.len(),
-            "admit state {state} outside 0..{}",
-            self.counts.len()
-        );
+    /// Leaves the simulation untouched and returns [`AdmitError`] if
+    /// `state` is outside the protocol's state space or the population
+    /// would overflow `u64`.
+    pub fn admit(&mut self, state: usize, count: u64) -> Result<(), AdmitError> {
+        let states = self.counts.len();
+        if state >= states {
+            return Err(AdmitError::State { state, states });
+        }
+        let overflow = AdmitError::Overflow { n: self.n, count };
+        let n = self.n.checked_add(count).ok_or(overflow)?;
         if count == 0 {
-            return;
+            return Ok(());
         }
         self.fold_clock();
+        // A state's count never exceeds the population, so this fits.
         self.counts[state] += count;
-        self.n += count;
+        self.n = n;
         self.tree.rebuild(&self.counts, self.threads);
+        Ok(())
     }
 
     /// Parallel time elapsed: interactions divided by the population size,
@@ -367,48 +487,181 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// configuration and apply it. Infeasible tallies (a with-replacement
     /// draw overdrew a nearly-empty state) are redrawn; after
     /// [`MAX_TALLY_RETRIES`] misses the batch is applied pair by pair.
+    ///
+    /// A batch takes the lumped tally, which cannot be infeasible, when
+    /// [`plan_lumped`](Self::plan_lumped) lays one out, and the
+    /// per-initiator split otherwise; see the [`crate::batch`] module docs
+    /// for the rule and its costs.
     fn apply_batch(&mut self, len: u64) {
         self.batches += 1;
         self.refresh_lie();
-        match self.scheduler.clone() {
-            None => {
-                for _ in 0..MAX_TALLY_RETRIES {
-                    if self.try_tally(len) {
-                        self.interactions += len;
-                        return;
-                    }
-                }
-                self.apply_pairwise(len);
+        let sched = self.scheduler.clone();
+        if sched.is_none() && self.plan_lumped(len) {
+            self.draw_lumped(len);
+            self.paths.lumped += 1;
+            self.interactions += len;
+            return;
+        }
+        let mut path = TallyPath::Inline;
+        for _ in 0..MAX_TALLY_RETRIES {
+            let feasible;
+            (path, feasible) = match &sched {
+                None => self.try_tally(len),
+                Some(sched) => self.try_tally_scheduled(len, &**sched),
+            };
+            if feasible {
+                self.paths.count(path);
+                self.interactions += len;
+                return;
             }
-            Some(sched) => {
-                for _ in 0..MAX_TALLY_RETRIES {
-                    if self.try_tally_scheduled(len, &*sched) {
-                        self.interactions += len;
-                        return;
-                    }
-                }
-                self.apply_pairwise_scheduled(len, &*sched);
-            }
+            self.paths.redraws += 1;
+        }
+        self.paths.count(path);
+        self.paths.pairwise += 1;
+        match sched {
+            None => self.apply_pairwise(len),
+            Some(sched) => self.apply_pairwise_scheduled(len, &*sched),
         }
         self.interactions += len;
     }
 
-    /// One tally attempt. Returns `false` (leaving the configuration
-    /// untouched) if the sampled tally is infeasible — it would use more
-    /// agents of some state than exist (the with-replacement draw can
-    /// overdraw a small state).
+    /// Whether this run's batches may be lumped: a deterministic table
+    /// with no adversary installed (the caller rules out schedulers).
+    /// Such a run never uses the tally pool.
+    fn lumpable(&self) -> bool {
+        self.deterministic && self.lie.is_none() && self.adversary.is_none()
+    }
+
+    /// Lay out the lumped tally of a batch of `len` interactions, or
+    /// return `false` when the batch takes the per-initiator split: the
+    /// table is randomized, an adversary is installed, an occupied state
+    /// holds fewer than `2ℓ` agents, or the changes and the null cell
+    /// outnumber the interactions.
+    ///
+    /// A batch has `2ℓ` participants, so a state holding at least `2ℓ`
+    /// agents can never be overdrawn. With every occupied state that
+    /// large the per-initiator split never redraws, its law is the plain
+    /// multinomial over ordered pairs, and merging its cells by count
+    /// change gives exactly the lumped law.
+    fn plan_lumped(&mut self, len: u64) -> bool {
+        if !self.lumpable() {
+            return false;
+        }
+        // The changes, or before the table exists a lower bound on them,
+        // and the null cell already outnumber ℓ.
+        let known = self
+            .changes
+            .as_ref()
+            .map_or(self.changes_seen, |t| t.len() as u64);
+        if known >= len || self.counts.iter().any(|&c| c > 0 && c < 2 * len) {
+            return false;
+        }
+        if self.changes.is_none() {
+            // At least double the last capped build, so batch lengths
+            // hovering near the change count rebuild `O(log ℓ)` times.
+            let cap = len.max(2 * self.changes_seen);
+            match ChangeTable::build(&*self.protocol, cap as usize) {
+                Some(table) => self.changes = Some(Arc::new(table)),
+                None => {
+                    self.changes_seen = cap;
+                    return false;
+                }
+            }
+        }
+        let table = self.changes.as_deref().expect("built above");
+        if table.len() as u64 >= len {
+            return false;
+        }
+
+        let plan = &mut self.lumped;
+        table.weights(&self.counts, self.n, &mut plan.change_weights);
+        plan.total = u128::from(self.n) * u128::from(self.n);
+        plan.cells.clear();
+        plan.weights.clear();
+        // The null cell: its transition nets to zero.
+        plan.cells.push(Change::default());
+        plan.weights
+            .push(plan.total - plan.change_weights.iter().sum::<u128>());
+        for (g, &w) in plan.change_weights.iter().enumerate() {
+            if w > 0 {
+                plan.cells.push(table.change(g));
+                plan.weights.push(w);
+            }
+        }
+        true
+    }
+
+    /// Draw the planned lumped tally and apply it: a single multinomial
+    /// over the plan's cells, drawn inline on the main stream (so it
+    /// never depends on the thread count). No state can be overdrawn, so
+    /// there is no usage to check.
+    fn draw_lumped(&mut self, len: u64) {
+        self.delta.fill(0);
+        let plan = &mut self.lumped;
+        plan.drawn.clear();
+        multinomial_wide_into(
+            &mut self.rng,
+            len,
+            &plan.weights,
+            plan.total,
+            &mut plan.drawn,
+        );
+        for &(i, m) in &plan.drawn {
+            let c = plan.cells[i];
+            let (a, b, a2, b2) = (c.a as usize, c.b as usize, c.a2 as usize, c.b2 as usize);
+            let m = m as i64;
+            self.delta[a] -= m;
+            self.delta[b] -= m;
+            self.delta[a2] += m;
+            self.delta[b2] += m;
+        }
+        self.apply_delta();
+    }
+
+    /// Apply the attempt's `delta` if its `usage` fits: within a
+    /// collision-free batch every participant is a distinct agent, so the
+    /// gross usage of a state is bounded by its pre-batch count (which
+    /// also keeps the net delta from going negative). Returns whether the
+    /// tally was feasible; an infeasible one leaves the configuration
+    /// untouched.
+    fn commit(&mut self) -> bool {
+        if self.counts.iter().zip(&self.usage).any(|(&c, &u)| u > c) {
+            return false;
+        }
+        self.apply_delta();
+        true
+    }
+
+    /// Add the attempt's `delta` to the counts and the census tree.
+    fn apply_delta(&mut self) {
+        for s in 0..self.counts.len() {
+            let d = self.delta[s];
+            if d != 0 {
+                self.counts[s] = self.counts[s]
+                    .checked_add_signed(d)
+                    .expect("feasible delta");
+                self.tree.add(s, d);
+            }
+        }
+    }
+
+    /// One per-initiator tally attempt, returning its path and whether it
+    /// was feasible (an infeasible tally would use more agents of some
+    /// state than exist; the with-replacement draw can overdraw a small
+    /// state).
     ///
     /// The attempt is structured as a split tree: the root multinomial
     /// (drawn here, from the main stream) splits the batch across
     /// initiator states, and each initiator's subtree resolves on a
-    /// counter-based substream keyed by `(key, subtree index)` — inline
-    /// at `threads == 1`, claimed by pool workers otherwise, with
-    /// byte-identical results either way (see [`crate::batch::tally`]).
+    /// counter-based substream keyed by `(key, subtree index)` — claimed
+    /// by pool workers for a long batch at `threads > 1` unless the run is
+    /// [lumpable](Self::lumpable), inline otherwise, with byte-identical
+    /// results either way (see [`crate::batch::tally`]).
     /// Main-stream consumption per attempt (the root draw plus one key
     /// word) is therefore thread-count-invariant.
-    fn try_tally(&mut self, len: u64) -> bool {
-        self.delta.iter_mut().for_each(|d| *d = 0);
-        self.usage.iter_mut().for_each(|u| *u = 0);
+    fn try_tally(&mut self, len: u64) -> (TallyPath, bool) {
+        self.delta.fill(0);
+        self.usage.fill(0);
 
         // Root split: one multinomial over the configuration.
         self.initiators.clear();
@@ -424,8 +677,16 @@ impl<P: TableProtocol> BatchSimulation<P> {
         let split_threshold = SPLIT_FLOOR.max(occupied);
         let key = self.rng.gen::<u64>();
 
-        if self.threads > 1 && len >= PARALLEL_CUTOFF && self.initiators.len() > 1 {
+        // A lumpable run splits only the batches the lumped rule turns
+        // away, and the pool slowed those at every measured grid point
+        // (see the `crate::batch` docs), so they stay on this thread.
+        let pooled = self.threads > 1
+            && len >= PARALLEL_CUTOFF
+            && self.initiators.len() > 1
+            && !self.lumpable();
+        let path = if pooled {
             self.tally_pooled(split_threshold, key);
+            TallyPath::Pooled
         } else {
             let initiators = std::mem::take(&mut self.initiators);
             for (subtree, &(a, multiplicity)) in initiators.iter().enumerate() {
@@ -453,25 +714,9 @@ impl<P: TableProtocol> BatchSimulation<P> {
                 );
             }
             self.initiators = initiators;
-        }
-
-        // Feasibility: within a collision-free batch every participant is
-        // a distinct agent, so the gross usage of a state is bounded by
-        // its pre-batch count (this also implies the net delta cannot go
-        // negative).
-        if self.counts.iter().zip(&self.usage).any(|(&c, &u)| u > c) {
-            return false;
-        }
-        for s in 0..self.counts.len() {
-            let d = self.delta[s];
-            if d != 0 {
-                self.counts[s] = self.counts[s]
-                    .checked_add_signed(d)
-                    .expect("feasible delta");
-                self.tree.add(s, d);
-            }
-        }
-        true
+            TallyPath::Inline
+        };
+        (path, self.commit())
     }
 
     /// Run the current attempt's subtrees on the worker pool: snapshot
@@ -579,9 +824,9 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// share of the batch forces responders into the initiator's opinion
     /// class. Feasibility checking and application are shared with
     /// [`try_tally`](Self::try_tally).
-    fn try_tally_scheduled(&mut self, len: u64, sched: &dyn Scheduler) -> bool {
-        self.delta.iter_mut().for_each(|d| *d = 0);
-        self.usage.iter_mut().for_each(|u| *u = 0);
+    fn try_tally_scheduled(&mut self, len: u64, sched: &dyn Scheduler) -> (TallyPath, bool) {
+        self.delta.fill(0);
+        self.usage.fill(0);
 
         let weights: Vec<f64> = self
             .counts
@@ -710,20 +955,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
         responders.clear();
         self.initiators = initiators;
         self.responders = responders;
-
-        if self.counts.iter().zip(&self.usage).any(|(&c, &u)| u > c) {
-            return false;
-        }
-        for s in 0..self.counts.len() {
-            let d = self.delta[s];
-            if d != 0 {
-                self.counts[s] = self.counts[s]
-                    .checked_add_signed(d)
-                    .expect("feasible delta");
-                self.tree.add(s, d);
-            }
-        }
-        true
+        (TallyPath::Inline, self.commit())
     }
 
     /// Weighted per-pair fallback for scheduled batches (the analogue of
@@ -1124,6 +1356,37 @@ pub(crate) mod tests {
         }
     }
 
+    /// USD on `k` opinions (state 0 undecided), as in `pp-baselines`.
+    pub(crate) struct Usd(pub usize);
+    impl TableProtocol for Usd {
+        fn states(&self) -> usize {
+            self.0 + 1
+        }
+        fn is_deterministic(&self) -> bool {
+            true
+        }
+        fn delta(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+            match (a, b) {
+                (0, 0) => (0, 0),
+                (x, 0) => (x, x),
+                (0, y) => (y, y),
+                (x, y) if x != y => (x, 0),
+                same => same,
+            }
+        }
+        fn output(&self, _counts: &[u64]) -> Option<u32> {
+            None
+        }
+        fn opinion(&self, s: usize) -> Option<u32> {
+            (s >= 1).then_some(s as u32)
+        }
+        fn opinion_state(&self, opinion: u32) -> Option<usize> {
+            (1..=self.0 as u32)
+                .contains(&opinion)
+                .then_some(opinion as usize)
+        }
+    }
+
     /// A randomized table: on an (A, B) clash the *pair* flips one fair
     /// coin and both adopt the winner — drifts nowhere, but exercises the
     /// per-interaction RNG path.
@@ -1305,28 +1568,14 @@ pub(crate) mod tests {
     fn overdraw_prone_configurations_stay_consistent() {
         // One agent of state 1 in a sea of state 0: every batch risks
         // overdrawing state 1, exercising the retry/fallback path.
-        struct Swap;
-        impl TableProtocol for Swap {
-            fn states(&self) -> usize {
-                2
-            }
-
-            fn is_deterministic(&self) -> bool {
-                true
-            }
-            fn delta(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
-                (b, a)
-            }
-            fn output(&self, _counts: &[u64]) -> Option<u32> {
-                None
-            }
-        }
         let mut sim = BatchSimulation::new(Swap, vec![999, 1], 7);
         for _ in 0..2000 {
             sim.step_batch();
             assert_eq!(sim.counts().iter().sum::<u64>(), 1000);
             assert_eq!(sim.counts()[1], 1, "swap conserves the single token");
         }
+        let paths = sim.tally_paths();
+        assert_eq!(paths.lumped, 0, "{paths:?}");
     }
 
     #[test]
@@ -1343,7 +1592,7 @@ pub(crate) mod tests {
         }
         let rng_before = sim.rng_state();
         let t_before = sim.parallel_time();
-        sim.admit(2, 250);
+        sim.admit(2, 250).expect("state 2 exists");
         assert_eq!(sim.rng_state(), rng_before, "admit must draw no randomness");
         assert_eq!(sim.counts().iter().sum::<u64>(), 1250);
         assert_eq!(sim.n(), 1250);
@@ -1351,7 +1600,7 @@ pub(crate) mod tests {
         assert_eq!(sim.parallel_time(), t_before);
         // Admitting zero agents is a true no-op.
         let snap = sim.counts().to_vec();
-        sim.admit(0, 0);
+        sim.admit(0, 0).expect("admitting nobody is fine");
         assert_eq!(sim.counts(), &snap[..]);
         // The admitted agents participate: the clock advances at the new
         // population's rate and counts keep summing to the grown total.
@@ -1361,10 +1610,31 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn admit_rejects_out_of_range_states() {
+    fn admit_refuses_bad_states_and_overflow_untouched() {
         let mut sim = BatchSimulation::new(Am3, vec![0, 600, 400], 17);
-        sim.admit(3, 1);
+        sim.step_batch();
+        let before = (sim.counts().to_vec(), sim.n(), sim.parallel_time());
+        assert_eq!(
+            sim.admit(3, 1),
+            Err(AdmitError::State {
+                state: 3,
+                states: 3
+            })
+        );
+        assert_eq!(
+            sim.admit(1, u64::MAX),
+            Err(AdmitError::Overflow {
+                n: 1000,
+                count: u64::MAX
+            })
+        );
+        assert_eq!(
+            (sim.counts().to_vec(), sim.n(), sim.parallel_time()),
+            before
+        );
+        // The largest admissible count still fits.
+        sim.admit(1, u64::MAX - 1000).expect("fits exactly");
+        assert_eq!(sim.counts().iter().sum::<u64>(), u64::MAX);
     }
 
     #[test]
@@ -1401,8 +1671,10 @@ pub(crate) mod tests {
 
     #[test]
     fn thread_count_never_changes_the_trajectory() {
-        // n large enough that batch lengths (ℓ ≈ 0.627·√n ≈ 1250) cross
-        // PARALLEL_CUTOFF, so threads > 1 actually takes the pooled path.
+        // The first batches, whose blanks number fewer than 2ℓ, take the
+        // split; the rest take the lumped path, which draws on the main
+        // stream. Both run on the calling thread for this table, and
+        // neither may depend on the thread count.
         let n = 4_000_000u64;
         let counts = vec![0u64, n / 2 + 120_000, n / 2 - 120_000];
         let want = trajectory(Am3, counts.clone(), 23, 1, 60);
@@ -1416,6 +1688,8 @@ pub(crate) mod tests {
     fn thread_count_invariance_holds_for_randomized_tables() {
         // CoinClash consumes per-interaction randomness inside the
         // subtree kernels — the stress case for substream assignment.
+        // Batch lengths (ℓ ≈ 0.627·√n ≈ 1250) cross PARALLEL_CUTOFF, so
+        // threads > 1 takes the pooled path.
         let n = 4_000_000u64;
         let counts = vec![n / 2 + 40_000, n / 2 - 40_000];
         let want = trajectory(CoinClash, counts.clone(), 31, 1, 40);
@@ -1423,17 +1697,26 @@ pub(crate) mod tests {
             let got = trajectory(CoinClash, counts.clone(), 31, threads, 40);
             assert_eq!(got, want, "threads = {threads}");
         }
+        let mut sim = BatchSimulation::new(CoinClash, counts, 31);
+        sim.set_threads(2);
+        for _ in 0..40 {
+            sim.step_batch();
+        }
+        let paths = sim.tally_paths();
+        assert_eq!(paths.lumped, 0, "{paths:?}");
+        assert!(paths.pooled > 0, "{paths:?}");
     }
 
     #[test]
     fn thread_count_invariance_holds_under_an_adversary() {
         // The Byzantine split runs as array passes inside each subtree;
         // the forged-opinion resolution happens once per batch on the
-        // main stream, so it too must be thread-invariant.
+        // main stream, so it too must be thread-invariant. (USD, because
+        // the forged opinion needs a state to map to.)
         let n = 4_000_000u64;
         let counts = vec![0u64, n / 2 + 80_000, n / 2 - 80_000];
         let run = |threads: usize| {
-            let mut sim = BatchSimulation::new(Am3, counts.clone(), 41);
+            let mut sim = BatchSimulation::new(Usd(2), counts.clone(), 41);
             sim.set_adversary(Arc::new(crate::fault::ByzantineAdversary {
                 frac: 0.05,
                 opinion: Some(2),
@@ -1442,6 +1725,11 @@ pub(crate) mod tests {
             for _ in 0..40 {
                 sim.step_batch();
             }
+            // An adversary keeps the per-initiator split, pooled above
+            // one thread once batches cross PARALLEL_CUTOFF.
+            let paths = sim.tally_paths();
+            assert_eq!(paths.lumped, 0, "{paths:?}");
+            assert_eq!(paths.pooled > 0, threads > 1, "{paths:?}");
             (sim.counts().to_vec(), sim.rng_state())
         };
         let want = run(1);
@@ -1477,14 +1765,21 @@ pub(crate) mod tests {
     fn ten_billion_agents_conserve_population() {
         // n = 10^10 exceeds u32 and any dense-agent representation; the
         // configuration-space engine must hold it in O(S) memory with no
-        // intermediate overflow. Batch lengths run ≈ 62 670 here.
+        // intermediate overflow. Batch lengths run ≈ 62 670 here. The
+        // first batch makes blanks, fewer than 2ℓ of them, so the next few
+        // take the split, on the calling thread even at two threads; once
+        // the blanks hold 2ℓ agents the batches are lumped, with weights
+        // (products of two counts) that exceed u64.
         let n = 10_000_000_000u64;
         let mut sim = BatchSimulation::new(Am3, vec![0, 5_500_000_000, 4_500_000_000], 71);
-        sim.set_threads(2); // exercise the pooled path at scale too
+        sim.set_threads(2);
         for _ in 0..50 {
             sim.step_batch();
             assert_eq!(sim.counts().iter().sum::<u64>(), n);
         }
+        let paths = sim.tally_paths();
+        assert!(paths.lumped > 40 && paths.inline > 0, "{paths:?}");
+        assert_eq!(paths.pooled, 0, "{paths:?}");
         assert!(
             sim.interactions() > 1_000_000,
             "3-state clash makes progress"
@@ -1493,5 +1788,248 @@ pub(crate) mod tests {
         // path; verify both opinions still hold u32-overflowing counts.
         assert!(sim.counts()[1] > u32::MAX as u64);
         assert!(sim.counts()[2] > u32::MAX as u64);
+    }
+
+    /// `ln Γ(x)` for `x > 0` (Lanczos, `g = 7`, nine terms; ~1e-15).
+    fn ln_gamma(x: f64) -> f64 {
+        const C: [f64; 9] = [
+            0.999_999_999_999_809_9,
+            676.520_368_121_885_1,
+            -1_259.139_216_722_402_8,
+            771.323_428_777_653_1,
+            -176.615_029_162_140_6,
+            12.507_343_278_686_905,
+            -0.138_571_095_265_720_12,
+            9.984_369_578_019_572e-6,
+            1.505_632_735_149_311_6e-7,
+        ];
+        let x = x - 1.0;
+        let t = x + 7.5;
+        let series = C[0]
+            + C[1..]
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| c / (x + i as f64 + 1.0))
+                .sum::<f64>();
+        0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + series.ln()
+    }
+
+    /// `P(χ²_df > x)`: the upper regularized incomplete gamma function
+    /// `Q(df/2, x/2)`, by its series below `a + 1` and its continued
+    /// fraction above.
+    fn chi_square_tail(df: f64, x: f64) -> f64 {
+        let (a, x) = (df / 2.0, x / 2.0);
+        if x <= 0.0 {
+            return 1.0;
+        }
+        let front = (-x + a * x.ln() - ln_gamma(a)).exp();
+        if x < a + 1.0 {
+            let (mut term, mut sum, mut ap) = (1.0 / a, 1.0 / a, a);
+            while term.abs() > sum.abs() * 1e-16 {
+                ap += 1.0;
+                term *= x / ap;
+                sum += term;
+            }
+            1.0 - front * sum
+        } else {
+            let tiny = 1e-300;
+            let mut b = x + 1.0 - a;
+            let (mut c, mut d) = (1.0 / tiny, 1.0 / b);
+            let mut h = d;
+            for i in 1..10_000 {
+                let an = -(i as f64) * (i as f64 - a);
+                b += 2.0;
+                d = an * d + b;
+                d = if d.abs() < tiny { tiny } else { d };
+                c = b + an / c;
+                c = if c.abs() < tiny { tiny } else { c };
+                d = 1.0 / d;
+                h *= d * c;
+                if (d * c - 1.0).abs() < 1e-16 {
+                    break;
+                }
+            }
+            front * h
+        }
+    }
+
+    #[test]
+    fn chi_square_tail_matches_tabulated_quantiles() {
+        // (df, x, upper tail) from standard tables.
+        for (df, x, p) in [
+            (1.0, 3.841_459, 0.05),
+            (1.0, 19.511_421, 1e-5),
+            (4.0, 13.276_704, 0.01),
+            (10.0, 18.307_038, 0.05),
+            (30.0, 59.702_747, 0.001),
+            (200.0, 233.994_273, 0.05),
+        ] {
+            let got = chi_square_tail(df, x);
+            assert!((got / p - 1.0).abs() < 1e-4, "df={df} x={x}: {got} vs {p}");
+        }
+    }
+
+    /// The per-case false-failure rate of the law test; two cases keep
+    /// the test's overall rate at 10⁻⁴.
+    const LAW_ALPHA: f64 = 5e-5;
+
+    /// Draw one batch of exactly `len` interactions from `base` on the
+    /// lumped or the per-initiator path, and return the counts after it.
+    fn forced_batch<P: TableProtocol>(
+        base: &BatchSimulation<P>,
+        seed: u64,
+        len: u64,
+        lumped: bool,
+    ) -> Vec<u64> {
+        let mut sim = base.clone();
+        sim.rng = SimRng::seed_from_u64(seed);
+        if lumped {
+            assert!(sim.plan_lumped(len), "the case must qualify for lumping");
+            sim.draw_lumped(len);
+        } else {
+            // Every state holds at least 2ℓ agents: no overdraw.
+            assert!(sim.try_tally(len).1);
+        }
+        sim.counts
+    }
+
+    /// Two-sample chi-square homogeneity test of the one-batch outcome
+    /// law, lumped against per-initiator, over `trials` batches each.
+    /// Outcomes seen fewer than 20 times in both samples together are
+    /// pooled into one cell.
+    fn assert_same_batch_law<P: TableProtocol>(
+        label: &str,
+        protocol: P,
+        counts: Vec<u64>,
+        len: u64,
+        trials: u64,
+    ) {
+        use std::collections::HashMap;
+        let base = BatchSimulation::new(protocol, counts, 0);
+        let mut seen: HashMap<Vec<u64>, [u64; 2]> = HashMap::new();
+        for (side, lumped) in [true, false].into_iter().enumerate() {
+            for t in 0..trials {
+                let seed = crate::rng::derive(side as u64, t);
+                seen.entry(forced_batch(&base, seed, len, lumped))
+                    .or_default()[side] += 1;
+            }
+        }
+        let mut cells: Vec<[u64; 2]> = Vec::new();
+        let mut pooled = [0u64; 2];
+        for &[x, y] in seen.values() {
+            if x + y >= 20 {
+                cells.push([x, y]);
+            } else {
+                pooled = [pooled[0] + x, pooled[1] + y];
+            }
+        }
+        if pooled != [0, 0] {
+            cells.push(pooled);
+        }
+        assert!(cells.len() >= 2, "{label}: the outcome is degenerate");
+        // Equal sample sizes: each cell's expected share is half its
+        // total on either side.
+        let stat: f64 = cells
+            .iter()
+            .map(|&[x, y]| {
+                let e = (x + y) as f64 / 2.0;
+                ((x as f64 - e).powi(2) + (y as f64 - e).powi(2)) / e
+            })
+            .sum();
+        let df = (cells.len() - 1) as f64;
+        let p = chi_square_tail(df, stat);
+        assert!(
+            p > LAW_ALPHA,
+            "{label}: lumped and per-initiator batch laws differ \
+             (chi-square {stat:.1} on {df} df, p = {p:.2e})"
+        );
+    }
+
+    #[test]
+    fn lumped_tally_draws_the_per_initiator_law() {
+        let trials = 20_000;
+        // Every state holds at least 2ℓ = 16 agents.
+        assert_same_batch_law("usd", Usd(3), vec![20, 40, 30, 25], 8, trials);
+        // n = 10¹⁰: products of two counts exceed u64.
+        assert_same_batch_law(
+            "usd, n > 2^32",
+            Usd(3),
+            vec![1_000_000_000, 4_000_000_000, 3_000_000_000, 2_000_000_000],
+            8,
+            trials,
+        );
+    }
+
+    /// The overdraw-prone swap table: every change is null.
+    struct Swap;
+    impl TableProtocol for Swap {
+        fn states(&self) -> usize {
+            2
+        }
+        fn is_deterministic(&self) -> bool {
+            true
+        }
+        fn delta(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+            (b, a)
+        }
+        fn output(&self, _counts: &[u64]) -> Option<u32> {
+            None
+        }
+    }
+
+    #[test]
+    fn batches_that_could_overdraw_or_outnumber_their_cells_take_the_split() {
+        let plans =
+            |counts: Vec<u64>, len: u64| BatchSimulation::new(Usd(3), counts, 0).plan_lumped(len);
+        assert!(plans(vec![20, 40, 30, 25], 8));
+        // State 0 holds one agent, below 2ℓ = 28: an overdraw is possible,
+        // so the split draws the batch, redraws included.
+        assert!(!plans(vec![1, 60, 45, 35], 14));
+        // An empty state cannot be overdrawn.
+        assert!(plans(vec![0, 60, 45, 35], 14));
+        // Six changes and the null cell outnumber a batch of six.
+        assert!(!plans(vec![20, 40, 30, 25], 6));
+        // The single swap token can be overdrawn in every batch.
+        let mut swap = BatchSimulation::new(Swap, vec![999, 1], 0);
+        assert!(!swap.plan_lumped(200));
+    }
+
+    /// A table that counts its `delta` calls.
+    struct Counted<P>(P, std::sync::atomic::AtomicU64);
+    impl<P: TableProtocol> TableProtocol for Counted<P> {
+        fn states(&self) -> usize {
+            self.0.states()
+        }
+        fn is_deterministic(&self) -> bool {
+            self.0.is_deterministic()
+        }
+        fn delta(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.delta(a, b, rng)
+        }
+        fn output(&self, counts: &[u64]) -> Option<u32> {
+            self.0.output(counts)
+        }
+    }
+
+    #[test]
+    fn a_table_with_too_many_changes_is_never_built_in_full() {
+        // 10⁴ changes over 5,001 states, two occupied, n = 5,000: every
+        // batch (ℓ below ~300) has far more changes than interactions.
+        // Each capped build stops within the first responder's walk, so
+        // the whole run calls `delta` a few thousand times, where one
+        // full build would call it 25 million times.
+        let k = 5_000;
+        let mut counts = vec![0u64; k + 1];
+        counts[1] = 2_500;
+        counts[2] = 2_500;
+        let protocol = Counted(Usd(k), Default::default());
+        let mut sim = BatchSimulation::new(protocol, counts, 3);
+        for _ in 0..500 {
+            sim.step_batch();
+        }
+        assert_eq!(sim.tally_paths().lumped, 0);
+        let calls = sim.protocol().1.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(calls < 20_000, "{calls} calls of delta");
     }
 }

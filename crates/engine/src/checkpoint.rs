@@ -135,7 +135,11 @@ impl Checkpoint {
                 self.counts.len()
             )));
         }
-        let n: u64 = self.counts.iter().sum();
+        let n = self
+            .counts
+            .iter()
+            .try_fold(0u64, |n, &c| n.checked_add(c))
+            .ok_or_else(|| bad("checkpoint population overflows u64".to_string()))?;
         if n < 2 {
             return Err(bad(format!("checkpoint population {n} is below 2")));
         }
@@ -491,6 +495,11 @@ mod tests {
         let mut tiny = demo_checkpoint();
         tiny.counts = vec![0, 1, 0];
         assert!(tiny.restore_batch(Am3).is_err());
+
+        // A population past u64 would wrap the engine's `n`.
+        let mut huge = demo_checkpoint();
+        huge.counts = vec![0, u64::MAX, 2];
+        assert!(huge.restore_batch(Am3).is_err());
 
         // Seq snapshots validate the agent vector against the counts and
         // the protocol's state space.

@@ -106,7 +106,8 @@ pub mod sim;
 pub mod table_seq;
 
 pub use batch::{
-    BatchSimulation, Fenwick, PairwiseBatchSimulation, ShardedFenwick, StateSampler, TableProtocol,
+    AdmitError, BatchSimulation, Fenwick, PairwiseBatchSimulation, ShardedFenwick, StateSampler,
+    TableProtocol, TallyPaths,
 };
 pub use census::Census;
 pub use checkpoint::Checkpoint;

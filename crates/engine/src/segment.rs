@@ -366,7 +366,7 @@ mod tests {
             SegmentRunner::new(BatchSimulation::new(Am3, init.clone(), 11), churn(), init);
         runner.advance_to(10.0);
         let before = runner.sim().counts().iter().sum::<u64>();
-        runner.sim_mut().admit(2, 400);
+        runner.sim_mut().admit(2, 400).expect("state 2 exists");
         assert_eq!(runner.sim().counts().iter().sum::<u64>(), before + 400);
         let t = runner.parallel_time();
         runner.advance_to(t + 10.0);

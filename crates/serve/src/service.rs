@@ -340,17 +340,21 @@ impl<P: TableProtocol> SimCore<P> {
                 reply,
             } => {
                 let resp = match self.runner.sim().protocol().opinion_state(opinion) {
-                    Some(state) => {
-                        self.runner.sim_mut().admit(state, count);
-                        ServiceStats::bump(&self.stats.ingest_requests);
-                        ServiceStats::add(&self.stats.ingested_agents, count);
-                        self.publish(snapshot);
-                        Response::Ingested {
-                            opinion,
-                            count,
-                            population: self.runner.sim().counts().iter().sum(),
+                    Some(state) => match self.runner.sim_mut().admit(state, count) {
+                        Ok(()) => {
+                            ServiceStats::bump(&self.stats.ingest_requests);
+                            ServiceStats::add(&self.stats.ingested_agents, count);
+                            self.publish(snapshot);
+                            Response::Ingested {
+                                opinion,
+                                count,
+                                population: self.runner.sim().counts().iter().sum(),
+                            }
                         }
-                    }
+                        Err(e) => Response::Error {
+                            error: format!("ingest refused: {e}"),
+                        },
+                    },
                     None => Response::Error {
                         error: format!("opinion {opinion} is not in this protocol's opinion set"),
                     },

@@ -215,3 +215,71 @@ fn server_answers_garbage_with_error_lines_and_keeps_serving() {
     server.join();
     svc.join();
 }
+
+/// An ingest that would overflow the `u64` population is refused with an
+/// error line and changes nothing: not the population, not `ingested`.
+#[test]
+fn overflowing_ingest_is_refused_and_changes_nothing() {
+    let svc = Service::spawn(
+        ThreeState,
+        ServiceConfig {
+            initial: vec![0, 3_000, 2_000],
+            lockstep: true,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("spawn service");
+    let server = ServerHandle::bind("127.0.0.1:0", &svc, 1).expect("bind");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut ask = |line: &str| -> Response {
+        writeln!(writer, "{line}").expect("write");
+        writer.flush().expect("flush");
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("read");
+        Response::parse(&resp).unwrap_or_else(|e| panic!("{resp}: {e}"))
+    };
+    let population_and_ingested = |resp: Response| match resp {
+        Response::Status {
+            population,
+            ingested,
+            ..
+        } => (population, ingested),
+        other => panic!("status failed: {other:?}"),
+    };
+
+    let resp = ask("{\"cmd\":\"ingest\",\"opinion\":1,\"count\":18446744073709551615}");
+    assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+    assert_eq!(
+        population_and_ingested(ask("{\"cmd\":\"status\"}")),
+        (5_000, 0)
+    );
+
+    // One agent short of the limit still fits; one more does not.
+    let fits = u64::MAX - 5_000;
+    let resp = ask(&format!(
+        "{{\"cmd\":\"ingest\",\"opinion\":2,\"count\":{}}}",
+        fits + 1
+    ));
+    assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+    let resp = ask(&format!(
+        "{{\"cmd\":\"ingest\",\"opinion\":2,\"count\":{fits}}}"
+    ));
+    assert_eq!(
+        resp,
+        Response::Ingested {
+            opinion: 2,
+            count: fits,
+            population: u64::MAX
+        }
+    );
+    assert_eq!(
+        population_and_ingested(ask("{\"cmd\":\"status\"}")),
+        (u64::MAX, fits)
+    );
+
+    assert_eq!(ask("{\"cmd\":\"shutdown\"}"), Response::ShutDown);
+    server.join();
+    svc.join();
+}

@@ -6,8 +6,15 @@
 //! the random stream.
 //!
 //! Populations sit above ~3×10⁶ so batch lengths (ℓ ≈ 0.627·√n) cross
-//! the engine's internal parallel cutoff and the pooled path actually
-//! runs when threads > 1.
+//! the engine's internal parallel cutoff. The adversarial run then takes
+//! the pooled path when threads > 1, which it asserts through the
+//! engine's path counters. The clean 3-state runs take the lumped path,
+//! which draws inline on the main stream at any thread count, except
+//! while some occupied state holds fewer than 2ℓ agents (the blanks of
+//! the first batches, the losing opinion near consensus), when they take
+//! the split, also on the calling thread; their census rebuilds after
+//! faults and churn still shard across threads. These tests pin that the
+//! thread count stays out of the stream on every path.
 
 use exact_plurality::engine::fault::ByzantineAdversary;
 use exact_plurality::engine::{rng, ChurnProcess, ChurnSpec, SegmentRunner};
@@ -73,6 +80,9 @@ fn adversarial_runs_are_thread_count_invariant() {
         }));
         sim.set_threads(threads);
         let r = sim.run(&opts);
+        let paths = sim.tally_paths();
+        assert_eq!(paths.lumped, 0, "an adversary keeps the split: {paths:?}");
+        assert_eq!(paths.pooled > 0, threads > 1, "{paths:?}");
         (trace(&r), sim.counts().to_vec(), sim.rng_state())
     };
     let want = run(1);
