@@ -2,18 +2,16 @@
 //! and of each protocol's transition function.
 //!
 //! These are *performance* benchmarks (interactions per second), not
-//! reproduction experiments; the paper's tables live in the `x*` binaries
-//! and the `paper_experiments` bench. The `configuration_space` group
-//! pits the seed-style per-pair batch engine against the multinomial
-//! engine on identical inputs — the acceptance bar for the batched
-//! rewrite is ≥ 10× interactions/sec on 3-state majority at `n = 10⁶`
-//! (see `BENCH_engine.json` for the recorded snapshot).
+//! reproduction experiments; the paper's tables come from the `xp`
+//! scenarios. The `configuration_space` group times the batched engine on
+//! 3-state majority and on USD at `k = 64` (see `BENCH_engine.json` for
+//! the recorded snapshot).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use plurality_core::{ImprovedAlgorithm, SimpleAlgorithm, Tuning, UnorderedAlgorithm};
 use pp_baselines::{Usd, UsdTable};
 use pp_dynamics::{Epidemic, LoadBalance};
-use pp_engine::{BatchSimulation, PairwiseBatchSimulation, Protocol, Simulation};
+use pp_engine::{BatchSimulation, Protocol, Simulation};
 use pp_majority::cancel_split::CancelSplitRun;
 use pp_majority::ThreeState;
 use pp_workloads::Counts;
@@ -73,15 +71,6 @@ fn bench_config_engine<S>(
 fn config_space_benches(c: &mut Criterion) {
     let n = 1_000_000u64;
     let majority = || vec![0u64, n * 3 / 5, n * 2 / 5];
-    // The seed engine: per-pair draws, linear-scan sampling.
-    bench_config_engine(
-        c,
-        "majority3_pairwise_n1e6",
-        1_000_000,
-        || PairwiseBatchSimulation::new(ThreeState, majority(), 42),
-        PairwiseBatchSimulation::step_batch,
-    );
-    // The multinomial engine on the same input.
     bench_config_engine(
         c,
         "majority3_multinomial_n1e6",
@@ -89,20 +78,12 @@ fn config_space_benches(c: &mut Criterion) {
         || BatchSimulation::new(ThreeState, majority(), 42),
         BatchSimulation::step_batch,
     );
-    // USD at k = 64: the Θ(S)-per-draw cost of the seed engine vs the
-    // Fenwick/binomial path (65 states).
+    // USD at k = 64: 65 states, every one occupied.
     let k = 64usize;
     let usd_counts = || {
         let table = UsdTable::new(k);
         table.initial_counts(&vec![(n as usize) / k; k])
     };
-    bench_config_engine(
-        c,
-        "usd_k64_pairwise_n1e6",
-        1_000_000,
-        || PairwiseBatchSimulation::new(UsdTable::new(k), usd_counts(), 42),
-        PairwiseBatchSimulation::step_batch,
-    );
     bench_config_engine(
         c,
         "usd_k64_multinomial_n1e6",

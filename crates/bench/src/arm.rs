@@ -1,8 +1,8 @@
 //! Engine-erased experiment arms.
 //!
 //! An *arm* is one protocol-under-test inside a scenario: a paper protocol
-//! on the sequential engine, a table protocol on any of the three engines,
-//! or a bespoke closure. The [`ErasedArm`] trait erases the concrete
+//! on the sequential engine, a table protocol on either engine, or a
+//! bespoke closure. The [`ErasedArm`] trait erases the concrete
 //! protocol and engine types behind one uniform trial interface, so every
 //! arm — regardless of which simulator it needs — honors `--engine`,
 //! ensemble threading, census collection and per-trial seed derivation the
@@ -11,8 +11,8 @@
 
 use plurality_core::Tuning;
 use pp_engine::{
-    AdversarySpec, BatchSimulation, Census, FaultPlan, FaultSpec, PairwiseBatchSimulation,
-    RunOptions, RunStatus, SchedulerSpec, SeqTable, Simulation, TableProtocol,
+    AdversarySpec, BatchSimulation, Census, FaultSpec, RunOptions, RunStatus, SchedulerSpec,
+    SeqTable, Simulation, TableProtocol,
 };
 use pp_workloads::Counts;
 
@@ -161,45 +161,33 @@ where
         let n: u64 = init.iter().sum();
         let expected = u32::from(spec.counts.plurality());
         let opts = RunOptions::with_parallel_time_budget(n as usize, spec.budget);
-        let plan = FaultPlan::from_specs(&spec.faults);
         let (result, census) = match engine {
             Engine::Batch => {
                 let mut sim = BatchSimulation::new(table, init, seed);
                 sim.set_threads(spec.threads);
                 if let Some(sched) = spec.scheduler {
-                    sim.set_scheduler(sched.build());
+                    sim.set_scheduler(sched);
                 }
                 if let Some(adv) = spec.adversary {
-                    sim.set_adversary(adv.build());
+                    sim.set_adversary(adv);
                 }
-                (sim.run_faulted(&opts, &plan), None)
-            }
-            Engine::Pairwise => {
-                let mut sim = PairwiseBatchSimulation::new(table, init, seed);
-                sim.set_threads(spec.threads);
-                if let Some(sched) = spec.scheduler {
-                    sim.set_scheduler(sched.build());
-                }
-                if let Some(adv) = spec.adversary {
-                    sim.set_adversary(adv.build());
-                }
-                (sim.run_faulted(&opts, &plan), None)
+                (sim.run_faulted(&opts, &spec.faults), None)
             }
             Engine::Seq => {
                 let states = SeqTable::<P>::initial_states(&init);
                 let mut sim = Simulation::new(SeqTable::new(table), states, seed);
                 if let Some(sched) = spec.scheduler {
-                    sim.set_scheduler(sched.build());
+                    sim.set_scheduler(sched);
                 }
                 if let Some(adv) = spec.adversary {
-                    sim.set_adversary(adv.build());
+                    sim.set_adversary(adv);
                 }
                 if spec.census {
                     let mut c = Census::new();
                     let r = sim.run_with_census(&opts, &mut c);
                     (r, Some(c.len()))
                 } else {
-                    (sim.run_faulted(&opts, &plan), None)
+                    (sim.run_faulted(&opts, &spec.faults), None)
                 }
             }
         };
@@ -218,8 +206,8 @@ where
 /// A table protocol as an engine-erased arm: `factory` builds the table
 /// and its initial configuration from the grid point's opinion counts.
 /// The arm runs on whichever engine `--engine` selects — batched
-/// (multinomial tallies), pairwise-batched, or sequential via
-/// [`pp_engine::SeqTable`] (capped at [`SEQ_CAP`] agents).
+/// (multinomial tallies) or sequential via [`pp_engine::SeqTable`]
+/// (capped at [`SEQ_CAP`] agents).
 ///
 /// Correctness is judged against the planted plurality, so the table's
 /// output values must be opinion identifiers (true for USD and the
@@ -283,12 +271,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn usd_arm_agrees_across_all_three_engines() {
+    fn usd_arm_agrees_across_both_engines() {
         let counts = Counts::bias_one(801, 3);
         let spec = TrialSpec::new(&counts, 1.0e4);
         let arm = usd();
         assert!(arm.engine_aware());
-        for engine in [Engine::Seq, Engine::Batch, Engine::Pairwise] {
+        for engine in [Engine::Seq, Engine::Batch] {
             let out = arm.run(&spec, engine, 11);
             assert!(out.converged, "usd did not converge on {}", engine.name());
         }

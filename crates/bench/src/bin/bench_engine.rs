@@ -4,9 +4,8 @@
 //! Two grids, each point measured [`REPEATS`] times and reported as
 //! median, min and max:
 //!
-//! * 3-state majority at `n ∈ {10⁴, 10⁶, 10⁸}` on three engines:
-//!   `sequential` (per-agent `Simulation::step`), `batch_pairwise` (the
-//!   seed configuration-space engine) and `batch_multinomial`
+//! * 3-state majority at `n ∈ {10⁴, 10⁶, 10⁸}` on both engines:
+//!   `sequential` (per-agent `Simulation::step`) and `batch_multinomial`
 //!   (`BatchSimulation`), plus a thread sweep of the latter at `n = 10⁸`;
 //! * USD with `k ∈ {2, 64, 1024}` opinions on `bias_one(n, k)` at
 //!   `n ∈ {10⁴, 10⁶, 10⁸}` on `BatchSimulation`, at 1 thread and, where
@@ -25,7 +24,7 @@
 use std::time::Instant;
 
 use pp_baselines::UsdTable;
-use pp_engine::{BatchSimulation, PairwiseBatchSimulation, Simulation, TableProtocol};
+use pp_engine::{BatchSimulation, Simulation, TableProtocol};
 use pp_majority::ThreeState;
 use pp_workloads::Counts;
 
@@ -142,23 +141,6 @@ fn main() {
         })
         .collect();
     rows.push(("sequential", seq));
-    let pairwise = GRID
-        .iter()
-        .map(|&(n, _)| {
-            let target = (5 * n).min(50_000_000);
-            Spread::of(|| {
-                rate(target, || {
-                    let mut sim = PairwiseBatchSimulation::new(ThreeState, majority(n), 42);
-                    let t0 = Instant::now();
-                    while sim.interactions() < target {
-                        sim.step_batch();
-                    }
-                    t0.elapsed().as_secs_f64()
-                })
-            })
-        })
-        .collect();
-    rows.push(("batch_pairwise", pairwise));
     let multinomial = GRID
         .iter()
         .map(|&(n, _)| {
@@ -218,8 +200,6 @@ fn main() {
         let cells: Vec<String> = rates.iter().map(Spread::human).collect();
         println!("{name:>20} {}", cells.join("  "));
     }
-    let speedup = rows[2].1[1].median / rows[1].1[1].median;
-    println!("multinomial vs pairwise at n=1e6: {speedup:.1}x");
     println!("thread sweep, batch_multinomial at n=1e8:");
     for &(threads, r) in &sweep {
         println!("{:>20} {}", format!("threads={threads}"), r.human());
@@ -269,11 +249,8 @@ fn main() {
         .map(|(threads, r)| format!("\"{threads}\": {}", r.json()))
         .collect();
     json.push_str(&format!(
-        "    \"threads_sweep_n1e8\": {{{}}},\n",
+        "    \"threads_sweep_n1e8\": {{{}}}\n",
         sweep_cells.join(", ")
-    ));
-    json.push_str(&format!(
-        "    \"speedup_multinomial_vs_pairwise_n1e6\": {speedup:.2}\n"
     ));
     json.push_str("  },\n");
     json.push_str("  \"usd\": {\n");

@@ -1,10 +1,9 @@
 //! CLI options and trial execution for the experiment driver.
 //!
-//! All experiment entry points — the `xp` driver and the legacy per-
-//! experiment shims — share one flag grammar, parsed by [`parse_args`]
-//! into an [`ExpOpts`] plus positional arguments. Parsing never panics:
-//! malformed input yields a [`CliError`] which the binaries report with
-//! the [`USAGE`] dump and exit code 2.
+//! The `xp` driver's flag grammar, parsed by [`parse_args`] into an
+//! [`ExpOpts`] plus positional arguments. Parsing never panics: malformed
+//! input yields a [`CliError`] which `xp` reports with the [`USAGE`] dump
+//! and exit code 2.
 
 use std::path::PathBuf;
 
@@ -22,9 +21,6 @@ pub enum Engine {
     /// reach the `n = 10⁸` grids.
     #[default]
     Batch,
-    /// The per-pair batched engine (`pp_engine::PairwiseBatchSimulation`),
-    /// a second batched reference for engine A/B/C runs.
-    Pairwise,
 }
 
 impl Engine {
@@ -33,7 +29,6 @@ impl Engine {
         match self {
             Engine::Seq => "seq",
             Engine::Batch => "batch",
-            Engine::Pairwise => "pairwise",
         }
     }
 
@@ -42,9 +37,8 @@ impl Engine {
         match s {
             "seq" => Ok(Engine::Seq),
             "batch" => Ok(Engine::Batch),
-            "pairwise" => Ok(Engine::Pairwise),
             other => Err(CliError(format!(
-                "--engine must be 'seq', 'batch' or 'pairwise', got '{other}'"
+                "--engine must be 'seq' or 'batch', got '{other}'"
             ))),
         }
     }
@@ -73,8 +67,7 @@ Common experiment flags:
                              across concurrent trials first, leftover cores
                              parallelize inside each batched-engine run
                              (results are byte-identical at any T)
-  --engine {seq,batch,pairwise}
-                             engine for table-protocol arms (default batch)
+  --engine {seq,batch}       engine for table-protocol arms (default batch)
   --faults SPEC[,SPEC..]     fault hooks, e.g. corrupt@50:0.1 inject@50:0.1:2
                              churn@50:0.05 (overrides scenario defaults)
   --scheduler SPEC           scheduler: uniform, starve:OP:W, pairbias:A
@@ -211,19 +204,6 @@ where
 }
 
 impl ExpOpts {
-    /// Parse from `std::env::args()`, for binaries taking flags only.
-    ///
-    /// On malformed input: prints the error and [`USAGE`] to stderr and
-    /// exits with code 2 (no panic, no backtrace). On `--help`: prints
-    /// usage to stdout and exits 0.
-    pub fn from_args() -> Self {
-        match parse_args(std::env::args().skip(1)) {
-            Ok((opts, positional)) if positional.is_empty() => opts,
-            Ok((_, positional)) => exit_usage(&format!("unexpected argument '{}'", positional[0])),
-            Err(e) => handle_cli_error(&e),
-        }
-    }
-
     /// Run `trials` independent trials in parallel; `f` receives the
     /// derived per-trial seed.
     pub fn run_trials<R: Send>(&self, stream: u64, f: impl Fn(u64) -> R + Sync) -> Vec<R> {
@@ -248,21 +228,6 @@ impl ExpOpts {
     pub fn engine_threads(&self) -> usize {
         (self.threads / self.trials.min(self.threads)).max(1)
     }
-}
-
-/// Resolve a [`CliError`]: `--help` prints usage and exits 0, anything
-/// else prints the error plus usage and exits 2.
-pub(crate) fn handle_cli_error(e: &CliError) -> ! {
-    if e.0 == "help" {
-        println!("{USAGE}");
-        std::process::exit(0);
-    }
-    exit_usage(&e.0)
-}
-
-pub(crate) fn exit_usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{USAGE}");
-    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -292,9 +257,6 @@ mod tests {
             (&["--seed", "42", "--full"], |o, _| o.seed == 42 && o.full),
             (&["--engine", "seq"], |o, _| o.engine == Engine::Seq),
             (&["--engine", "batch"], |o, _| o.engine == Engine::Batch),
-            (&["--engine", "pairwise"], |o, _| {
-                o.engine == Engine::Pairwise
-            }),
             (&["--out", "/tmp/x"], |o, _| {
                 o.out_dir == std::path::Path::new("/tmp/x")
             }),
@@ -356,6 +318,7 @@ mod tests {
             (&["--trials", "0"], "--trials must be at least 1"),
             (&["--threads", "0"], "--threads must be at least 1"),
             (&["--engine", "warp"], "'warp'"),
+            (&["--engine", "pairwise"], "'pairwise'"),
             (&["--faults", "meteor@9"], "meteor@9"),
             (&["--scheduler", "chaotic"], "chaotic"),
             (&["--adversary", "byz:1.5"], "byz:1.5"),

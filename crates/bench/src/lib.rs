@@ -4,16 +4,16 @@
 //! This crate expresses it as *data*:
 //!
 //! * [`arm`] — engine-erased protocol arms ([`arm::ErasedArm`]): paper
-//!   protocols on the sequential engine, table protocols on any of the
-//!   three engines (`--engine {seq,batch,pairwise}`), bespoke closures —
-//!   all sharing seed derivation, ensemble threading and census handling;
+//!   protocols on the sequential engine, table protocols on either
+//!   engine (`--engine {seq,batch}`), bespoke closures — all sharing seed
+//!   derivation, ensemble threading and census handling;
 //! * [`scenario`] — [`scenario::Scenario`] (a registered experiment) and
 //!   [`scenario::Study`] (a declarative grid × arms × columns runner);
 //! * [`sink`] — CSV emission plus a JSON run manifest (seed, grid flavour,
 //!   engine, fault plan, scheduler, git revision, wall time, per-table
 //!   schemas) for every run;
 //! * [`registry`] — the scenario table behind `xp list` / `xp run` /
-//!   `xp all` and the legacy `x01_…`–`x16_…` shim binaries;
+//!   `xp all`;
 //! * [`harness`] — the shared CLI ([`ExpOpts`], [`parse_args`]) and
 //!   trial-ensemble execution, including the fault-injection flags
 //!   (`--faults corrupt@50:0.1,…` and `--scheduler starve:1:0.5`) that
@@ -26,11 +26,8 @@
 //! xp run x01 --full            # one scenario, full grid
 //! xp run x03 x13 --trials 50   # several scenarios
 //! xp all --filter usd          # every scenario whose name matches
+//! xp run x01_simple_scaling    # a scenario by its long name
 //! ```
-//!
-//! The legacy binaries (`x01_simple_scaling`, …) still exist as shims
-//! delegating into the registry, so `cargo run --bin x01_simple_scaling`
-//! and `xp run x01` produce identical rows for the same seed.
 //!
 //! # Adding a scenario
 //!

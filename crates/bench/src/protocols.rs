@@ -3,7 +3,7 @@
 //! in [`crate::arm`].
 
 use plurality_core::{ImprovedAlgorithm, SimpleAlgorithm, Tuning, UnorderedAlgorithm};
-use pp_engine::{Census, FaultPlan, FaultRecord, RunOptions, RunStatus, Simulation};
+use pp_engine::{Census, FaultRecord, RunOptions, RunStatus, Simulation};
 
 use crate::arm::TrialSpec;
 
@@ -70,24 +70,23 @@ pub fn run_trial(algo: Algo, spec: &TrialSpec, tuning: Tuning, seed: u64) -> Tri
     let n = assignment.n();
     let expected = assignment.plurality();
     let opts = RunOptions::with_parallel_time_budget(n, spec.budget);
-    let plan = FaultPlan::from_specs(&spec.faults);
 
     macro_rules! drive {
         ($ctor:path) => {{
             let (proto, states) = $ctor(&assignment, tuning);
             let mut sim = Simulation::new(proto, states, seed);
             if let Some(sched) = spec.scheduler {
-                sim.set_scheduler(sched.build());
+                sim.set_scheduler(sched);
             }
             if let Some(adv) = spec.adversary {
-                sim.set_adversary(adv.build());
+                sim.set_adversary(adv);
             }
             let (result, census_len) = if spec.census {
                 let mut c = Census::new();
                 let r = sim.run_with_census(&opts, &mut c);
                 (r, Some(c.len()))
             } else {
-                (sim.run_faulted(&opts, &plan), None)
+                (sim.run_faulted(&opts, &spec.faults), None)
             };
             let ms = *sim.protocol().milestones();
             TrialOutcome {

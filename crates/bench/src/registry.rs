@@ -1,14 +1,13 @@
 //! The experiment registry: every scenario the `xp` driver can run.
 //!
-//! Scenarios register here by adding their `SCENARIO` constant to
-//! [`SCENARIOS`]; `xp list`, `xp run` and `xp all` all read this one
-//! table, as do the legacy per-experiment shim binaries
-//! ([`shim_main`]).
+//! Scenarios register here by adding their `SCENARIO` constant to the
+//! table behind [`scenarios()`]; `xp list`, `xp run` and `xp all` all read
+//! this one table.
 
 use std::io;
 use std::path::PathBuf;
 
-use crate::harness::{self, ExpOpts};
+use crate::harness::ExpOpts;
 use crate::scenario::{Ctx, Scenario};
 use crate::scenarios;
 use crate::sink::Sink;
@@ -92,26 +91,6 @@ fn run_with(scenario: &Scenario, opts: &ExpOpts, verbose: bool) -> io::Result<Pa
     sink.finish(scenario.outputs)
 }
 
-/// Entry point for the legacy per-experiment binaries: parse the common
-/// flags from `std::env::args()` and run the named scenario. Exits 2 on
-/// CLI errors (with usage), 1 on runtime failures.
-pub fn shim_main(name: &str) {
-    let scenario = find(name).unwrap_or_else(|| {
-        eprintln!("error: scenario '{name}' is not registered");
-        std::process::exit(1);
-    });
-    let opts = ExpOpts::from_args();
-    if let Err(e) = run(scenario, &opts) {
-        eprintln!("error: {}: {e}", scenario.slug);
-        std::process::exit(1);
-    }
-}
-
-/// Report a CLI failure with usage and exit (2, or 0 for `--help`).
-pub fn cli_exit(e: &harness::CliError) -> ! {
-    harness::handle_cli_error(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +123,8 @@ mod tests {
 
     #[test]
     fn slugs_match_legacy_binary_names() {
-        // Every pre-registry experiment binary must still resolve.
+        // Every name the retired per-experiment binaries had must still
+        // resolve, as `xp run <slug>`.
         for legacy in [
             "x01_simple_scaling",
             "x02_state_census",

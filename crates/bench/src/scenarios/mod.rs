@@ -2,9 +2,9 @@
 //!
 //! Each module exposes a `SCENARIO` constant collected by
 //! [`crate::registry`]. Grid-shaped experiments are declarative
-//! [`Study`](crate::scenario::Study) definitions; observational
+//! [`Study`] definitions; observational
 //! experiments (snapshot invariants, trajectories) drive simulations by
-//! hand through [`Ctx`](crate::scenario::Ctx) and still get uniform CLI,
+//! hand through [`Ctx`] and still get uniform CLI,
 //! threading, seeding and manifest emission.
 
 use std::io;

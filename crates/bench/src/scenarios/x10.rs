@@ -10,7 +10,7 @@
 //!
 //! The 3- and 4-state substrates are table protocols: their arms run on
 //! the batched configuration-space engine by default and honor
-//! `--engine seq`/`--engine pairwise` like every other table arm.
+//! `--engine seq` like every other table arm.
 
 use std::io;
 

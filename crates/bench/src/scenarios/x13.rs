@@ -5,8 +5,8 @@
 //! at bias 1 it is a support-weighted lottery). `SimpleAlgorithm` pays a
 //! `O(k·log n)` running time and stays correct all the way down to bias 1.
 //!
-//! The USD arm is engine-erased: batched by default, `--engine seq` /
-//! `--engine pairwise` for the A/B. With `--full` extra USD-only rows
+//! The USD arm is engine-erased: batched by default, `--engine seq` for
+//! the A/B. With `--full` extra USD-only rows
 //! extend the population to `n = 10⁸`, where the lottery behaviour at
 //! bias 1 is starkest. The side-by-side row layout is bespoke, so this
 //! scenario drives its arms by hand.

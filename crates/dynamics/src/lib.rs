@@ -4,7 +4,7 @@
 //! * [`epidemic`] — the one-way epidemic (broadcast by infection), the
 //!   paper's tool for disseminating `phase = 0`, the winner bit, the
 //!   challenger token, … Completes in `log₂ n + O(log n)` parallel time
-//!   w.h.p. [5].
+//!   w.h.p. \[5\].
 //! * [`load_balance`] — the discrete averaging protocol of [12, 28]:
 //!   a pair holding loads `(a, b)` rebalances to `(⌊(a+b)/2⌋, ⌈(a+b)/2⌉)`.
 //!   After `O(n·log n)` interactions all loads are within ±1 of the average

@@ -55,10 +55,8 @@ pub fn draw_batch_len(rng: &mut SimRng, n: u64) -> u64 {
 
 /// The literal draw-by-draw birthday process (the seed implementation,
 /// minus its `len.max(1)` bias — see the module docs). Two RNG words per
-/// interaction; used by [`PairwiseBatchSimulation`]
-/// (`crate::batch::PairwiseBatchSimulation`) and as the small-`n` path of
-/// [`draw_batch_len`].
-pub fn draw_batch_len_walk(rng: &mut SimRng, n: u64) -> u64 {
+/// interaction; the small-`n` path of [`draw_batch_len`].
+fn draw_batch_len_walk(rng: &mut SimRng, n: u64) -> u64 {
     debug_assert!(n >= 2, "population must contain at least two agents");
     let mut used = 0u64;
     let mut len = 0u64;

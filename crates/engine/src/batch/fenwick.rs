@@ -184,8 +184,8 @@ impl StateSampler for Fenwick {
     }
 }
 
-/// Two-level Fenwick census: states partitioned into [`SHARD_STATES`]-wide
-/// shards, each an independent [`Fenwick`], plus a top tree over shard
+/// Two-level Fenwick census: states partitioned into 256-state shards,
+/// each an independent [`Fenwick`], plus a top tree over shard
 /// totals. Point updates touch one shard and the top (`O(log S)` as
 /// before); full rebuilds fan shards out over scoped threads and merge the
 /// shard totals serially at the end.

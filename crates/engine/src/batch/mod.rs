@@ -3,7 +3,7 @@
 //! For protocols whose state space is a small finite set, the configuration
 //! (one counter per state) is a sufficient statistic: the scheduler never
 //! needs to know *which* agent holds a state, only *how many* do. The
-//! engines in this module exploit that in two stages.
+//! engine in this module exploits that in two stages.
 //!
 //! **Collision-free batches.** Instead of touching two agents per step, the
 //! engine draws the number of consecutive interactions in which no agent
@@ -66,24 +66,21 @@
 //! adversarial runs (`batch/tally.rs`). [`BatchSimulation::tally_paths`]
 //! counts which path each batch took.
 //!
-//! The older per-pair engine ([`PairwiseBatchSimulation`]) samples and
-//! applies every interaction of the batch individually; it is retained as
-//! the semantic reference for A/B distribution tests and benchmarks.
-//!
 //! # Accuracy
 //!
-//! Both engines sample batch participants *with replacement* from the
+//! The engine samples batch participants *with replacement* from the
 //! current configuration, which deviates from the exact
 //! without-replacement hypergeometric law by `O(ℓ²/n)` total-variation
 //! distance per batch — the standard trade-off in batched
 //! population-protocol simulation. With `ℓ = Θ(√n)` the per-batch drift is
-//! `O(1)` interactions' worth and the engines' observable statistics agree
+//! `O(1)` interactions' worth and the engine's observable statistics agree
 //! with the sequential scheduler; the consistency tests in this module and
 //! in `tests/engine_equivalence.rs` bound the divergence. A second,
-//! strictly rarer effect exists only in the multinomial engine: a
-//! with-replacement tally can overdraw a nearly-empty state; such
-//! infeasible tallies (probability `O(ℓ²/n)` per batch) are rejected and
-//! redrawn, see [`BatchSimulation::step_batch`].
+//! strictly rarer effect: a with-replacement tally can overdraw a
+//! nearly-empty state; such infeasible tallies (probability `O(ℓ²/n)` per
+//! batch) are rejected and redrawn, and after eight misses in a row the
+//! batch is applied pair by pair from the live configuration, see
+//! [`BatchSimulation::step_batch`] and [`TallyPaths::pairwise`].
 //!
 //! # Which protocols qualify
 //!
@@ -102,19 +99,17 @@ pub mod birthday;
 pub mod fenwick;
 mod lumped;
 pub mod multinomial;
-pub mod pairwise;
 mod pool;
 pub(crate) mod sim;
 pub(crate) mod tally;
 
 pub use fenwick::{Fenwick, ShardedFenwick, StateSampler};
-pub use pairwise::PairwiseBatchSimulation;
 pub use sim::{AdmitError, BatchSimulation, TallyPaths};
 
 use crate::protocol::SimRng;
 
 /// A population protocol presented as a transition table over a small state
-/// space `0..states()`, runnable on the configuration-space engines.
+/// space `0..states()`, runnable on the configuration-space engine.
 ///
 /// The `Send + Sync + 'static` supertraits let the threaded tally path
 /// share the table with pool workers; every table here is a small
@@ -150,7 +145,7 @@ pub trait TableProtocol: Send + Sync + 'static {
     fn output(&self, counts: &[u64]) -> Option<u32>;
 
     /// The opinion an agent in state `s` advocates, if any — the hook
-    /// adversarial [`Scheduler`](crate::Scheduler)s bias on. `None` (the
+    /// adversarial [`SchedulerSpec`](crate::SchedulerSpec)s bias on. `None` (the
     /// default) marks undecided/helper states, treated uniformly.
     fn opinion(&self, s: usize) -> Option<u32> {
         let _ = s;

@@ -23,10 +23,9 @@
 //! as one array pass with the transcendental setup (`ln p`, `ln q`,
 //! `p/q`) hoisted out of the per-lane loop; each lane then runs the same
 //! branch-light pmf recurrence the scalar sampler would, consuming the
-//! same uniforms in lane order, so the `scalar-samplers` fallback build
-//! (`--features scalar-samplers`, one scalar call per lane) draws a
-//! bit-identical stream. Exact-distribution tests pin both paths to each
-//! other and to the closed-form pmf.
+//! same uniforms in lane order, so it draws the stream one scalar call per
+//! lane would. Exact-distribution tests pin the batch form to the scalar
+//! one and to the closed-form pmf.
 
 use rand::Rng;
 
@@ -117,9 +116,8 @@ pub fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
 /// Draw `out[i] ~ Binomial(ns[i], p)` for one shared success probability —
 /// the array pass over a batch's per-pair-type draws. The setup is hoisted
 /// once; each lane consumes exactly the uniforms the scalar [`binomial`]
-/// would, in lane order, so this is stream-identical to the
-/// `scalar-samplers` fallback.
-#[cfg(not(feature = "scalar-samplers"))]
+/// would, in lane order, so this is stream-identical to one [`binomial`]
+/// call per lane.
 pub fn binomial_batch(rng: &mut SimRng, ns: &[u64], p: f64, out: &mut Vec<u64>) {
     debug_assert!((0.0..=1.0).contains(&p), "p = {p}");
     out.clear();
@@ -141,16 +139,6 @@ pub fn binomial_batch(rng: &mut SimRng, ns: &[u64], p: f64, out: &mut Vec<u64>) 
         };
         out.push(if mirror { n - x } else { x });
     }
-}
-
-/// Scalar fallback for [`binomial_batch`]: one [`binomial`] call per lane.
-/// Same regimes, same recurrences, same uniforms — only the setup
-/// hoisting differs, and setup constants are pure functions of `p`, so
-/// both builds draw bit-identical streams.
-#[cfg(feature = "scalar-samplers")]
-pub fn binomial_batch(rng: &mut SimRng, ns: &[u64], p: f64, out: &mut Vec<u64>) {
-    out.clear();
-    out.extend(ns.iter().map(|&n| binomial(rng, n, p)));
 }
 
 /// Binomial for `p ≤ 0.5` (pre-hoisted setup).

@@ -14,12 +14,13 @@ use crate::batch::pool::{TallyJob, TallyPool};
 use crate::batch::tally::{self, run_subtree, TallyCtx, TallyScratch, TallySpec};
 use crate::batch::TableProtocol;
 use crate::churn::ChurnProcess;
+use crate::driver::{self, Clock, Engine};
 use crate::fault::{
-    resolve_forgery, strike_counts, Adversary, ChurnTarget, FaultPlan, FaultRecord, LieTarget,
-    OpinionCensus, Scheduler,
+    resolve_forgery, strike_counts, AdversarySpec, ChurnTarget, FaultSpec, LieTarget,
+    OpinionCensus, SchedulerSpec,
 };
 use crate::protocol::SimRng;
-use crate::result::{ChurnSample, RunNote, RunOptions, RunResult, RunStatus};
+use crate::result::{RunOptions, RunResult};
 
 /// Floor on the multiplicity below which responders are always drawn one
 /// by one through the Fenwick sampler. The full rule is adaptive: a
@@ -133,11 +134,9 @@ struct LumpedPlan {
 /// Per-interaction cost is sub-constant for long batches: a batch of `ℓ`
 /// interactions costs one binomial per lumped cell, or `O(S·√ℓ)` binomial
 /// work on the split, plus `O(log S)` per *distinct* transition applied,
-/// instead of `O(S)` per interaction in the seed engine (see
-/// [`crate::batch`] module docs for the accounting and the rule between
-/// the two tallies, and
-/// [`PairwiseBatchSimulation`](crate::batch::PairwiseBatchSimulation) for
-/// the retained reference implementation).
+/// instead of `O(S)` per interaction when every pair is sampled and
+/// applied one by one (see the [`crate::batch`] module docs for the
+/// accounting and the rule between the two tallies).
 #[derive(Debug)]
 pub struct BatchSimulation<P: TableProtocol> {
     /// Shared with pool workers during threaded tallies; plain `&P`
@@ -151,15 +150,10 @@ pub struct BatchSimulation<P: TableProtocol> {
     tree: ShardedFenwick,
     n: u64,
     rng: SimRng,
-    interactions: u64,
+    clock: Clock,
     /// Batches applied so far (a process-local throughput metric; not part
     /// of the checkpointed state).
     batches: u64,
-    /// Parallel time accumulated before `interactions_base` — non-zero only
-    /// after churn changed the population size.
-    time_base: f64,
-    /// Interactions already folded into `time_base`.
-    interactions_base: u64,
     deterministic: bool,
     // Scratch buffers reused across batches.
     initiators: Vec<(usize, u64)>,
@@ -169,7 +163,7 @@ pub struct BatchSimulation<P: TableProtocol> {
     /// collision-free feasibility bound: a batch cannot use more agents of
     /// a state than exist).
     usage: Vec<u64>,
-    scheduler: Option<Arc<dyn Scheduler>>,
+    scheduler: Option<SchedulerSpec>,
     /// Adversary snapshot for the current batch: `(lie probability, what
     /// liars report)`. `None` when no adversary applies (also when the
     /// forged opinion has no state in this protocol's table: adversaries
@@ -178,7 +172,7 @@ pub struct BatchSimulation<P: TableProtocol> {
     /// Retained only for *adaptive* adversaries, whose `lie` snapshot is
     /// re-aimed at the live census before every batch; static adversaries
     /// resolve once at install and are not stored.
-    adversary: Option<Arc<dyn Adversary>>,
+    adversary: Option<AdversarySpec>,
     scheduler_saturated: bool,
     /// Worker budget for one run (tally subtrees, census rebuilds). Not
     /// part of the checkpointed state: results are identical at every
@@ -210,18 +204,16 @@ impl<P: TableProtocol> Clone for BatchSimulation<P> {
             tree: self.tree.clone(),
             n: self.n,
             rng: self.rng.clone(),
-            interactions: self.interactions,
+            clock: self.clock,
             batches: self.batches,
-            time_base: self.time_base,
-            interactions_base: self.interactions_base,
             deterministic: self.deterministic,
             initiators: self.initiators.clone(),
             responders: self.responders.clone(),
             delta: self.delta.clone(),
             usage: self.usage.clone(),
-            scheduler: self.scheduler.clone(),
+            scheduler: self.scheduler,
             lie: self.lie,
-            adversary: self.adversary.clone(),
+            adversary: self.adversary,
             scheduler_saturated: self.scheduler_saturated,
             threads: self.threads,
             pool: None,
@@ -258,10 +250,8 @@ impl<P: TableProtocol> BatchSimulation<P> {
             tree,
             n,
             rng: SimRng::seed_from_u64(seed),
-            interactions: 0,
+            clock: Clock::default(),
             batches: 0,
-            time_base: 0.0,
-            interactions_base: 0,
             deterministic,
             initiators: Vec::new(),
             responders: Vec::new(),
@@ -290,7 +280,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// **Results are byte-identical at every setting**
     /// — every parallel draw runs on a counter-based substream keyed by its
     /// place in the tally structure, never by thread (see
-    /// [`crate::batch::tally`]) — so this is purely a throughput knob.
+    /// `batch/tally.rs`) — so this is purely a throughput knob.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
         if self.threads == 1 {
@@ -310,47 +300,29 @@ impl<P: TableProtocol> BatchSimulation<P> {
     }
 
     /// Replace the uniform pair scheduler with an adversarial one. The
-    /// uniform tally fast path is untouched when no scheduler is set.
-    pub fn set_scheduler(&mut self, scheduler: Arc<dyn Scheduler>) {
-        self.scheduler = Some(scheduler);
+    /// uniform tally fast path is untouched when no scheduler is set, and
+    /// [`SchedulerSpec::Uniform`] sets none.
+    pub fn set_scheduler(&mut self, scheduler: SchedulerSpec) {
+        self.scheduler = (scheduler != SchedulerSpec::Uniform).then_some(scheduler);
     }
 
     /// Install a Byzantine interaction adversary. The honest tally fast
     /// path (and its RNG stream) is untouched when none is set; a zero
     /// lying probability disables the adversary entirely, so `adaptive:0`
-    /// stays RNG-identical to the clean run.
-    pub fn set_adversary(&mut self, adversary: Arc<dyn Adversary>) {
-        if adversary.lie_frac() <= 0.0 {
-            return;
-        }
-        if adversary.adaptive() {
-            self.adversary = Some(adversary);
-            self.refresh_lie();
-        } else {
-            self.lie = Self::lie_snapshot(&*self.protocol, &*adversary);
+    /// stays RNG-identical to the clean run, and so does a fixed forged
+    /// opinion with no state in the table.
+    pub fn set_adversary(&mut self, adversary: AdversarySpec) {
+        if adversary.lie_frac() > 0.0 {
+            self.lie = self.aim(adversary);
+            self.adversary = adversary.adaptive().then_some(adversary);
         }
     }
 
-    /// Resolve a static adversary to the `(frac, lie target)` snapshot. A
-    /// fixed forged opinion with no state in the table, or a zero lying
-    /// probability, disables the perturbation entirely.
-    fn lie_snapshot(protocol: &P, adv: &dyn Adversary) -> Option<(f64, LieTarget)> {
-        let frac = adv.lie_frac();
-        if frac <= 0.0 {
-            return None;
-        }
-        resolve_forgery(protocol, adv.forgery(&OpinionCensus::default())).map(|t| (frac, t))
-    }
-
-    /// The live opinion tally in `O(S)`, for adaptive forgeries and
-    /// targeted churn.
-    fn opinion_census(&self) -> OpinionCensus {
-        OpinionCensus::from_tallies(
-            self.counts
-                .iter()
-                .enumerate()
-                .filter_map(|(s, &c)| self.protocol.opinion(s).map(|op| (op, c))),
-        )
+    /// The adversary's `(lie probability, lie target)` snapshot against
+    /// the live census; `None` when the forgery has no state in the table.
+    fn aim(&self, adversary: AdversarySpec) -> Option<(f64, LieTarget)> {
+        resolve_forgery(&*self.protocol, adversary.forgery(&self.opinion_census()))
+            .map(|t| (adversary.lie_frac(), t))
     }
 
     /// Re-aim an adaptive adversary's lie snapshot at the live census —
@@ -358,11 +330,9 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// Draws no randomness, preserving the replay contract; a no-op when
     /// no adaptive adversary is installed.
     fn refresh_lie(&mut self) {
-        let Some(adv) = self.adversary.clone() else {
-            return;
-        };
-        self.lie = resolve_forgery(&*self.protocol, adv.forgery(&self.opinion_census()))
-            .map(|t| (adv.lie_frac(), t));
+        if let Some(adversary) = self.adversary {
+            self.lie = self.aim(adversary);
+        }
     }
 
     /// Build the configuration from per-agent states.
@@ -391,7 +361,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
 
     /// Interactions simulated so far.
     pub fn interactions(&self) -> u64 {
-        self.interactions
+        self.clock.interactions
     }
 
     /// Batches applied so far. A process-local metric (service dashboards,
@@ -427,7 +397,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
         if count == 0 {
             return Ok(());
         }
-        self.fold_clock();
+        self.clock.fold(self.n);
         // A state's count never exceeds the population, so this fits.
         self.counts[state] += count;
         self.n = n;
@@ -439,7 +409,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// folded over population changes (churn) so the clock stays
     /// continuous.
     pub fn parallel_time(&self) -> f64 {
-        self.time_base + (self.interactions - self.interactions_base) as f64 / self.n as f64
+        self.clock.parallel_time(self.n)
     }
 
     /// The raw RNG state, for checkpointing.
@@ -450,7 +420,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// The clock's checkpoint triple: `(interactions, interactions_base,
     /// time_base)`.
     pub fn clock_parts(&self) -> (u64, u64, f64) {
-        (self.interactions, self.interactions_base, self.time_base)
+        self.clock.parts()
     }
 
     /// Restore RNG and clock from a checkpoint, making subsequent batches
@@ -462,25 +432,14 @@ impl<P: TableProtocol> BatchSimulation<P> {
         time_base: f64,
         rng: [u64; 4],
     ) {
-        self.interactions = interactions;
-        self.interactions_base = interactions_base;
-        self.time_base = time_base;
+        self.clock = Clock::restored(interactions, interactions_base, time_base);
         self.rng = SimRng::from_state(rng);
-    }
-
-    /// Fold the elapsed clock into `time_base`; must be called *before*
-    /// the population size changes.
-    fn fold_clock(&mut self) {
-        self.time_base = self.parallel_time();
-        self.interactions_base = self.interactions;
     }
 
     /// Advance one collision-free batch; returns the number of interactions
     /// applied.
     pub fn step_batch(&mut self) -> u64 {
-        let len = draw_batch_len(&mut self.rng, self.n);
-        self.apply_batch(len);
-        len
+        self.advance(&RunOptions::default(), u64::MAX)
     }
 
     /// Sample a pair tally for `len` interactions from the pre-batch
@@ -495,23 +454,23 @@ impl<P: TableProtocol> BatchSimulation<P> {
     fn apply_batch(&mut self, len: u64) {
         self.batches += 1;
         self.refresh_lie();
-        let sched = self.scheduler.clone();
+        // Every path below applies exactly `len` interactions.
+        self.clock.interactions += len;
+        let sched = self.scheduler;
         if sched.is_none() && self.plan_lumped(len) {
             self.draw_lumped(len);
             self.paths.lumped += 1;
-            self.interactions += len;
             return;
         }
         let mut path = TallyPath::Inline;
         for _ in 0..MAX_TALLY_RETRIES {
             let feasible;
-            (path, feasible) = match &sched {
+            (path, feasible) = match sched {
                 None => self.try_tally(len),
-                Some(sched) => self.try_tally_scheduled(len, &**sched),
+                Some(sched) => self.try_tally_scheduled(len, sched),
             };
             if feasible {
                 self.paths.count(path);
-                self.interactions += len;
                 return;
             }
             self.paths.redraws += 1;
@@ -520,9 +479,8 @@ impl<P: TableProtocol> BatchSimulation<P> {
         self.paths.pairwise += 1;
         match sched {
             None => self.apply_pairwise(len),
-            Some(sched) => self.apply_pairwise_scheduled(len, &*sched),
+            Some(sched) => self.apply_pairwise_scheduled(len, sched),
         }
-        self.interactions += len;
     }
 
     /// Whether this run's batches may be lumped: a deterministic table
@@ -824,7 +782,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// share of the batch forces responders into the initiator's opinion
     /// class. Feasibility checking and application are shared with
     /// [`try_tally`](Self::try_tally).
-    fn try_tally_scheduled(&mut self, len: u64, sched: &dyn Scheduler) -> (TallyPath, bool) {
+    fn try_tally_scheduled(&mut self, len: u64, sched: SchedulerSpec) -> (TallyPath, bool) {
         self.delta.fill(0);
         self.usage.fill(0);
 
@@ -961,7 +919,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// Weighted per-pair fallback for scheduled batches (the analogue of
     /// [`apply_pairwise`](Self::apply_pairwise)): every draw samples from
     /// the live weighted configuration, so no overdraw is possible.
-    fn apply_pairwise_scheduled(&mut self, len: u64, sched: &dyn Scheduler) {
+    fn apply_pairwise_scheduled(&mut self, len: u64, sched: SchedulerSpec) {
         let assort = sched.assortativity().clamp(0.0, 1.0);
         for _ in 0..len {
             let a = self.sample_state_weighted(sched);
@@ -981,7 +939,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
 
     /// One weighted state draw (linear scan over `counts · weight`); falls
     /// back to the uniform Fenwick draw if every weight is zero.
-    fn sample_state_weighted(&mut self, sched: &dyn Scheduler) -> usize {
+    fn sample_state_weighted(&mut self, sched: SchedulerSpec) -> usize {
         let total: f64 = self
             .counts
             .iter()
@@ -1048,105 +1006,33 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// `opts.check_every` is not used. The final batch is truncated to the
     /// interaction budget.
     pub fn run(&mut self, opts: &RunOptions) -> RunResult {
-        loop {
-            if let Some(output) = self.protocol.output(&self.counts) {
-                return self.finish(RunStatus::Converged, Some(output));
-            }
-            if self.interactions >= opts.max_interactions {
-                return self.finish(RunStatus::Exhausted, None);
-            }
-            let len = draw_batch_len(&mut self.rng, self.n)
-                .min(opts.max_interactions - self.interactions);
-            self.apply_batch(len);
-        }
+        driver::run(self, opts, |_| {})
     }
 
-    /// Run under a fault plan: batches are split at each hook's parallel
-    /// time (the batch straddling an epoch is truncated to land exactly on
-    /// it), the strike is applied to the census between batches — `O(S)`
-    /// binomial thinning, so the `n = 10⁸` fast path stays fast — and the
-    /// Fenwick mirror is rebuilt. Recovery bookkeeping matches
+    /// Run under a list of faults: batches are split at each fault's
+    /// parallel time (the batch straddling it is truncated to land exactly
+    /// on it), the strike is applied to the census between batches —
+    /// `O(S)` binomial thinning, so the `n = 10⁸` fast path stays fast —
+    /// and the Fenwick mirror is rebuilt. Recovery bookkeeping matches
     /// [`Simulation::run_faulted`](crate::Simulation::run_faulted); an
-    /// empty plan replays [`run`](Self::run) exactly.
-    pub fn run_faulted(&mut self, opts: &RunOptions, plan: &FaultPlan) -> RunResult {
-        if plan.is_empty() {
-            return self.run(opts);
-        }
-        let initial = self.counts.clone();
-        let mut records: Vec<FaultRecord> = Vec::new();
-        let mut open: Option<usize> = None;
-
-        for (at, action, label) in plan.schedule() {
-            let target = (at.max(0.0) * self.n as f64).ceil() as u64;
-            if target > opts.max_interactions {
-                break; // scheduled beyond the budget: never fires
-            }
-            while self.interactions < target {
-                if let (Some(k), Some(output)) = (open, self.protocol.output(&self.counts)) {
-                    records[k].recovery_time = self.parallel_time() - records[k].at;
-                    records[k].output_after = Some(output);
-                    open = None;
-                }
-                let len = draw_batch_len(&mut self.rng, self.n).min(target - self.interactions);
-                self.apply_batch(len);
-            }
-            let output_before = self.protocol.output(&self.counts);
-            if let (Some(k), Some(output)) = (open, output_before) {
-                records[k].recovery_time = self.parallel_time() - records[k].at;
-                records[k].output_after = Some(output);
-            }
-            strike_counts(
-                &*self.protocol,
-                &mut self.counts,
-                &initial,
-                &action,
-                &mut self.rng,
-            );
-            self.tree.rebuild(&self.counts, self.threads);
-            records.push(FaultRecord {
-                at: self.parallel_time(),
-                hook: label,
-                output_before,
-                output_after: None,
-                recovery_time: f64::NAN,
-            });
-            open = Some(records.len() - 1);
-        }
-
-        loop {
-            if let Some(output) = self.protocol.output(&self.counts) {
-                if let Some(k) = open.take() {
-                    records[k].recovery_time = self.parallel_time() - records[k].at;
-                    records[k].output_after = Some(output);
-                }
-                let mut r = self.finish(RunStatus::Converged, Some(output));
-                r.faults = records;
-                return r;
-            }
-            if self.interactions >= opts.max_interactions {
-                let mut r = self.finish(RunStatus::Exhausted, None);
-                r.faults = records;
-                return r;
-            }
-            let len = draw_batch_len(&mut self.rng, self.n)
-                .min(opts.max_interactions - self.interactions);
-            self.apply_batch(len);
-        }
+    /// empty list replays [`run`](Self::run) exactly.
+    pub fn run_faulted(&mut self, opts: &RunOptions, faults: &[FaultSpec]) -> RunResult {
+        driver::run_faulted(self, opts, faults)
     }
 
     /// Run under a steady-state churn process until `stop_at` parallel
     /// time: after every batch, `Poisson`-distributed joins (drawn from the
     /// `initial` distribution) and leaves (multinomial thinning of the live
     /// counts, never below two agents) are applied and the Fenwick mirror
-    /// rebuilt; a [`ChurnSample`] is recorded each time the clock crosses a
-    /// multiple of the process's sampling period.
+    /// rebuilt; a [`ChurnSample`](crate::ChurnSample) is recorded each
+    /// time the clock crosses a multiple of the process's sampling period.
     ///
     /// Convergence does not stop a churned run; the status is
-    /// [`RunStatus::Converged`] iff the output predicate fires at
-    /// `stop_at`, and the series carries the history. Batches are never
-    /// truncated at `stop_at` (the run halts at the first batch boundary
-    /// past it), which keeps checkpointed and uninterrupted runs on the
-    /// same RNG trajectory.
+    /// [`RunStatus::Converged`](crate::RunStatus) iff the output predicate
+    /// fires at `stop_at`, and the series carries the history. Batches are
+    /// never truncated at `stop_at` (the run halts at the first batch
+    /// boundary past it), which keeps checkpointed and uninterrupted runs
+    /// on the same RNG trajectory.
     ///
     /// # Panics
     ///
@@ -1163,30 +1049,49 @@ impl<P: TableProtocol> BatchSimulation<P> {
             self.counts.len(),
             "join distribution must cover the state space"
         );
-        let initial_total: u64 = initial.iter().sum();
-        assert!(initial_total > 0, "churn needs a join distribution");
-        let mut next_mark = churn.next_mark(self.parallel_time());
-        let mut series: Vec<ChurnSample> = Vec::new();
-        while self.parallel_time() < stop_at && self.interactions < opts.max_interactions {
-            let len = draw_batch_len(&mut self.rng, self.n)
-                .min(opts.max_interactions - self.interactions);
-            self.apply_batch(len);
-            self.apply_churn_events(churn, initial, initial_total, len);
-            let clock = self.parallel_time();
-            if clock >= next_mark {
-                series.push(self.churn_sample());
-                next_mark = churn.next_mark(clock);
-            }
-        }
-        let output = self.protocol.output(&self.counts);
-        let status = if output.is_some() {
-            RunStatus::Converged
-        } else {
-            RunStatus::Exhausted
-        };
-        let mut r = self.finish(status, output);
-        r.series = series;
-        r
+        assert!(
+            initial.iter().sum::<u64>() > 0,
+            "churn needs a join distribution"
+        );
+        driver::run_churned(self, opts, churn, initial, stop_at)
+    }
+}
+
+impl<P: TableProtocol> Engine for BatchSimulation<P> {
+    type Config = [u64];
+
+    fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    fn population(&self) -> u64 {
+        self.n
+    }
+
+    fn config(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// One collision-free batch, truncated to `cap` interactions.
+    fn advance(&mut self, _opts: &RunOptions, cap: u64) -> u64 {
+        let len = draw_batch_len(&mut self.rng, self.n).min(cap);
+        self.apply_batch(len);
+        len
+    }
+
+    fn output(&self) -> Option<u32> {
+        self.protocol.output(&self.counts)
+    }
+
+    fn strike(&mut self, initial: &[u64], fault: FaultSpec) {
+        strike_counts(
+            &*self.protocol,
+            &mut self.counts,
+            initial,
+            fault,
+            &mut self.rng,
+        );
+        self.tree.rebuild(&self.counts, self.threads);
     }
 
     /// Poisson join/leave events covering a batch of `len` interactions,
@@ -1198,19 +1103,13 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// before targeting existed; targeted departures thin the
     /// census-chosen opinion class first (a class-masked multinomial) and
     /// any remainder falls back to the uniform thinning.
-    fn apply_churn_events(
-        &mut self,
-        churn: &ChurnProcess,
-        initial: &[u64],
-        initial_total: u64,
-        len: u64,
-    ) {
+    fn apply_churn_events(&mut self, churn: &ChurnProcess, initial: &[u64], len: u64) {
         let (joins, leaves) = churn.draw_events(&mut self.rng, len);
         let leaves = leaves.min(self.n - 2);
         if joins == 0 && leaves == 0 {
             return;
         }
-        self.fold_clock();
+        self.clock.fold(self.n);
         let mut out = Vec::new();
         let mut remaining = leaves;
         if remaining > 0 && churn.target() != ChurnTarget::Uniform {
@@ -1256,6 +1155,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             }
         }
         if joins > 0 {
+            let initial_total = initial.iter().sum();
             multinomial_into(&mut self.rng, joins, initial, initial_total, &mut out);
             for (s, c) in out {
                 self.counts[s] += c;
@@ -1265,45 +1165,26 @@ impl<P: TableProtocol> BatchSimulation<P> {
         self.tree.rebuild(&self.counts, self.threads);
     }
 
-    /// The health sample `run_churned` records at each sampling mark.
-    fn churn_sample(&self) -> ChurnSample {
-        let mut tally: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for (s, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                if let Some(op) = self.protocol.opinion(s) {
-                    *tally.entry(op).or_insert(0) += c;
-                }
-            }
-        }
-        let top = tally.values().copied().max().unwrap_or(0);
-        ChurnSample {
-            t: self.parallel_time(),
-            population: self.n,
-            plurality_frac: top as f64 / self.n as f64,
-            output: self.protocol.output(&self.counts),
-        }
+    /// The live opinion tally in `O(S)`, for adaptive forgeries and
+    /// targeted churn.
+    fn opinion_census(&self) -> OpinionCensus {
+        OpinionCensus::from_tallies(
+            self.counts
+                .iter()
+                .enumerate()
+                .filter_map(|(s, &c)| self.protocol.opinion(s).map(|op| (op, c))),
+        )
     }
 
-    fn finish(&self, status: RunStatus, output: Option<u32>) -> RunResult {
-        RunResult {
-            status,
-            output,
-            interactions: self.interactions,
-            parallel_time: self.parallel_time(),
-            faults: Vec::new(),
-            series: Vec::new(),
-            notes: if self.scheduler_saturated {
-                vec![RunNote::SchedulerSaturated]
-            } else {
-                Vec::new()
-            },
-        }
+    fn scheduler_saturated(&self) -> bool {
+        self.scheduler_saturated
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::result::RunStatus;
 
     /// One-way epidemic as a table protocol: state 1 infects state 0.
     pub(crate) struct Epi;
@@ -1717,10 +1598,10 @@ pub(crate) mod tests {
         let counts = vec![0u64, n / 2 + 80_000, n / 2 - 80_000];
         let run = |threads: usize| {
             let mut sim = BatchSimulation::new(Usd(2), counts.clone(), 41);
-            sim.set_adversary(Arc::new(crate::fault::ByzantineAdversary {
+            sim.set_adversary(AdversarySpec::Byzantine {
                 frac: 0.05,
                 opinion: Some(2),
-            }));
+            });
             sim.set_threads(threads);
             for _ in 0..40 {
                 sim.step_batch();

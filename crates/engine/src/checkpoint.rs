@@ -1,4 +1,4 @@
-//! Crash-safe checkpoint/restore for all three engines.
+//! Crash-safe checkpoint/restore for both engines.
 //!
 //! A [`Checkpoint`] captures everything a run needs to resume
 //! byte-identically: the configuration (per-state counts, plus the
@@ -19,7 +19,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::batch::{BatchSimulation, PairwiseBatchSimulation, TableProtocol};
+use crate::batch::{BatchSimulation, TableProtocol};
 use crate::result::ChurnSample;
 use crate::sim::Simulation;
 use crate::table_seq::SeqTable;
@@ -30,7 +30,7 @@ const HEADER: &str = "ppckpt v1";
 /// A point-in-time engine snapshot, restorable byte-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Engine tag: `"seq"`, `"batch"` or `"pairwise"`.
+    /// Engine tag: `"seq"` or `"batch"`.
     pub engine: String,
     /// Interactions executed so far.
     pub interactions: u64,
@@ -60,26 +60,6 @@ impl Checkpoint {
         let (interactions, interactions_base, time_base) = sim.clock_parts();
         Self {
             engine: "batch".to_string(),
-            interactions,
-            interactions_base,
-            time_base,
-            rng: sim.rng_state(),
-            counts: sim.counts().to_vec(),
-            states: Vec::new(),
-            initial: initial.to_vec(),
-            series: series.to_vec(),
-        }
-    }
-
-    /// Snapshot a per-pair engine mid-run.
-    pub fn of_pairwise<P: TableProtocol>(
-        sim: &PairwiseBatchSimulation<P>,
-        initial: &[u64],
-        series: &[ChurnSample],
-    ) -> Self {
-        let (interactions, interactions_base, time_base) = sim.clock_parts();
-        Self {
-            engine: "pairwise".to_string(),
             interactions,
             interactions_base,
             time_base,
@@ -177,27 +157,6 @@ impl Checkpoint {
         Ok(sim)
     }
 
-    /// Rebuild a per-pair engine at the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` if the snapshot is not a `pairwise` one or disagrees
-    /// with the protocol's state space.
-    pub fn restore_pairwise<P: TableProtocol>(
-        &self,
-        protocol: P,
-    ) -> io::Result<PairwiseBatchSimulation<P>> {
-        self.check_restore("pairwise", protocol.states())?;
-        let mut sim = PairwiseBatchSimulation::new(protocol, self.counts.clone(), 0);
-        sim.restore_clock(
-            self.interactions,
-            self.interactions_base,
-            self.time_base,
-            self.rng,
-        );
-        Ok(sim)
-    }
-
     /// Rebuild a sequential table run at the snapshot.
     ///
     /// # Errors
@@ -279,7 +238,7 @@ impl Checkpoint {
                 .ok_or_else(|| bad("field out of order"))
         };
         let engine = field("engine")?;
-        if !matches!(engine.as_str(), "seq" | "batch" | "pairwise") {
+        if !matches!(engine.as_str(), "seq" | "batch") {
             return Err(bad("unknown engine tag"));
         }
         let parse_u64 = |v: &str| v.parse::<u64>().map_err(|_| bad("malformed integer"));
@@ -477,13 +436,20 @@ mod tests {
         ] {
             assert!(Checkpoint::from_text(bad).is_err(), "{bad:?} should fail");
         }
+        // `pairwise` names no engine, like any other unknown tag.
+        let pairwise = demo_checkpoint()
+            .to_text()
+            .replace("engine batch", "engine pairwise");
+        assert_eq!(
+            Checkpoint::from_text(&pairwise).map_err(|e| e.kind()),
+            Err(io::ErrorKind::InvalidData)
+        );
     }
 
     #[test]
     fn mismatched_restores_are_errors_not_panics() {
-        // Engine-tag mismatch: a batch snapshot refuses the other restores.
+        // Engine-tag mismatch: a batch snapshot refuses the seq restore.
         let ck = demo_checkpoint();
-        assert!(ck.restore_pairwise(Am3).is_err());
         assert!(ck.restore_seq(Am3).is_err());
 
         // State-space mismatch: counts longer than the protocol's table.
@@ -558,22 +524,6 @@ mod tests {
             resumed.step_batch();
             assert_eq!(resumed.counts(), sim.counts());
             assert_eq!(resumed.interactions(), sim.interactions());
-        }
-    }
-
-    #[test]
-    fn pairwise_restore_replays_the_exact_stream() {
-        let mut sim = PairwiseBatchSimulation::new(Am3, vec![0, 700, 300], 7);
-        for _ in 0..10 {
-            sim.step_batch();
-        }
-        let ck = Checkpoint::of_pairwise(&sim, &[0, 700, 300], &[]);
-        let parsed = Checkpoint::from_text(&ck.to_text()).expect("parse");
-        let mut resumed = parsed.restore_pairwise(Am3).expect("restore");
-        for _ in 0..30 {
-            sim.step_batch();
-            resumed.step_batch();
-            assert_eq!(resumed.counts(), sim.counts());
         }
     }
 

@@ -1,6 +1,7 @@
 //! Steady-state churn: a continuous Poisson join/leave process.
 //!
-//! Unlike the one-shot [`Churn`](crate::fault::Churn) epoch strike, a
+//! Unlike the one-shot [`FaultSpec::Churn`](crate::FaultSpec::Churn) epoch
+//! strike, a
 //! [`ChurnProcess`] runs *for the whole run*: after every engine stride or
 //! batch of `ℓ` interactions, `Poisson(join·ℓ)` fresh agents drawn from
 //! the initial workload join and `Poisson(leave·ℓ)` uniformly random

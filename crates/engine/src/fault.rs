@@ -8,30 +8,31 @@
 //! biased pair schedulers. This module is the engine-level vocabulary for
 //! those experiments:
 //!
-//! * [`FaultHook`] — one scheduled strike (a parallel time, a fraction of
-//!   agents, a [`Replacement`]); concrete hooks are [`Corrupt`],
-//!   [`Inject`] and [`Churn`]. A [`FaultPlan`] composes any number of
-//!   hooks.
-//! * [`Scheduler`] — a pair-selection bias honored by all three engines:
+//! * [`FaultSpec`] — one scheduled strike (a parallel time, a fraction of
+//!   agents, a [`Replacement`]). The engines' `run_faulted` methods take a
+//!   list of them.
+//! * [`SchedulerSpec`] — a pair-selection bias honored by both engines:
 //!   per-opinion participation weights (the opinion-starving adversary)
 //!   and assortativity (the pair-biased, like-with-like adversary).
-//!   [`UniformScheduler`], [`StarveScheduler`] and [`PairBiasScheduler`]
-//!   are provided.
+//! * [`AdversarySpec`] — a Byzantine interaction adversary, static or
+//!   aimed at the live [`OpinionCensus`].
+//! * [`ChurnSpec`] — a steady-state join/leave process, driven by
+//!   [`ChurnProcess`](crate::ChurnProcess).
 //! * [`FaultRecord`] — the recovery bookkeeping attached to
-//!   [`RunResult`](crate::RunResult) by the engines' `run_faulted`
-//!   methods: output before the strike, time to reconverge, output after.
-//! * [`FaultSpec`] / [`SchedulerSpec`] — the `Clone + FromStr + Display`
-//!   surface the experiment CLI and run manifests use, so a fault
-//!   configuration round-trips through `--faults`/`--scheduler` flags and
-//!   JSON manifests losslessly.
+//!   [`RunResult`](crate::RunResult) by `run_faulted`: output before the
+//!   strike, time to reconverge, output after.
+//!
+//! Every spec is `Copy + FromStr + Display`, and the value the experiment
+//! CLI parses is the value the engines run, so a configuration
+//! round-trips through `--faults`/`--scheduler`/`--adversary`/`--churn`
+//! flags and JSON manifests losslessly.
 //!
 //! All fault and scheduler randomness is drawn from the engine's own RNG
-//! stream, so a (seed, plan, scheduler) triple replays byte-identically —
+//! stream, so a (seed, faults, scheduler) triple replays byte-identically —
 //! the same determinism contract the clean engines already honor.
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
 use crate::batch::multinomial::{binomial, multinomial_into};
 use crate::batch::TableProtocol;
@@ -49,186 +50,17 @@ pub enum Replacement {
     Rejoin,
 }
 
-/// One fault strike, fully resolved: which fraction of agents, replaced
-/// with what. Produced by [`FaultHook::action`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultAction {
-    /// Independent probability that any given agent is struck.
-    pub frac: f64,
-    /// Replacement applied to struck agents.
-    pub replacement: Replacement,
-}
-
-/// A fault hook: fires once, at a scheduled parallel time, striking a
-/// random fraction of the population.
-///
-/// Hooks are deliberately *declarative* (a time plus a [`FaultAction`])
-/// rather than closures over engine state: the same hook must apply to a
-/// per-agent state vector (sequential engine) and to a counts vector
-/// (batched engines) without knowing which it runs on.
-pub trait FaultHook: Send + Sync + fmt::Debug {
-    /// Parallel time at which the hook fires.
-    fn at(&self) -> f64;
-
-    /// The strike to apply.
-    fn action(&self) -> FaultAction;
-
-    /// Label recorded in [`FaultRecord`]s and run manifests.
-    fn describe(&self) -> String;
-}
-
-/// Transient state corruption: each agent is flipped to a uniformly random
-/// protocol state with probability `frac`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Corrupt {
-    /// Parallel time of the strike.
-    pub at: f64,
-    /// Fraction of agents struck.
-    pub frac: f64,
-}
-
-impl FaultHook for Corrupt {
-    fn at(&self) -> f64 {
-        self.at
-    }
-
-    fn action(&self) -> FaultAction {
-        FaultAction {
-            frac: self.frac,
-            replacement: Replacement::Random,
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("corrupt@{}:{}", self.at, self.frac)
-    }
-}
-
-/// Mid-run opinion injection: each agent is replaced by a fresh agent
-/// holding `opinion` with probability `frac` — the adversary floods the
-/// population with a chosen (typically runner-up) opinion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Inject {
-    /// Parallel time of the strike.
-    pub at: f64,
-    /// Fraction of agents struck.
-    pub frac: f64,
-    /// The injected opinion.
-    pub opinion: u32,
-}
-
-impl FaultHook for Inject {
-    fn at(&self) -> f64 {
-        self.at
-    }
-
-    fn action(&self) -> FaultAction {
-        FaultAction {
-            frac: self.frac,
-            replacement: Replacement::Opinion(self.opinion),
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("inject@{}:{}:{}", self.at, self.frac, self.opinion)
-    }
-}
-
-/// Crash-and-rejoin churn: each agent crashes with probability `frac`,
-/// losing all protocol state, and rejoins immediately as a fresh agent in
-/// an initial-configuration state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Churn {
-    /// Parallel time of the strike.
-    pub at: f64,
-    /// Fraction of agents churned.
-    pub frac: f64,
-}
-
-impl FaultHook for Churn {
-    fn at(&self) -> f64 {
-        self.at
-    }
-
-    fn action(&self) -> FaultAction {
-        FaultAction {
-            frac: self.frac,
-            replacement: Replacement::Rejoin,
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("churn@{}:{}", self.at, self.frac)
-    }
-}
-
-/// A composable schedule of fault hooks.
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    hooks: Vec<Box<dyn FaultHook>>,
-}
-
-impl FaultPlan {
-    /// An empty plan (no faults; `run_faulted` degenerates to `run`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a hook (builder style).
-    #[must_use]
-    pub fn with(mut self, hook: impl FaultHook + 'static) -> Self {
-        self.hooks.push(Box::new(hook));
-        self
-    }
-
-    /// Add a boxed hook.
-    pub fn push(&mut self, hook: Box<dyn FaultHook>) {
-        self.hooks.push(hook);
-    }
-
-    /// Whether the plan contains no hooks.
-    pub fn is_empty(&self) -> bool {
-        self.hooks.is_empty()
-    }
-
-    /// Number of hooks.
-    pub fn len(&self) -> usize {
-        self.hooks.len()
-    }
-
-    /// The hooks resolved to `(at, action, label)` triples, sorted by
-    /// firing time — the form the engines consume.
-    pub fn schedule(&self) -> Vec<(f64, FaultAction, String)> {
-        let mut epochs: Vec<(f64, FaultAction, String)> = self
-            .hooks
-            .iter()
-            .map(|h| (h.at(), h.action(), h.describe()))
-            .collect();
-        epochs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite fault times"));
-        epochs
-    }
-
-    /// Build a plan from CLI/manifest-level specs.
-    pub fn from_specs(specs: &[FaultSpec]) -> Self {
-        let mut plan = Self::new();
-        for s in specs {
-            plan.push(s.hook());
-        }
-        plan
-    }
-}
-
-/// Recovery bookkeeping for one fired fault hook, attached to
+/// Recovery bookkeeping for one fired fault, attached to
 /// [`RunResult::faults`](crate::RunResult).
 ///
 /// `recovery_time` is `NaN` when the run never reconverged after the
-/// strike (either the budget ran out or a later hook struck first —
+/// strike (either the budget ran out or a later fault struck first —
 /// strikes supersede: only the most recent one is tracked for recovery).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRecord {
-    /// Parallel time at which the hook actually fired.
+    /// Parallel time at which the fault actually fired.
     pub at: f64,
-    /// The hook's [`FaultHook::describe`] label.
+    /// The fault's [`FaultSpec`] spelling.
     pub hook: String,
     /// Converged output immediately before the strike (`None`: the run had
     /// not converged when the fault hit).
@@ -252,112 +84,11 @@ impl FaultRecord {
     pub fn winner_survived(&self) -> bool {
         self.output_before.is_some() && self.output_before == self.output_after
     }
-}
 
-// ---------------------------------------------------------------------------
-// Schedulers.
-
-/// Bound on rejection-sampling retries in biased pair draws. Adversarial
-/// weights degrade the bias rather than livelock the engine: after this
-/// many rejected draws the last candidate is accepted unconditionally.
-pub const SCHEDULER_RETRIES: u32 = 16;
-
-/// Consecutive fully-exhausted rejection loops after which the sequential
-/// engine declares the scheduler saturated (every candidate vetoed — e.g.
-/// the starved opinion is the only one left at weight 0), degrades to
-/// uniform sampling for the rest of the run, and records
-/// [`RunNote::SchedulerSaturated`](crate::RunNote).
-pub const SCHEDULER_SATURATION_STREAK: u32 = 3;
-
-/// A pair-selection bias, honored by all three engines.
-///
-/// Schedulers are expressed over *opinions* (via
-/// [`Protocol::opinion_of`](crate::Protocol::opinion_of) /
-/// [`TableProtocol::opinion`]) so one scheduler applies uniformly to
-/// per-agent protocols and transition tables. Two knobs compose:
-///
-/// * [`opinion_weight`](Scheduler::opinion_weight) — the relative
-///   probability, in `(0, 1]`, that an agent advocating a given opinion is
-///   drawn as a participant (1 everywhere = the uniform scheduler). The
-///   sequential engine realizes this by bounded rejection sampling, the
-///   batched engines by weighted multinomial tallies.
-/// * [`assortativity`](Scheduler::assortativity) — the probability that
-///   the responder is forced to share the initiator's opinion
-///   (like-with-like pairing), starving the cross-opinion interactions
-///   most protocols rely on.
-pub trait Scheduler: Send + Sync + fmt::Debug {
-    /// Display/manifest name (matches the [`SchedulerSpec`] spelling).
-    fn describe(&self) -> String;
-
-    /// Relative weight in `(0, 1]` with which an agent advocating
-    /// `opinion` is drawn (`None` = undecided/helper agents).
-    fn opinion_weight(&self, opinion: Option<u32>) -> f64 {
-        let _ = opinion;
-        1.0
-    }
-
-    /// Probability that the responder is forced to share the initiator's
-    /// opinion.
-    fn assortativity(&self) -> f64 {
-        0.0
-    }
-}
-
-/// The uniform scheduler — identical to passing no scheduler at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct UniformScheduler;
-
-impl Scheduler for UniformScheduler {
-    fn describe(&self) -> String {
-        "uniform".to_string()
-    }
-}
-
-/// The opinion-starving adversary: agents advocating `opinion` participate
-/// with relative weight `weight < 1`, slowing every interaction the
-/// opinion is part of.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StarveScheduler {
-    /// The starved opinion.
-    pub opinion: u32,
-    /// Relative participation weight in `(0, 1)`.
-    pub weight: f64,
-}
-
-impl Scheduler for StarveScheduler {
-    fn describe(&self) -> String {
-        format!("starve:{}:{}", self.opinion, self.weight)
-    }
-
-    fn opinion_weight(&self, opinion: Option<u32>) -> f64 {
-        if opinion == Some(self.opinion) {
-            // Weight 0 is meaningful: it makes saturation (the starved
-            // opinion is the only one left, so every candidate is vetoed)
-            // reachable. The engines detect that case, degrade to uniform
-            // sampling and record `RunNote::SchedulerSaturated`.
-            self.weight.clamp(0.0, 1.0)
-        } else {
-            1.0
-        }
-    }
-}
-
-/// The pair-biased adversary: with probability `assort` the responder is
-/// forced to share the initiator's opinion, starving the cross-opinion
-/// interactions consensus depends on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairBiasScheduler {
-    /// Probability of a forced like-with-like pairing.
-    pub assort: f64,
-}
-
-impl Scheduler for PairBiasScheduler {
-    fn describe(&self) -> String {
-        format!("pairbias:{}", self.assort)
-    }
-
-    fn assortativity(&self) -> f64 {
-        self.assort.clamp(0.0, 1.0)
+    /// Close the record at the first reconvergence after the strike.
+    pub(crate) fn reconverged(&mut self, t: f64, output: u32) {
+        self.recovery_time = t - self.at;
+        self.output_after = Some(output);
     }
 }
 
@@ -370,9 +101,9 @@ impl Scheduler for PairBiasScheduler {
 /// Built from `(opinion, support)` pairs by the engines — the sequential
 /// engine tallies its state vector through
 /// [`Protocol::opinion_of`](crate::Protocol::opinion_of), the batched
-/// engines fold their counts vector through [`TableProtocol::opinion`] —
-/// so one census type serves all three. Helper/undecided states (no
-/// opinion) are not represented.
+/// engine folds its counts vector through [`TableProtocol::opinion`] —
+/// so one census type serves both. Helper/undecided states (no opinion)
+/// are not represented.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpinionCensus {
     tallies: Vec<(u32, u64)>,
@@ -443,8 +174,8 @@ impl OpinionCensus {
     }
 }
 
-/// What liars claim this batch/stride, as chosen by
-/// [`Adversary::forgery`] against the live census.
+/// What liars claim this batch/stride, as an [`AdversarySpec`] chooses it
+/// against the live census.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Forgery {
     /// A uniformly random protocol state per lie.
@@ -456,52 +187,7 @@ pub enum Forgery {
     Split(u32, u32),
 }
 
-/// A Byzantine interaction adversary: intercepts *individual* interactions
-/// and makes a bounded fraction of participants lie about their state.
-///
-/// A liar reports a forged state to its partner while keeping its own
-/// state; the honest partner transitions against the forgery. When both
-/// participants lie, neither learns anything and the interaction is a
-/// no-op. The sequential engine flips a per-agent coin for each
-/// participant; the batched engines realize the same distribution through
-/// an `O(S²)`-bounded binomial perturbation of the multinomial tally, so
-/// the `n = 10⁸` fast path stays fast.
-///
-/// Like [`Scheduler`], adversaries are declarative — a lying probability
-/// plus what the forgery is — so one adversary drives a per-agent state
-/// vector and a counts vector alike.
-pub trait Adversary: Send + Sync + fmt::Debug {
-    /// Display/manifest name (matches the [`AdversarySpec`] spelling).
-    fn describe(&self) -> String;
-
-    /// Probability in `[0, 1]` that any given participant lies.
-    fn lie_frac(&self) -> f64;
-
-    /// The opinion liars claim to hold; `None` = a uniformly random
-    /// protocol state per lie.
-    fn forged_opinion(&self) -> Option<u32>;
-
-    /// Whether the forgery depends on the live census. Engines skip the
-    /// per-batch/per-stride census and refresh entirely when this is
-    /// `false`, so static adversaries keep their exact cost (and RNG
-    /// stream) from before adaptivity existed.
-    fn adaptive(&self) -> bool {
-        false
-    }
-
-    /// The forgery for the coming batch/stride, chosen against the live
-    /// census. The default ignores the census and reproduces the static
-    /// [`forged_opinion`](Adversary::forgery) behaviour, so non-adaptive
-    /// adversaries implement nothing new. Must not draw randomness — the
-    /// engines' replay contract assumes the census refresh is RNG-silent.
-    fn forgery(&self, census: &OpinionCensus) -> Forgery {
-        let _ = census;
-        self.forged_opinion()
-            .map_or(Forgery::Random, Forgery::Opinion)
-    }
-}
-
-/// How an [`AdaptiveAdversary`] aims its lies at the live census.
+/// How an adaptive adversary aims its lies at the live census.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptiveStrategy {
     /// Every lie claims the current runner-up opinion — pumping the
@@ -543,104 +229,45 @@ impl FromStr for AdaptiveStrategy {
     }
 }
 
-/// The census-aware Byzantine liar: same bounded lie fraction as
-/// [`ByzantineAdversary`], but the forged opinion is re-aimed at the live
-/// census once per batch/stride according to an [`AdaptiveStrategy`].
+/// A Byzantine interaction adversary: intercepts *individual*
+/// interactions and makes a bounded fraction of participants lie about
+/// their state.
 ///
-/// Every strategy degrades gracefully as opinions die out: with a single
-/// surviving opinion the runner-up/weakest targets vanish and the
-/// adversary falls back to boosting that opinion ([`AdaptiveStrategy::Split`])
-/// or to random forgeries (the targeted strategies); with no opinions at
-/// all every strategy forges random states.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveAdversary {
-    /// Probability that any given participant lies.
-    pub frac: f64,
-    /// How lies are aimed at the census.
-    pub strategy: AdaptiveStrategy,
-}
-
-impl Adversary for AdaptiveAdversary {
-    fn describe(&self) -> String {
-        AdversarySpec::Adaptive {
-            frac: self.frac,
-            strategy: self.strategy,
-        }
-        .to_string()
-    }
-
-    fn lie_frac(&self) -> f64 {
-        self.frac.clamp(0.0, 1.0)
-    }
-
-    fn forged_opinion(&self) -> Option<u32> {
-        None
-    }
-
-    fn adaptive(&self) -> bool {
-        true
-    }
-
-    fn forgery(&self, census: &OpinionCensus) -> Forgery {
-        match self.strategy {
-            AdaptiveStrategy::BoostRunnerUp => {
-                census.runner_up().map_or(Forgery::Random, Forgery::Opinion)
-            }
-            AdaptiveStrategy::SuppressLeader => census
-                .weakest_non_leader()
-                .map_or(Forgery::Random, Forgery::Opinion),
-            AdaptiveStrategy::Split => match (census.leader(), census.runner_up()) {
-                (Some(a), Some(b)) => Forgery::Split(a, b),
-                (Some(a), None) => Forgery::Opinion(a),
-                _ => Forgery::Random,
-            },
-        }
-    }
-}
-
-/// The standard Byzantine liar: each participant independently lies with
-/// probability `frac`, reporting either a fixed opinion or a uniformly
-/// random state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ByzantineAdversary {
-    /// Probability that any given participant lies.
-    pub frac: f64,
-    /// Forged opinion (`None` = uniformly random state per lie).
-    pub opinion: Option<u32>,
-}
-
-impl Adversary for ByzantineAdversary {
-    fn describe(&self) -> String {
-        AdversarySpec::Byzantine {
-            frac: self.frac,
-            opinion: self.opinion,
-        }
-        .to_string()
-    }
-
-    fn lie_frac(&self) -> f64 {
-        self.frac.clamp(0.0, 1.0)
-    }
-
-    fn forged_opinion(&self) -> Option<u32> {
-        self.opinion
-    }
-}
-
-/// An adversary as CLI flag and manifest entry: `byz:FRAC` (random
-/// forgeries), `byz:FRAC:OPINION` (fixed forged opinion) or
-/// `adaptive:FRAC[:STRATEGY]` (census-aware forgeries; the strategy
-/// defaults to `boost-runnerup`).
+/// A liar reports a forged state to its partner while keeping its own
+/// state; the honest partner transitions against the forgery. When both
+/// participants lie, neither learns anything and the interaction is a
+/// no-op. The sequential engine flips a per-agent coin for each
+/// participant; the batched engine realizes the same distribution through
+/// an `O(S²)`-bounded binomial perturbation of the multinomial tally, so
+/// the `n = 10⁸` fast path stays fast. Like [`SchedulerSpec`], an
+/// adversary is declarative — a lying probability plus what the forgery
+/// is — so one adversary drives a per-agent state vector and a counts
+/// vector alike.
+///
+/// As CLI flag and manifest entry: `byz:FRAC` (random forgeries),
+/// `byz:FRAC:OPINION` (fixed forged opinion) or `adaptive:FRAC[:STRATEGY]`
+/// (census-aware forgeries; the strategy defaults to `boost-runnerup`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdversarySpec {
-    /// See [`ByzantineAdversary`].
+    /// The standard liar: each participant independently lies with
+    /// probability `frac`, reporting either a fixed opinion or a uniformly
+    /// random state.
     Byzantine {
         /// Probability that any given participant lies.
         frac: f64,
         /// Forged opinion (`None` = uniformly random state per lie).
         opinion: Option<u32>,
     },
-    /// See [`AdaptiveAdversary`].
+    /// The census-aware liar: the same bounded lie fraction, but the
+    /// forged opinion is re-aimed at the live census once per
+    /// batch/stride according to an [`AdaptiveStrategy`].
+    ///
+    /// Every strategy degrades gracefully as opinions die out: with a
+    /// single surviving opinion the runner-up/weakest targets vanish and
+    /// the adversary falls back to boosting that opinion
+    /// ([`AdaptiveStrategy::Split`]) or to random forgeries (the targeted
+    /// strategies); with no opinions at all every strategy forges random
+    /// states.
     Adaptive {
         /// Probability that any given participant lies.
         frac: f64,
@@ -650,15 +277,39 @@ pub enum AdversarySpec {
 }
 
 impl AdversarySpec {
-    /// Instantiate the adversary this spec describes.
-    pub fn build(&self) -> Arc<dyn Adversary> {
-        match *self {
-            AdversarySpec::Byzantine { frac, opinion } => {
-                Arc::new(ByzantineAdversary { frac, opinion })
+    /// Probability in `[0, 1]` that any given participant lies.
+    pub(crate) fn lie_frac(self) -> f64 {
+        match self {
+            AdversarySpec::Byzantine { frac, .. } | AdversarySpec::Adaptive { frac, .. } => {
+                frac.clamp(0.0, 1.0)
             }
-            AdversarySpec::Adaptive { frac, strategy } => {
-                Arc::new(AdaptiveAdversary { frac, strategy })
-            }
+        }
+    }
+
+    /// Whether the forgery depends on the live census. Engines skip the
+    /// per-batch/per-stride census and refresh entirely when this is
+    /// `false`, so static adversaries keep their exact cost (and RNG
+    /// stream) from before adaptivity existed.
+    pub(crate) fn adaptive(self) -> bool {
+        matches!(self, AdversarySpec::Adaptive { .. })
+    }
+
+    /// The forgery for the coming batch/stride, chosen against the live
+    /// census (a static forgery ignores it). Draws no randomness — the
+    /// engines' replay contract assumes the census refresh is RNG-silent.
+    pub(crate) fn forgery(self, census: &OpinionCensus) -> Forgery {
+        let aimed = |op: Option<u32>| op.map_or(Forgery::Random, Forgery::Opinion);
+        match self {
+            AdversarySpec::Byzantine { opinion, .. } => aimed(opinion),
+            AdversarySpec::Adaptive { strategy, .. } => match strategy {
+                AdaptiveStrategy::BoostRunnerUp => aimed(census.runner_up()),
+                AdaptiveStrategy::SuppressLeader => aimed(census.weakest_non_leader()),
+                AdaptiveStrategy::Split => match (census.leader(), census.runner_up()) {
+                    (Some(a), Some(b)) => Forgery::Split(a, b),
+                    (Some(a), None) => Forgery::Opinion(a),
+                    _ => Forgery::Random,
+                },
+            },
         }
     }
 }
@@ -829,20 +480,30 @@ impl FromStr for ChurnSpec {
 }
 
 // ---------------------------------------------------------------------------
-// CLI / manifest specs.
+// Faults and schedulers.
 
-/// A fault hook as CLI flag and manifest entry: `corrupt@AT:FRAC`,
-/// `inject@AT:FRAC:OPINION` or `churn@AT:FRAC`.
+/// A fault: fires once, at a scheduled parallel time, striking a random
+/// fraction of the population. As CLI flag and manifest entry:
+/// `corrupt@AT:FRAC`, `inject@AT:FRAC:OPINION` or `churn@AT:FRAC`.
+///
+/// Faults are deliberately *declarative* (a time, a fraction and a
+/// [`Replacement`]) rather than closures over engine state: the same fault
+/// applies to a
+/// per-agent state vector (sequential engine) and to a counts vector
+/// (batched engine) without knowing which it runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultSpec {
-    /// See [`Corrupt`].
+    /// Transient state corruption: each agent is flipped to a uniformly
+    /// random protocol state with probability `frac`.
     Corrupt {
         /// Parallel time of the strike.
         at: f64,
         /// Fraction of agents struck.
         frac: f64,
     },
-    /// See [`Inject`].
+    /// Mid-run opinion injection: each agent is replaced by a fresh agent
+    /// holding `opinion` with probability `frac` — the adversary floods
+    /// the population with a chosen (typically runner-up) opinion.
     Inject {
         /// Parallel time of the strike.
         at: f64,
@@ -851,7 +512,9 @@ pub enum FaultSpec {
         /// The injected opinion.
         opinion: u32,
     },
-    /// See [`Churn`].
+    /// Crash-and-rejoin churn: each agent crashes with probability
+    /// `frac`, losing all protocol state, and rejoins immediately as a
+    /// fresh agent in an initial-configuration state.
     Churn {
         /// Parallel time of the strike.
         at: f64,
@@ -861,16 +524,27 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
-    /// The concrete hook this spec describes.
-    pub fn hook(&self) -> Box<dyn FaultHook> {
-        match *self {
-            FaultSpec::Corrupt { at, frac } => Box::new(Corrupt { at, frac }),
-            FaultSpec::Inject { at, frac, opinion } => Box::new(Inject { at, frac, opinion }),
-            FaultSpec::Churn { at, frac } => Box::new(Churn { at, frac }),
+    /// Parallel time at which the fault fires.
+    pub(crate) fn at(self) -> f64 {
+        match self {
+            FaultSpec::Corrupt { at, .. }
+            | FaultSpec::Inject { at, .. }
+            | FaultSpec::Churn { at, .. } => at,
         }
     }
 
-    /// Parse a comma-separated hook list (the `--faults` flag value).
+    /// The strike: the independent probability, clamped to `[0, 1]`, that
+    /// an agent is hit, and what a struck agent becomes.
+    pub(crate) fn strike(self) -> (f64, Replacement) {
+        let (frac, replacement) = match self {
+            FaultSpec::Corrupt { frac, .. } => (frac, Replacement::Random),
+            FaultSpec::Inject { frac, opinion, .. } => (frac, Replacement::Opinion(opinion)),
+            FaultSpec::Churn { frac, .. } => (frac, Replacement::Rejoin),
+        };
+        (frac.clamp(0.0, 1.0), replacement)
+    }
+
+    /// Parse a comma-separated fault list (the `--faults` flag value).
     ///
     /// # Errors
     ///
@@ -930,18 +604,35 @@ impl FromStr for FaultSpec {
     }
 }
 
-/// A scheduler as CLI flag and manifest entry: `uniform`, `pairbias:A` or
+/// A pair-selection bias, honored by both engines.
+///
+/// Schedulers are expressed over *opinions* (via
+/// [`Protocol::opinion_of`](crate::Protocol::opinion_of) /
+/// [`TableProtocol::opinion`]) so one scheduler applies uniformly to
+/// per-agent protocols and transition tables. Two knobs compose: a
+/// per-opinion participation weight in `[0, 1]` (the sequential engine
+/// realizes it by bounded rejection sampling, the batched engine by
+/// weighted multinomial tallies), and an assortativity — the probability
+/// that the responder is forced to share the initiator's opinion
+/// (like-with-like pairing), starving the cross-opinion interactions most
+/// protocols rely on.
+///
+/// As CLI flag and manifest entry: `uniform`, `pairbias:A` or
 /// `starve:OPINION:WEIGHT`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerSpec {
-    /// See [`UniformScheduler`].
+    /// The uniform scheduler — identical to passing no scheduler at all:
+    /// the engines install nothing for it.
     Uniform,
-    /// See [`PairBiasScheduler`].
+    /// The pair-biased adversary: with probability `assort` the responder
+    /// is forced to share the initiator's opinion.
     PairBias {
         /// Probability of a forced like-with-like pairing.
         assort: f64,
     },
-    /// See [`StarveScheduler`].
+    /// The opinion-starving adversary: agents advocating `opinion`
+    /// participate with relative weight `weight < 1`, slowing every
+    /// interaction the opinion is part of.
     Starve {
         /// The starved opinion.
         opinion: u32,
@@ -951,17 +642,43 @@ pub enum SchedulerSpec {
 }
 
 impl SchedulerSpec {
-    /// Instantiate the scheduler this spec describes.
-    pub fn build(&self) -> Arc<dyn Scheduler> {
-        match *self {
-            SchedulerSpec::Uniform => Arc::new(UniformScheduler),
-            SchedulerSpec::PairBias { assort } => Arc::new(PairBiasScheduler { assort }),
-            SchedulerSpec::Starve { opinion, weight } => {
-                Arc::new(StarveScheduler { opinion, weight })
-            }
+    /// Relative weight in `[0, 1]` with which an agent advocating
+    /// `opinion` is drawn (`None` = undecided/helper agents).
+    pub(crate) fn opinion_weight(self, opinion: Option<u32>) -> f64 {
+        match self {
+            // Weight 0 is meaningful: it makes saturation (the starved
+            // opinion is the only one left, so every candidate is vetoed)
+            // reachable. The engines detect that case, degrade to uniform
+            // sampling and record `RunNote::SchedulerSaturated`.
+            SchedulerSpec::Starve {
+                opinion: starved,
+                weight,
+            } if opinion == Some(starved) => weight.clamp(0.0, 1.0),
+            _ => 1.0,
+        }
+    }
+
+    /// Probability that the responder is forced to share the initiator's
+    /// opinion.
+    pub(crate) fn assortativity(self) -> f64 {
+        match self {
+            SchedulerSpec::PairBias { assort } => assort.clamp(0.0, 1.0),
+            _ => 0.0,
         }
     }
 }
+
+/// Bound on rejection-sampling retries in biased pair draws. Adversarial
+/// weights degrade the bias rather than livelock the engine: after this
+/// many rejected draws the last candidate is accepted unconditionally.
+pub const SCHEDULER_RETRIES: u32 = 16;
+
+/// Consecutive fully-exhausted rejection loops after which the sequential
+/// engine declares the scheduler saturated (every candidate vetoed — e.g.
+/// the starved opinion is the only one left at weight 0), degrades to
+/// uniform sampling for the rest of the run, and records
+/// [`RunNote::SchedulerSaturated`](crate::RunNote).
+pub const SCHEDULER_SATURATION_STREAK: u32 = 3;
 
 impl fmt::Display for SchedulerSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1002,9 +719,9 @@ impl FromStr for SchedulerSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Configuration-level strike (shared by the batched engines).
+// Configuration-level strike (the batched engine's).
 
-/// A [`Forgery`] resolved to the batched engines' state space: what state
+/// A [`Forgery`] resolved to the batched engine's state space: what state
 /// index (or pair of indices) liars report this batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LieTarget {
@@ -1036,7 +753,7 @@ pub fn resolve_forgery<P: TableProtocol + ?Sized>(
     }
 }
 
-/// Apply `action` to a configuration-space population: victims are drawn
+/// Apply `fault`'s strike to a configuration-space population: victims are drawn
 /// by per-state binomial thinning (statistically identical to independent
 /// per-agent coin flips, `O(S)` at any `n` — the reason the `n = 10⁸`
 /// fast path stays fast), then re-inserted according to the replacement.
@@ -1052,10 +769,10 @@ pub fn strike_counts<P: TableProtocol + ?Sized>(
     protocol: &P,
     counts: &mut [u64],
     initial: &[u64],
-    action: &FaultAction,
+    fault: FaultSpec,
     rng: &mut SimRng,
 ) {
-    let frac = action.frac.clamp(0.0, 1.0);
+    let (frac, replacement) = fault.strike();
     if frac <= 0.0 {
         return;
     }
@@ -1070,7 +787,7 @@ pub fn strike_counts<P: TableProtocol + ?Sized>(
         return;
     }
     let mut out = Vec::new();
-    match action.replacement {
+    match replacement {
         Replacement::Random => {
             let uniform = vec![1u64; counts.len()];
             multinomial_into(rng, total, &uniform, counts.len() as u64, &mut out);
@@ -1149,7 +866,6 @@ mod tests {
         ] {
             let printed = s.to_string();
             assert_eq!(printed.parse::<SchedulerSpec>(), Ok(s), "{printed}");
-            assert_eq!(s.build().describe(), printed);
         }
 
         for s in [
@@ -1176,7 +892,6 @@ mod tests {
         ] {
             let printed = s.to_string();
             assert_eq!(printed.parse::<AdversarySpec>(), Ok(s), "{printed}");
-            assert_eq!(s.build().describe(), printed);
         }
         // The strategy-free spelling defaults to boost-runnerup.
         assert_eq!(
@@ -1284,21 +999,20 @@ mod tests {
 
     #[test]
     fn byzantine_adversary_semantics() {
-        let a = ByzantineAdversary {
+        let a = AdversarySpec::Byzantine {
             frac: 0.2,
             opinion: Some(1),
         };
         assert_eq!(a.lie_frac(), 0.2);
-        assert_eq!(a.forged_opinion(), Some(1));
-        assert_eq!(a.describe(), "byz:0.2:1");
-        let random = ByzantineAdversary {
+        assert_eq!(a.to_string(), "byz:0.2:1");
+        let random = AdversarySpec::Byzantine {
             frac: 1.5,
             opinion: None,
         };
         assert_eq!(random.lie_frac(), 1.0, "frac clamps into [0, 1]");
-        assert_eq!(random.describe(), "byz:1.5");
-        // Static adversaries are non-adaptive and their default forgery
-        // ignores the census.
+        assert_eq!(random.to_string(), "byz:1.5");
+        // Static adversaries are non-adaptive and their forgery ignores
+        // the census.
         assert!(!a.adaptive());
         let census = OpinionCensus::from_tallies([(1, 10), (2, 90)]);
         assert_eq!(a.forgery(&census), Forgery::Opinion(1));
@@ -1330,7 +1044,7 @@ mod tests {
     #[test]
     fn adaptive_strategies_aim_at_the_census() {
         let census = OpinionCensus::from_tallies([(1, 500), (2, 300), (3, 50)]);
-        let strat = |strategy| AdaptiveAdversary {
+        let strat = |strategy| AdversarySpec::Adaptive {
             frac: 0.1,
             strategy,
         };
@@ -1369,8 +1083,7 @@ mod tests {
 
         let a = strat(AdaptiveStrategy::Split);
         assert!(a.adaptive());
-        assert_eq!(a.forged_opinion(), None);
-        assert_eq!(a.describe(), "adaptive:0.1:split");
+        assert_eq!(a.to_string(), "adaptive:0.1:split");
     }
 
     #[test]
@@ -1397,49 +1110,32 @@ mod tests {
     }
 
     #[test]
-    fn plan_schedule_is_sorted_by_time() {
-        let plan = FaultPlan::new()
-            .with(Churn {
-                at: 80.0,
-                frac: 0.1,
-            })
-            .with(Corrupt {
-                at: 20.0,
-                frac: 0.2,
-            });
-        let schedule = plan.schedule();
-        assert_eq!(plan.len(), 2);
-        assert_eq!(schedule[0].0, 20.0);
-        assert_eq!(schedule[1].0, 80.0);
-        assert_eq!(schedule[0].1.replacement, Replacement::Random);
-        assert_eq!(schedule[1].1.replacement, Replacement::Rejoin);
+    fn fault_specs_resolve_to_their_strikes() {
+        let strikes: Vec<_> = FaultSpec::parse_list("corrupt@20:0.2,inject@30:0.5:2,churn@80:1")
+            .expect("specs parse")
+            .into_iter()
+            .map(|s| (s.at(), s.strike()))
+            .collect();
+        assert_eq!(
+            strikes,
+            [
+                (20.0, (0.2, Replacement::Random)),
+                (30.0, (0.5, Replacement::Opinion(2))),
+                (80.0, (1.0, Replacement::Rejoin)),
+            ]
+        );
     }
 
     #[test]
     fn strike_counts_conserves_population() {
         let mut rng = SimRng::seed_from_u64(7);
         let initial = [0u64, 700, 300];
-        for replacement in [
-            Replacement::Random,
-            Replacement::Opinion(2),
-            Replacement::Rejoin,
-        ] {
+        for fault in
+            FaultSpec::parse_list("corrupt@0:0.3,inject@0:0.3:2,churn@0:0.3").expect("specs parse")
+        {
             let mut counts = vec![0u64, 900, 100];
-            strike_counts(
-                &T3,
-                &mut counts,
-                &initial,
-                &FaultAction {
-                    frac: 0.3,
-                    replacement,
-                },
-                &mut rng,
-            );
-            assert_eq!(
-                counts.iter().sum::<u64>(),
-                1000,
-                "{replacement:?} must conserve n"
-            );
+            strike_counts(&T3, &mut counts, &initial, fault, &mut rng);
+            assert_eq!(counts.iter().sum::<u64>(), 1000, "{fault} must conserve n");
         }
     }
 
@@ -1447,16 +1143,8 @@ mod tests {
     fn opinion_strike_moves_mass_to_the_target_state() {
         let mut rng = SimRng::seed_from_u64(3);
         let mut counts = vec![0u64, 1000, 0];
-        strike_counts(
-            &T3,
-            &mut counts,
-            &[0, 1000, 0],
-            &FaultAction {
-                frac: 0.5,
-                replacement: Replacement::Opinion(2),
-            },
-            &mut rng,
-        );
+        let inject = "inject@0:0.5:2".parse().expect("spec parses");
+        strike_counts(&T3, &mut counts, &[0, 1000, 0], inject, &mut rng);
         assert!(counts[2] > 300, "injected mass: {counts:?}");
         assert_eq!(counts.iter().sum::<u64>(), 1000);
     }
@@ -1465,22 +1153,14 @@ mod tests {
     fn unsupported_opinion_strike_is_a_noop() {
         let mut rng = SimRng::seed_from_u64(5);
         let mut counts = vec![10u64, 500, 490];
-        strike_counts(
-            &T3,
-            &mut counts,
-            &[10, 500, 490],
-            &FaultAction {
-                frac: 0.4,
-                replacement: Replacement::Opinion(9),
-            },
-            &mut rng,
-        );
+        let inject = "inject@0:0.4:9".parse().expect("spec parses");
+        strike_counts(&T3, &mut counts, &[10, 500, 490], inject, &mut rng);
         assert_eq!(counts, vec![10, 500, 490]);
     }
 
     #[test]
     fn scheduler_weights_and_assortativity() {
-        let starve = StarveScheduler {
+        let starve = SchedulerSpec::Starve {
             opinion: 2,
             weight: 0.25,
         };
@@ -1489,10 +1169,11 @@ mod tests {
         assert_eq!(starve.opinion_weight(None), 1.0);
         assert_eq!(starve.assortativity(), 0.0);
 
-        let pair = PairBiasScheduler { assort: 0.4 };
+        let pair = SchedulerSpec::PairBias { assort: 0.4 };
         assert_eq!(pair.assortativity(), 0.4);
         assert_eq!(pair.opinion_weight(Some(1)), 1.0);
-        assert_eq!(UniformScheduler.opinion_weight(None), 1.0);
+        assert_eq!(SchedulerSpec::Uniform.opinion_weight(None), 1.0);
+        assert_eq!(SchedulerSpec::Uniform.assortativity(), 0.0);
     }
 
     #[test]

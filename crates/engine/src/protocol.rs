@@ -69,7 +69,7 @@ pub trait Protocol {
     }
 
     /// The opinion an agent in `state` currently advocates, if any — the
-    /// hook adversarial [`Scheduler`](crate::Scheduler)s bias on. `None`
+    /// hook adversarial [`SchedulerSpec`](crate::SchedulerSpec)s bias on. `None`
     /// (the default) marks undecided or helper agents, which schedulers
     /// treat uniformly.
     fn opinion_of(&self, state: &Self::State) -> Option<u32> {

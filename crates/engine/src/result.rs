@@ -47,8 +47,8 @@ pub struct RunResult {
     pub interactions: u64,
     /// Interactions divided by the population size.
     pub parallel_time: f64,
-    /// Recovery bookkeeping for every fault hook that fired, in firing
-    /// order. Empty for clean (`run`) and empty-plan `run_faulted` runs.
+    /// Recovery bookkeeping for every fault that fired, in firing order.
+    /// Empty for clean (`run`) and fault-free `run_faulted` runs.
     pub faults: Vec<FaultRecord>,
     /// Time series sampled by `run_churned`, in time order. Empty for
     /// non-churned runs.

@@ -40,7 +40,6 @@ pub struct SegmentRunner<P: TableProtocol> {
     churn: ChurnProcess,
     initial: Vec<u64>,
     series: Vec<ChurnSample>,
-    opts: RunOptions,
 }
 
 impl<P: TableProtocol> SegmentRunner<P> {
@@ -66,10 +65,6 @@ impl<P: TableProtocol> SegmentRunner<P> {
             churn,
             initial,
             series: Vec::new(),
-            opts: RunOptions {
-                max_interactions: u64::MAX,
-                check_every: 0,
-            },
         }
     }
 
@@ -88,10 +83,6 @@ impl<P: TableProtocol> SegmentRunner<P> {
             churn,
             initial: ck.initial.clone(),
             series: ck.series.clone(),
-            opts: RunOptions {
-                max_interactions: u64::MAX,
-                check_every: 0,
-            },
         })
     }
 
@@ -115,7 +106,7 @@ impl<P: TableProtocol> SegmentRunner<P> {
     pub fn advance_to(&mut self, stop: f64) -> RunStatus {
         let r = self
             .sim
-            .run_churned(&self.opts, &self.churn, &self.initial, stop);
+            .run_churned(&RunOptions::default(), &self.churn, &self.initial, stop);
         self.series.extend(r.series);
         r.status
     }

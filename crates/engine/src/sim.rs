@@ -1,18 +1,17 @@
 //! The sequential scheduler.
 
-use std::sync::Arc;
-
 use rand::{Rng, SeedableRng};
 
 use crate::census::Census;
 use crate::churn::ChurnProcess;
+use crate::driver::{self, Clock, Engine};
 use crate::fault::{
-    Adversary, ChurnTarget, FaultAction, FaultPlan, FaultRecord, Forgery, OpinionCensus,
-    Replacement, Scheduler, SCHEDULER_RETRIES, SCHEDULER_SATURATION_STREAK,
+    AdversarySpec, ChurnTarget, FaultSpec, Forgery, OpinionCensus, Replacement, SchedulerSpec,
+    SCHEDULER_RETRIES, SCHEDULER_SATURATION_STREAK,
 };
 use crate::pair::{pair_mut, sample_pair};
 use crate::protocol::{Protocol, SimRng};
-use crate::result::{ChurnSample, RunNote, RunOptions, RunResult, RunStatus};
+use crate::result::{RunOptions, RunResult, RunStatus};
 
 /// A single simulation instance: a protocol, a configuration (one state per
 /// agent) and a scheduler RNG.
@@ -21,15 +20,9 @@ pub struct Simulation<P: Protocol> {
     protocol: P,
     states: Vec<P::State>,
     rng: SimRng,
-    interactions: u64,
-    /// Parallel time accumulated before `interactions_base` — non-zero only
-    /// after churn changed the population size (the clock is then no longer
-    /// `interactions / n`).
-    time_base: f64,
-    /// Interactions already folded into `time_base`.
-    interactions_base: u64,
-    scheduler: Option<Arc<dyn Scheduler>>,
-    adversary: Option<Arc<dyn Adversary>>,
+    clock: Clock,
+    scheduler: Option<SchedulerSpec>,
+    adversary: Option<AdversarySpec>,
     /// The adversary's current forgery, cached so the hot loop never
     /// recomputes it. Static adversaries set it once at install; adaptive
     /// ones are refreshed against the live census at every stride
@@ -55,9 +48,7 @@ impl<P: Protocol> Simulation<P> {
             protocol,
             states,
             rng: SimRng::seed_from_u64(seed),
-            interactions: 0,
-            time_base: 0.0,
-            interactions_base: 0,
+            clock: Clock::default(),
             scheduler: None,
             adversary: None,
             forgery: Forgery::Random,
@@ -67,20 +58,21 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Replace the uniform pair scheduler with an adversarial one. The
-    /// uniform hot path is untouched when no scheduler is set.
-    pub fn set_scheduler(&mut self, scheduler: Arc<dyn Scheduler>) {
-        self.scheduler = Some(scheduler);
+    /// uniform hot path is untouched when no scheduler is set, and
+    /// [`SchedulerSpec::Uniform`] sets none.
+    pub fn set_scheduler(&mut self, scheduler: SchedulerSpec) {
+        self.scheduler = (scheduler != SchedulerSpec::Uniform).then_some(scheduler);
     }
 
     /// Install a Byzantine interaction adversary. The honest hot path is
     /// untouched (same RNG stream as [`run`](Self::run)) when none is set;
     /// a zero lying probability is treated as no adversary, so `byz:0`
-    /// keeps RNG-identity on every engine.
-    pub fn set_adversary(&mut self, adversary: Arc<dyn Adversary>) {
+    /// keeps RNG-identity on both engines.
+    pub fn set_adversary(&mut self, adversary: AdversarySpec) {
         if adversary.lie_frac() > 0.0 {
-            // Static adversaries ignore the census (trait default), so
-            // this one call covers both kinds; adaptive forgeries are then
-            // re-aimed at every stride boundary.
+            // A static forgery ignores the census, so this one call covers
+            // both kinds; adaptive forgeries are then re-aimed at every
+            // stride boundary.
             self.forgery = adversary.forgery(&self.opinion_census());
             self.adversary = Some(adversary);
         }
@@ -93,13 +85,13 @@ impl<P: Protocol> Simulation<P> {
 
     /// Interactions executed so far.
     pub fn interactions(&self) -> u64 {
-        self.interactions
+        self.clock.interactions
     }
 
     /// Parallel time: interactions divided by the population size, folded
     /// over population changes (churn) so the clock stays continuous.
     pub fn parallel_time(&self) -> f64 {
-        self.time_base + (self.interactions - self.interactions_base) as f64 / self.n() as f64
+        self.clock.parallel_time(self.states.len() as u64)
     }
 
     /// The raw RNG state, for checkpointing.
@@ -110,7 +102,7 @@ impl<P: Protocol> Simulation<P> {
     /// The clock's checkpoint triple: `(interactions, interactions_base,
     /// time_base)`.
     pub fn clock_parts(&self) -> (u64, u64, f64) {
-        (self.interactions, self.interactions_base, self.time_base)
+        self.clock.parts()
     }
 
     /// Restore RNG and clock from a checkpoint, making subsequent steps
@@ -122,17 +114,8 @@ impl<P: Protocol> Simulation<P> {
         time_base: f64,
         rng: [u64; 4],
     ) {
-        self.interactions = interactions;
-        self.interactions_base = interactions_base;
-        self.time_base = time_base;
+        self.clock = Clock::restored(interactions, interactions_base, time_base);
         self.rng = SimRng::from_state(rng);
-    }
-
-    /// Fold the elapsed clock into `time_base`; must be called *before*
-    /// the population size changes.
-    fn fold_clock(&mut self) {
-        self.time_base = self.parallel_time();
-        self.interactions_base = self.interactions;
     }
 
     /// The current configuration.
@@ -149,19 +132,19 @@ impl<P: Protocol> Simulation<P> {
     /// responder) indices.
     #[inline]
     pub fn step(&mut self) -> (usize, usize) {
-        let (i, j) = match self.scheduler.clone() {
+        let (i, j) = match self.scheduler {
             None => sample_pair(&mut self.rng, self.states.len()),
-            Some(sched) => self.sample_pair_scheduled(&*sched),
+            Some(sched) => self.sample_pair_scheduled(sched),
         };
-        match self.adversary.clone() {
+        match self.adversary {
             None => {
-                let t = self.interactions;
+                let t = self.clock.interactions;
                 let (a, b) = pair_mut(&mut self.states, i, j);
                 self.protocol.interact(t, a, b, &mut self.rng);
             }
-            Some(adv) => self.interact_byzantine(i, j, &*adv),
+            Some(adv) => self.interact_byzantine(i, j, adv.lie_frac()),
         }
-        self.interactions += 1;
+        self.clock.interactions += 1;
         (i, j)
     }
 
@@ -172,8 +155,7 @@ impl<P: Protocol> Simulation<P> {
     /// interaction a no-op (neither learns anything real). A protocol that
     /// cannot materialize the forgery (`fault_state` returns `None`)
     /// degrades that lie to honesty — adversaries degrade, never panic.
-    fn interact_byzantine(&mut self, i: usize, j: usize, adv: &dyn Adversary) {
-        let frac = adv.lie_frac();
+    fn interact_byzantine(&mut self, i: usize, j: usize, frac: f64) {
         let forgery = self.forgery;
         let lie = |protocol: &P, rng: &mut SimRng| -> Option<P::State> {
             rng.gen_bool(frac)
@@ -192,7 +174,7 @@ impl<P: Protocol> Simulation<P> {
         };
         let a_forgery = lie(&self.protocol, &mut self.rng);
         let b_forgery = lie(&self.protocol, &mut self.rng);
-        let t = self.interactions;
+        let t = self.clock.interactions;
         match (a_forgery, b_forgery) {
             (None, None) => {
                 let (a, b) = pair_mut(&mut self.states, i, j);
@@ -211,27 +193,14 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// The live opinion tally, for adaptive forgeries and targeted churn.
-    fn opinion_census(&self) -> OpinionCensus {
-        let mut tally: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for s in &self.states {
-            if let Some(op) = self.protocol.opinion_of(s) {
-                *tally.entry(op).or_insert(0) += 1;
-            }
-        }
-        OpinionCensus::from_tallies(tally)
-    }
-
     /// Re-aim an adaptive adversary's forgery at the live census. Called
     /// at every stride boundary — `O(n)` per `O(n)` interactions, so the
     /// hot loop is untouched. Draws no randomness, preserving the replay
     /// contract; a no-op for static adversaries.
     fn refresh_forgery(&mut self) {
-        if !self.adversary.as_ref().is_some_and(|a| a.adaptive()) {
-            return;
+        if let Some(adv) = self.adversary.filter(|a| a.adaptive()) {
+            self.forgery = adv.forgery(&self.opinion_census());
         }
-        let adv = self.adversary.clone().expect("adaptive adversary present");
-        self.forgery = adv.forgery(&self.opinion_census());
     }
 
     /// Biased pair draw: bounded rejection sampling against the
@@ -247,7 +216,7 @@ impl<P: Protocol> Simulation<P> {
     /// saturated mode: pair selection degrades to uniform for the rest of
     /// the run and the result carries
     /// [`RunNote::SchedulerSaturated`].
-    fn sample_pair_scheduled(&mut self, sched: &dyn Scheduler) -> (usize, usize) {
+    fn sample_pair_scheduled(&mut self, sched: SchedulerSpec) -> (usize, usize) {
         let n = self.states.len();
         if self.scheduler_saturated {
             return sample_pair(&mut self.rng, n);
@@ -305,7 +274,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Run until the protocol converges or the budget is exhausted.
     pub fn run(&mut self, opts: &RunOptions) -> RunResult {
-        self.run_inner(opts, |_, _| {})
+        driver::run(self, opts, |_| {})
     }
 
     /// Like [`run`](Self::run), but additionally records every visited state
@@ -315,18 +284,16 @@ impl<P: Protocol> Simulation<P> {
         for s in &self.states {
             census.record(self.protocol.encode(s));
         }
-        // Split the borrow: the closure needs `census` while `run_inner`
-        // borrows `self` mutably, so the recording happens on indices.
-        let opts = *opts;
-        let stride = self.check_stride(&opts);
         loop {
-            if let Some(output) = self.check(&opts) {
-                return self.finish(RunStatus::Converged, Some(output));
+            if let Some(output) = self.output() {
+                return driver::finish(self, RunStatus::Converged, Some(output));
             }
-            if self.interactions >= opts.max_interactions {
-                return self.finish(RunStatus::Exhausted, None);
+            if self.clock.interactions >= opts.max_interactions {
+                return driver::finish(self, RunStatus::Exhausted, None);
             }
-            let steps = stride.min(opts.max_interactions - self.interactions);
+            let steps = self
+                .check_stride(opts)
+                .min(opts.max_interactions - self.clock.interactions);
             self.refresh_forgery();
             for _ in 0..steps {
                 let (i, j) = self.step();
@@ -336,164 +303,38 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Like [`run`](Self::run), with a sampling hook invoked after every
+    /// Like [`run`](Self::run), with a sampling hook invoked before every
     /// convergence check; used to record time series.
     pub fn run_observed(
         &mut self,
         opts: &RunOptions,
         mut observe: impl FnMut(u64, &[P::State]),
     ) -> RunResult {
-        self.run_inner(opts, |t, states| observe(t, states))
+        driver::run(self, opts, |sim| {
+            observe(sim.clock.interactions, &sim.states)
+        })
     }
 
-    fn run_inner(
-        &mut self,
-        opts: &RunOptions,
-        mut observe: impl FnMut(u64, &[P::State]),
-    ) -> RunResult {
-        let stride = self.check_stride(opts);
-        loop {
-            observe(self.interactions, &self.states);
-            if let Some(output) = self.check(opts) {
-                return self.finish(RunStatus::Converged, Some(output));
-            }
-            if self.interactions >= opts.max_interactions {
-                return self.finish(RunStatus::Exhausted, None);
-            }
-            let steps = stride.min(opts.max_interactions - self.interactions);
-            self.refresh_forgery();
-            for _ in 0..steps {
-                self.step();
-            }
-        }
-    }
-
-    /// Run under a fault plan: advance to each hook's parallel time, apply
-    /// its strike to the live configuration, and keep running; after the
-    /// last hook, run to convergence or budget as usual. Each strike opens
-    /// a [`FaultRecord`] that is closed (recovery time + output) at the
-    /// first convergence observed afterwards; a record still open when the
-    /// next hook fires or the budget ends keeps a `NaN` recovery time.
+    /// Run under a list of faults: advance to each fault's parallel time,
+    /// apply its strike to the live configuration, and keep running; after
+    /// the last fault, run to convergence or budget as usual. Each strike
+    /// opens a [`FaultRecord`](crate::FaultRecord) that is closed
+    /// (recovery time + output) at the first convergence observed
+    /// afterwards; a record still open when the next fault fires or the
+    /// budget ends keeps a `NaN` recovery time.
     ///
-    /// An empty plan replays [`run`](Self::run) exactly — same RNG
+    /// An empty list replays [`run`](Self::run) exactly — same RNG
     /// trajectory, same result.
-    pub fn run_faulted(&mut self, opts: &RunOptions, plan: &FaultPlan) -> RunResult {
-        if plan.is_empty() {
-            return self.run(opts);
-        }
-        let n = self.n() as f64;
-        let initial = self.states.clone();
-        let stride = self.check_stride(opts);
-        let mut records: Vec<FaultRecord> = Vec::new();
-        let mut open: Option<usize> = None;
-
-        for (at, action, label) in plan.schedule() {
-            let target = (at.max(0.0) * n).ceil() as u64;
-            if target > opts.max_interactions {
-                break; // scheduled beyond the budget: never fires
-            }
-            while self.interactions < target {
-                if let (Some(k), Some(output)) = (open, self.check(opts)) {
-                    records[k].recovery_time = self.parallel_time() - records[k].at;
-                    records[k].output_after = Some(output);
-                    open = None;
-                }
-                let steps = stride.min(target - self.interactions);
-                self.refresh_forgery();
-                for _ in 0..steps {
-                    self.step();
-                }
-            }
-            let output_before = self.check(opts);
-            if let (Some(k), Some(output)) = (open.take(), output_before) {
-                records[k].recovery_time = self.parallel_time() - records[k].at;
-                records[k].output_after = Some(output);
-            }
-            self.strike(&initial, &action);
-            records.push(FaultRecord {
-                at: self.parallel_time(),
-                hook: label,
-                output_before,
-                output_after: None,
-                recovery_time: f64::NAN,
-            });
-            open = Some(records.len() - 1);
-        }
-
-        loop {
-            if let Some(output) = self.check(opts) {
-                if let Some(k) = open.take() {
-                    records[k].recovery_time = self.parallel_time() - records[k].at;
-                    records[k].output_after = Some(output);
-                }
-                let mut r = self.finish(RunStatus::Converged, Some(output));
-                r.faults = records;
-                return r;
-            }
-            if self.interactions >= opts.max_interactions {
-                let mut r = self.finish(RunStatus::Exhausted, None);
-                r.faults = records;
-                return r;
-            }
-            let steps = stride.min(opts.max_interactions - self.interactions);
-            self.refresh_forgery();
-            for _ in 0..steps {
-                self.step();
-            }
-        }
-    }
-
-    /// Apply one fault strike: every agent is hit independently with
-    /// probability `action.frac`. [`Replacement::Rejoin`] restores the
-    /// victim's initial state; the other kinds delegate to
-    /// [`Protocol::fault_state`], and a protocol returning `None` leaves
-    /// the victim untouched (faults degrade, never panic).
-    fn strike(&mut self, initial: &[P::State], action: &FaultAction) {
-        let frac = action.frac.clamp(0.0, 1.0);
-        if frac <= 0.0 {
-            return;
-        }
-        let Self {
-            protocol,
-            states,
-            rng,
-            ..
-        } = self;
-        for (state, init) in states.iter_mut().zip(initial) {
-            if !rng.gen_bool(frac) {
-                continue;
-            }
-            match action.replacement {
-                Replacement::Rejoin => *state = init.clone(),
-                r => {
-                    if let Some(s) = protocol.fault_state(&r, rng) {
-                        *state = s;
-                    }
-                }
-            }
-        }
-    }
-
-    fn check(&self, _opts: &RunOptions) -> Option<u32> {
-        self.protocol.converged(&self.states)
-    }
-
-    /// The convergence-check stride, resolved once per run: `converged` is
-    /// an `O(n)` scan, so the hot loop must never recompute or rescan
-    /// mid-stride.
-    fn check_stride(&self, opts: &RunOptions) -> u64 {
-        if opts.check_every == 0 {
-            self.n() as u64
-        } else {
-            opts.check_every
-        }
+    pub fn run_faulted(&mut self, opts: &RunOptions, faults: &[FaultSpec]) -> RunResult {
+        driver::run_faulted(self, opts, faults)
     }
 
     /// Run under a steady-state churn process until `stop_at` parallel
     /// time: agents join (cloning a uniformly random state of `initial`)
     /// and leave at the process's Poisson rates, applied after every
-    /// convergence-check stride, and a [`ChurnSample`] is recorded each
-    /// time the clock crosses a multiple of the process's sampling period.
+    /// convergence-check stride, and a [`ChurnSample`](crate::ChurnSample)
+    /// is recorded each time the clock crosses a multiple of the process's
+    /// sampling period.
     ///
     /// Convergence does not stop a churned run — the point is measuring
     /// *how long* the run stays correct — so the result's status is
@@ -505,7 +346,7 @@ impl<P: Protocol> Simulation<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `initial` is empty or the churn process would not sample.
+    /// Panics if `initial` is empty.
     pub fn run_churned(
         &mut self,
         opts: &RunOptions,
@@ -514,62 +355,24 @@ impl<P: Protocol> Simulation<P> {
         stop_at: f64,
     ) -> RunResult {
         assert!(!initial.is_empty(), "churn needs a join distribution");
-        let mut next_mark = churn.next_mark(self.parallel_time());
-        let mut series: Vec<ChurnSample> = Vec::new();
-        while self.parallel_time() < stop_at && self.interactions < opts.max_interactions {
-            // Resolved *per stride*, not per run: the default stride is the
-            // population size, which churn changes — and a resumed run must
-            // pick the same stride the uninterrupted run would have.
-            let stride = self.check_stride(opts);
-            let steps = stride.min(opts.max_interactions - self.interactions);
-            self.refresh_forgery();
-            for _ in 0..steps {
-                self.step();
-            }
-            self.apply_churn_events(churn, initial, steps);
-            let clock = self.parallel_time();
-            if clock >= next_mark {
-                series.push(self.churn_sample(opts));
-                next_mark = churn.next_mark(clock);
-            }
-        }
-        let output = self.check(opts);
-        let status = if output.is_some() {
-            RunStatus::Converged
-        } else {
-            RunStatus::Exhausted
-        };
-        let mut r = self.finish(status, output);
-        r.series = series;
-        r
+        driver::run_churned(self, opts, churn, initial, stop_at)
     }
 
-    /// Poisson join/leave events covering a stride of `len` interactions.
-    /// The clock folds before the population changes so parallel time
-    /// stays continuous; leaves are capped to keep at least two agents.
-    ///
-    /// Uniform-target departures keep the exact RNG draw sequence from
-    /// before targeting existed; targeted departures hit the census-chosen
-    /// opinion class first and fall back to uniform removals once (or if)
-    /// the class runs dry.
-    fn apply_churn_events(&mut self, churn: &ChurnProcess, initial: &[P::State], len: u64) {
-        let (joins, leaves) = churn.draw_events(&mut self.rng, len);
-        let leaves = leaves.min(self.states.len() as u64 - 2);
-        if joins == 0 && leaves == 0 {
-            return;
-        }
-        self.fold_clock();
-        let targeted = match churn.target() {
-            ChurnTarget::Uniform => 0,
-            target => self.remove_targeted(target, leaves),
-        };
-        for _ in 0..leaves - targeted {
-            let victim = self.rng.gen_range(0..self.states.len());
-            self.states.swap_remove(victim);
-        }
-        for _ in 0..joins {
-            let donor = self.rng.gen_range(0..initial.len());
-            self.states.push(initial[donor].clone());
+    /// Consume the simulation and return the protocol (for milestone
+    /// extraction) together with the final configuration.
+    pub fn into_parts(self) -> (P, Vec<P::State>) {
+        (self.protocol, self.states)
+    }
+
+    /// The convergence-check stride: `converged` is an `O(n)` scan, so the
+    /// hot loop must never rescan mid-stride. The default stride is the
+    /// population size, which churn changes, so it is resolved per stride:
+    /// a resumed run then picks the stride the uninterrupted run would have.
+    fn check_stride(&self, opts: &RunOptions) -> u64 {
+        if opts.check_every == 0 {
+            self.n() as u64
+        } else {
+            opts.check_every
         }
     }
 
@@ -605,44 +408,110 @@ impl<P: Protocol> Simulation<P> {
         }
         k as u64
     }
+}
 
-    /// The health sample `run_churned` records at each sampling mark.
-    fn churn_sample(&self, opts: &RunOptions) -> ChurnSample {
+impl<P: Protocol> Engine for Simulation<P> {
+    type Config = [P::State];
+
+    fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    fn population(&self) -> u64 {
+        self.states.len() as u64
+    }
+
+    fn config(&self) -> &[P::State] {
+        &self.states
+    }
+
+    /// One convergence-check stride of interactions, capped at `cap`.
+    fn advance(&mut self, opts: &RunOptions, cap: u64) -> u64 {
+        let steps = self.check_stride(opts).min(cap);
+        self.refresh_forgery();
+        for _ in 0..steps {
+            self.step();
+        }
+        steps
+    }
+
+    fn output(&self) -> Option<u32> {
+        self.protocol.converged(&self.states)
+    }
+
+    /// Apply one fault strike: every agent is hit independently with the
+    /// fault's probability. [`Replacement::Rejoin`] restores the
+    /// victim's initial state; the other kinds delegate to
+    /// [`Protocol::fault_state`], and a protocol returning `None` leaves
+    /// the victim untouched (faults degrade, never panic).
+    fn strike(&mut self, initial: &[P::State], fault: FaultSpec) {
+        let (frac, replacement) = fault.strike();
+        if frac <= 0.0 {
+            return;
+        }
+        let Self {
+            protocol,
+            states,
+            rng,
+            ..
+        } = self;
+        for (state, init) in states.iter_mut().zip(initial) {
+            if !rng.gen_bool(frac) {
+                continue;
+            }
+            match replacement {
+                Replacement::Rejoin => *state = init.clone(),
+                r => {
+                    if let Some(s) = protocol.fault_state(&r, rng) {
+                        *state = s;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Poisson join/leave events covering a stride of `len` interactions.
+    /// The clock folds before the population changes so parallel time
+    /// stays continuous; leaves are capped to keep at least two agents.
+    ///
+    /// Uniform-target departures keep the exact RNG draw sequence from
+    /// before targeting existed; targeted departures hit the census-chosen
+    /// opinion class first and fall back to uniform removals once (or if)
+    /// the class runs dry.
+    fn apply_churn_events(&mut self, churn: &ChurnProcess, initial: &[P::State], len: u64) {
+        let (joins, leaves) = churn.draw_events(&mut self.rng, len);
+        let leaves = leaves.min(self.states.len() as u64 - 2);
+        if joins == 0 && leaves == 0 {
+            return;
+        }
+        self.clock.fold(self.states.len() as u64);
+        let targeted = match churn.target() {
+            ChurnTarget::Uniform => 0,
+            target => self.remove_targeted(target, leaves),
+        };
+        for _ in 0..leaves - targeted {
+            let victim = self.rng.gen_range(0..self.states.len());
+            self.states.swap_remove(victim);
+        }
+        for _ in 0..joins {
+            let donor = self.rng.gen_range(0..initial.len());
+            self.states.push(initial[donor].clone());
+        }
+    }
+
+    /// The live opinion tally, for adaptive forgeries and targeted churn.
+    fn opinion_census(&self) -> OpinionCensus {
         let mut tally: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
         for s in &self.states {
             if let Some(op) = self.protocol.opinion_of(s) {
                 *tally.entry(op).or_insert(0) += 1;
             }
         }
-        let top = tally.values().copied().max().unwrap_or(0);
-        ChurnSample {
-            t: self.parallel_time(),
-            population: self.states.len() as u64,
-            plurality_frac: top as f64 / self.states.len() as f64,
-            output: self.check(opts),
-        }
+        OpinionCensus::from_tallies(tally)
     }
 
-    fn finish(&self, status: RunStatus, output: Option<u32>) -> RunResult {
-        RunResult {
-            status,
-            output,
-            interactions: self.interactions,
-            parallel_time: self.parallel_time(),
-            faults: Vec::new(),
-            series: Vec::new(),
-            notes: if self.scheduler_saturated {
-                vec![RunNote::SchedulerSaturated]
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    /// Consume the simulation and return the protocol (for milestone
-    /// extraction) together with the final configuration.
-    pub fn into_parts(self) -> (P, Vec<P::State>) {
-        (self.protocol, self.states)
+    fn scheduler_saturated(&self) -> bool {
+        self.scheduler_saturated
     }
 }
 

@@ -18,7 +18,7 @@
 //! * [`stats`] — the relaxed-atomic counters behind `metrics`,
 //! * [`service`] — the simulation thread: a
 //!   [`SegmentRunner`](pp_engine::SegmentRunner) advanced in segments,
-//!   a published [`Snapshot`](service::Snapshot) for queries, a control
+//!   a published [`Snapshot`] for queries, a control
 //!   channel for mutations, crash-safe checkpoints on a wall-clock
 //!   timer,
 //! * [`server`] — the `std::net` front end: acceptor thread, worker

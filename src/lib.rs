@@ -48,9 +48,8 @@ pub mod prelude {
     pub use plurality_core::unordered::UnorderedAlgorithm;
     pub use plurality_core::Tuning;
     pub use pp_engine::{
-        BatchSimulation, Census, FaultPlan, FaultSpec, PairwiseBatchSimulation, Protocol,
-        RunOptions, RunResult, RunStatus, SchedulerSpec, SeqTable, SimRng, Simulation,
-        TableProtocol,
+        BatchSimulation, Census, FaultSpec, Protocol, RunOptions, RunResult, RunStatus,
+        SchedulerSpec, SeqTable, SimRng, Simulation, TableProtocol,
     };
     pub use pp_workloads::{Counts, OpinionAssignment};
 }

@@ -1,23 +1,19 @@
 //! The adversarial-runtime layer: Byzantine lying adversaries, steady-state
 //! churn, and crash-safe checkpoint/restore must honor two contracts. First,
 //! *identity*: an empty adversary (zero lying fraction, or a forged opinion
-//! the protocol cannot materialize) and an absent churn process leave every
-//! engine on the exact RNG trajectory of a plain `run()`. Second,
+//! the protocol cannot materialize) and an absent churn process leave both
+//! engines on the exact RNG trajectory of a plain `run()`. Second,
 //! *determinism*: the same seed and the same `byz:` spec produce the same
-//! fault records on the sequential and per-pair engines, and the multinomial
-//! engine's recovery statistics stay inside the 15% cross-engine tolerance
-//! band the equivalence suite already enforces.
+//! structural fault records on the sequential and batched engines, and the
+//! batched engine's median recovery time stays within 15% of the
+//! sequential engine's.
 
-use std::sync::Arc;
-
-use exact_plurality::engine::{
-    AdversarySpec, Checkpoint, ChurnProcess, ChurnSpec, RunNote, StarveScheduler,
-};
+use exact_plurality::engine::{AdversarySpec, Checkpoint, ChurnProcess, ChurnSpec, RunNote};
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
 
-fn byz(spec: &str) -> Arc<dyn exact_plurality::engine::Adversary> {
-    spec.parse::<AdversarySpec>().expect("spec parses").build()
+fn byz(spec: &str) -> AdversarySpec {
+    spec.parse().expect("spec parses")
 }
 
 // ---------------------------------------------------------------------------
@@ -38,15 +34,7 @@ fn zero_fraction_adversary_keeps_rng_identity_on_all_engines() {
     assert_eq!(plain.states(), byzed.states());
 
     let mut plain = BatchSimulation::new(ThreeState, init.clone(), 11);
-    let mut byzed = BatchSimulation::new(ThreeState, init.clone(), 11);
-    byzed.set_adversary(byz("byz:0"));
-    let (rp, rb) = (plain.run(&opts), byzed.run(&opts));
-    assert_eq!(rp.interactions, rb.interactions);
-    assert_eq!(plain.counts(), byzed.counts());
-    assert_eq!(plain.rng_state(), byzed.rng_state());
-
-    let mut plain = PairwiseBatchSimulation::new(ThreeState, init.clone(), 11);
-    let mut byzed = PairwiseBatchSimulation::new(ThreeState, init, 11);
+    let mut byzed = BatchSimulation::new(ThreeState, init, 11);
     byzed.set_adversary(byz("byz:0"));
     let (rp, rb) = (plain.run(&opts), byzed.run(&opts));
     assert_eq!(rp.interactions, rb.interactions);
@@ -73,7 +61,7 @@ fn unmappable_forged_opinion_degrades_to_honesty_on_batch_engines() {
 // Cross-engine determinism of the adversary layer.
 
 #[test]
-fn fault_records_match_across_seq_and_pairwise_under_byzantine_lies() {
+fn fault_records_match_across_seq_and_batch_under_byzantine_lies() {
     // Weak directed lying (5%, forging the majority opinion — a random
     // forgery would re-inject minority states forever and block ThreeState's
     // *exact* absorption predicate on every engine) around a mid-run
@@ -81,28 +69,28 @@ fn fault_records_match_across_seq_and_pairwise_under_byzantine_lies() {
     // so the structural record content — epoch, hook label, surrounding
     // outputs — must agree exactly. (The recovery *durations* differ: the
     // engines consume randomness differently.)
-    let plan = FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@40:0.4").expect("plan"));
+    let faults = FaultSpec::parse_list("corrupt@40:0.4").expect("faults parse");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let init = vec![0u64, 700, 300];
 
     let states = SeqTable::<ThreeState>::initial_states(&init);
     let mut seq = Simulation::new(SeqTable::new(ThreeState), states, 21);
     seq.set_adversary(byz("byz:0.05:1"));
-    let rs = seq.run_faulted(&opts, &plan);
+    let rs = seq.run_faulted(&opts, &faults);
 
-    let mut pw = PairwiseBatchSimulation::new(ThreeState, init, 21);
-    pw.set_adversary(byz("byz:0.05:1"));
-    let rp = pw.run_faulted(&opts, &plan);
+    let mut batch = BatchSimulation::new(ThreeState, init, 21);
+    batch.set_adversary(byz("byz:0.05:1"));
+    let rb = batch.run_faulted(&opts, &faults);
 
     assert_eq!(rs.faults.len(), 1);
-    assert_eq!(rp.faults.len(), 1);
-    for (a, b) in rs.faults.iter().zip(&rp.faults) {
+    assert_eq!(rb.faults.len(), 1);
+    for (a, b) in rs.faults.iter().zip(&rb.faults) {
         assert_eq!(a.at.to_bits(), b.at.to_bits(), "strike epochs must agree");
         assert_eq!(a.hook, b.hook);
         assert_eq!(a.output_before, b.output_before);
         assert_eq!(a.output_after, b.output_after);
     }
-    assert_eq!(rs.output, rp.output);
+    assert_eq!(rs.output, rb.output);
     assert_eq!(
         rs.output,
         Some(1),
@@ -111,13 +99,20 @@ fn fault_records_match_across_seq_and_pairwise_under_byzantine_lies() {
 }
 
 #[test]
-fn batch_recovery_times_match_pairwise_within_tolerance_under_lies() {
-    // The multinomial engine perturbs whole tallies (binomial lie splits)
-    // rather than flipping per-pair coins; its recovery-time *median* over
-    // trials must stay within the 15% band the engine-equivalence suite
-    // uses for honest runs.
-    let plan = FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@20:0.5").expect("plan"));
-    let opts = RunOptions::with_parallel_time_budget(10_000, 5_000.0);
+fn batch_recovery_times_match_seq_within_tolerance_under_lies() {
+    // The batched engine perturbs whole tallies (binomial lie splits)
+    // rather than flipping per-interaction coins; its recovery-time
+    // *median* over trials must stay within 15% of the sequential
+    // engine's. The sequential engine checks convergence every n/16
+    // interactions, so its recovery times are not quantised to whole
+    // parallel-time units (the batched engine checks every batch).
+    let faults = FaultSpec::parse_list("corrupt@20:0.5").expect("faults parse");
+    let n = 10_000;
+    let opts = RunOptions::with_parallel_time_budget(n, 5_000.0);
+    let seq_opts = RunOptions {
+        check_every: n as u64 / 16,
+        ..opts
+    };
     let init = vec![0u64, 7_000, 3_000];
     let trials = 25u64;
 
@@ -126,27 +121,25 @@ fn batch_recovery_times_match_pairwise_within_tolerance_under_lies() {
         xs[xs.len() / 2]
     };
     let mut batch_times = Vec::new();
-    let mut pairwise_times = Vec::new();
+    let mut seq_times = Vec::new();
     for seed in 0..trials {
         let mut sim = BatchSimulation::new(ThreeState, init.clone(), seed);
         sim.set_adversary(byz("byz:0.05:1"));
-        let r = sim.run_faulted(&opts, &plan);
+        let r = sim.run_faulted(&opts, &faults);
         batch_times.push(r.faults[0].recovery_time);
 
-        let mut sim = PairwiseBatchSimulation::new(ThreeState, init.clone(), seed);
+        let states = SeqTable::<ThreeState>::initial_states(&init);
+        let mut sim = Simulation::new(SeqTable::new(ThreeState), states, seed);
         sim.set_adversary(byz("byz:0.05:1"));
-        let r = sim.run_faulted(&opts, &plan);
-        pairwise_times.push(r.faults[0].recovery_time);
+        let r = sim.run_faulted(&seq_opts, &faults);
+        seq_times.push(r.faults[0].recovery_time);
     }
     assert!(batch_times.iter().all(|t| t.is_finite()), "{batch_times:?}");
+    assert!(seq_times.iter().all(|t| t.is_finite()), "{seq_times:?}");
+    let (mb, ms) = (median(batch_times), median(seq_times));
     assert!(
-        pairwise_times.iter().all(|t| t.is_finite()),
-        "{pairwise_times:?}"
-    );
-    let (mb, mp) = (median(batch_times), median(pairwise_times));
-    assert!(
-        (mb - mp).abs() / mp < 0.15,
-        "batch median {mb} vs pairwise median {mp}"
+        (mb - ms).abs() / ms < 0.15,
+        "batch median {mb} vs seq median {ms}"
     );
 }
 
@@ -157,7 +150,7 @@ fn batch_recovery_times_match_pairwise_within_tolerance_under_lies() {
 #[test]
 fn zero_fraction_adaptive_adversary_keeps_rng_identity_on_all_engines() {
     // `adaptive:0[:any]` installs nothing: the census is never even read,
-    // so every engine stays on the clean RNG trajectory byte for byte.
+    // so both engines stay on the clean RNG trajectory byte for byte.
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let init = vec![0u64, 700, 300];
     for spec in [
@@ -180,14 +173,6 @@ fn zero_fraction_adaptive_adversary_keeps_rng_identity_on_all_engines() {
         assert_eq!(rp.interactions, ra.interactions, "{spec} batch");
         assert_eq!(plain.counts(), adv.counts(), "{spec} batch");
         assert_eq!(plain.rng_state(), adv.rng_state(), "{spec} batch");
-
-        let mut plain = PairwiseBatchSimulation::new(ThreeState, init.clone(), 13);
-        let mut adv = PairwiseBatchSimulation::new(ThreeState, init.clone(), 13);
-        adv.set_adversary(byz(spec));
-        let (rp, ra) = (plain.run(&opts), adv.run(&opts));
-        assert_eq!(rp.interactions, ra.interactions, "{spec} pairwise");
-        assert_eq!(plain.counts(), adv.counts(), "{spec} pairwise");
-        assert_eq!(plain.rng_state(), adv.rng_state(), "{spec} pairwise");
     }
 }
 
@@ -238,14 +223,6 @@ fn adaptive_adversary_runs_deterministically_per_seed_on_all_engines() {
         };
         assert_eq!(run_batch(5), run_batch(5), "{spec} batch");
 
-        let run_pw = |seed| {
-            let mut sim = PairwiseBatchSimulation::new(ThreeState, init.clone(), seed);
-            sim.set_adversary(byz(spec));
-            sim.run(&opts);
-            (sim.counts().to_vec(), sim.rng_state())
-        };
-        assert_eq!(run_pw(5), run_pw(5), "{spec} pairwise");
-
         let run_seq = |seed| {
             let states = SeqTable::<ThreeState>::initial_states(&init);
             let mut sim = Simulation::new(SeqTable::new(ThreeState), states, seed);
@@ -289,13 +266,6 @@ fn uniform_target_churn_is_rng_identical_to_pr4_churn_on_all_engines() {
     assert_eq!(a.counts(), b.counts());
     assert_eq!(a.rng_state(), b.rng_state());
 
-    let mut a = PairwiseBatchSimulation::new(ThreeState, init.clone(), 17);
-    let mut b = PairwiseBatchSimulation::new(ThreeState, init.clone(), 17);
-    a.run_churned(&opts, &churn, &init, 50.0);
-    b.run_churned(&opts, &legacy, &init, 50.0);
-    assert_eq!(a.counts(), b.counts());
-    assert_eq!(a.rng_state(), b.rng_state());
-
     let states = SeqTable::<ThreeState>::initial_states(&init);
     let mut a = Simulation::new(SeqTable::new(ThreeState), states.clone(), 17);
     let mut b = Simulation::new(SeqTable::new(ThreeState), states.clone(), 17);
@@ -331,7 +301,7 @@ fn plurality_targeted_churn_erodes_the_leader_faster_than_uniform() {
     // Join-free, leave-only processes on a frozen 70/30 split: uniform
     // departures preserve the split in expectation, while plurality
     // targeting culls whichever class currently leads, dragging the
-    // leader's share toward one half — on all three engines. Minority
+    // leader's share toward one half — on both engines. Minority
     // targeting does the opposite and purifies the leader.
     let init = vec![700u64, 300];
     let opts = RunOptions {
@@ -348,11 +318,6 @@ fn plurality_targeted_churn_erodes_the_leader_faster_than_uniform() {
         sim.run_churned(&opts, churn, &init, horizon);
         sim.counts()[0] as f64 / sim.counts().iter().sum::<u64>() as f64
     };
-    let share_pw = |churn: &ChurnProcess| {
-        let mut sim = PairwiseBatchSimulation::new(Frozen, init.clone(), 9);
-        sim.run_churned(&opts, churn, &init, horizon);
-        sim.counts()[0] as f64 / sim.counts().iter().sum::<u64>() as f64
-    };
     let share_seq = |churn: &ChurnProcess| {
         let states = SeqTable::<Frozen>::initial_states(&init);
         let mut sim = Simulation::new(SeqTable::new(Frozen), states.clone(), 9);
@@ -362,7 +327,6 @@ fn plurality_targeted_churn_erodes_the_leader_faster_than_uniform() {
     };
     for (engine, share) in [
         ("batch", &share_batch as &dyn Fn(&ChurnProcess) -> f64),
-        ("pairwise", &share_pw),
         ("seq", &share_seq),
     ] {
         let (t, u, m) = (share(&targeted), share(&uniform), share(&minority));
@@ -493,10 +457,12 @@ impl TableProtocol for Monotone {
 
 #[test]
 fn weight_zero_starvation_saturates_with_a_note_on_all_engines() {
-    let sched = Arc::new(StarveScheduler {
+    // Built directly: the parser rejects weight 0, so this is the only way
+    // to reach the saturation path.
+    let sched = SchedulerSpec::Starve {
         opinion: 1,
         weight: 0.0,
-    });
+    };
     let opts = RunOptions {
         max_interactions: 2_000,
         check_every: 0,
@@ -504,20 +470,14 @@ fn weight_zero_starvation_saturates_with_a_note_on_all_engines() {
 
     let states = SeqTable::<Monotone>::initial_states(&[5, 5]);
     let mut seq = Simulation::new(SeqTable::new(Monotone), states, 1);
-    seq.set_scheduler(sched.clone());
+    seq.set_scheduler(sched);
     let r = seq.run(&opts);
     assert_eq!(r.status, RunStatus::Exhausted);
     assert!(r.notes.contains(&RunNote::SchedulerSaturated), "{r:?}");
 
     let mut batch = BatchSimulation::new(Monotone, vec![5, 5], 1);
-    batch.set_scheduler(sched.clone());
+    batch.set_scheduler(sched);
     let r = batch.run(&opts);
-    assert_eq!(r.status, RunStatus::Exhausted);
-    assert!(r.notes.contains(&RunNote::SchedulerSaturated), "{r:?}");
-
-    let mut pw = PairwiseBatchSimulation::new(Monotone, vec![5, 5], 1);
-    pw.set_scheduler(sched);
-    let r = pw.run(&opts);
     assert_eq!(r.status, RunStatus::Exhausted);
     assert!(r.notes.contains(&RunNote::SchedulerSaturated), "{r:?}");
 }
@@ -529,7 +489,7 @@ fn partial_starvation_stays_unsaturated() {
     let sched: SchedulerSpec = "starve:2:0.25".parse().expect("scheduler parses");
     let init = vec![0u64, 700, 300];
     let mut sim = BatchSimulation::new(ThreeState, init, 6);
-    sim.set_scheduler(sched.build());
+    sim.set_scheduler(sched);
     let r = sim.run(&RunOptions::with_parallel_time_budget(1000, 5_000.0));
     assert!(r.notes.is_empty(), "{r:?}");
 }

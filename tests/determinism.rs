@@ -1,8 +1,8 @@
 //! Reproducibility: a fixed seed yields an identical trajectory, and
 //! different seeds decorrelate. The contract extends to the fault layer:
-//! a fixed seed plus a fixed `FaultPlan` (and scheduler) replays the
+//! a fixed seed plus a fixed fault list (and scheduler) replays the
 //! strikes, the recovery bookkeeping, and the final configuration
-//! identically on every engine.
+//! identically on both engines.
 
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
@@ -42,56 +42,61 @@ fn trace(r: &RunResult) -> (Option<u32>, u64, String) {
 
 #[test]
 fn faulted_batch_runs_replay_identically() {
-    let plan = FaultPlan::from_specs(
-        &FaultSpec::parse_list("corrupt@20:0.2,churn@40:0.1").expect("specs parse"),
-    );
+    let faults = FaultSpec::parse_list("corrupt@20:0.2,churn@40:0.1").expect("specs parse");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let run = |seed: u64| {
         let mut sim = BatchSimulation::new(ThreeState, vec![0, 600, 400], seed);
-        trace(&sim.run_faulted(&opts, &plan))
+        trace(&sim.run_faulted(&opts, &faults))
     };
-    assert_eq!(run(9), run(9), "same seed + same plan must replay");
+    assert_eq!(run(9), run(9), "same seed + same faults must replay");
     assert_ne!(run(9).1, run(10).1, "distinct seeds must decorrelate");
 }
 
 #[test]
 fn scheduled_sequential_runs_replay_identically() {
-    let plan =
-        FaultPlan::from_specs(&FaultSpec::parse_list("inject@30:0.2:2").expect("spec parses"));
+    let faults = FaultSpec::parse_list("inject@30:0.2:2").expect("spec parses");
     let sched: SchedulerSpec = "pairbias:0.3".parse().expect("scheduler parses");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let init = vec![0u64, 600, 400];
     let run = |seed: u64| {
         let states = SeqTable::<ThreeState>::initial_states(&init);
         let mut sim = Simulation::new(SeqTable::new(ThreeState), states, seed);
-        sim.set_scheduler(sched.build());
-        trace(&sim.run_faulted(&opts, &plan))
+        sim.set_scheduler(sched);
+        trace(&sim.run_faulted(&opts, &faults))
     };
     assert_eq!(run(5), run(5));
 }
 
 #[test]
 fn empty_fault_plan_replays_the_unfaulted_run() {
-    // `run_faulted` with no hooks must be RNG-identical to `run` — the
-    // fault layer may not perturb existing experiment trajectories.
-    let plan = FaultPlan::new();
+    // `run_faulted` with no faults, and the uniform scheduler, must be
+    // RNG-identical to a plain `run` — the fault layer may not perturb
+    // existing experiment trajectories.
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let init = vec![0u64, 600, 400];
 
-    let plain = BatchSimulation::new(ThreeState, init.clone(), 11).run(&opts);
-    let faulted = BatchSimulation::new(ThreeState, init.clone(), 11).run_faulted(&opts, &plan);
-    assert_eq!(trace(&plain), trace(&faulted), "batch");
-
-    let plain = PairwiseBatchSimulation::new(ThreeState, init.clone(), 11).run(&opts);
-    let faulted =
-        PairwiseBatchSimulation::new(ThreeState, init.clone(), 11).run_faulted(&opts, &plan);
-    assert_eq!(trace(&plain), trace(&faulted), "pairwise");
+    let mut plain = BatchSimulation::new(ThreeState, init.clone(), 11);
+    let rp = plain.run(&opts);
+    let mut faulted = BatchSimulation::new(ThreeState, init.clone(), 11);
+    let rf = faulted.run_faulted(&opts, &[]);
+    let mut uniform = BatchSimulation::new(ThreeState, init.clone(), 11);
+    uniform.set_scheduler(SchedulerSpec::Uniform);
+    let ru = uniform.run(&opts);
+    let want = (trace(&rp), plain.rng_state());
+    assert_eq!((trace(&rf), faulted.rng_state()), want, "batch, no faults");
+    assert_eq!((trace(&ru), uniform.rng_state()), want, "batch, uniform");
 
     let states = SeqTable::<ThreeState>::initial_states(&init);
-    let plain = Simulation::new(SeqTable::new(ThreeState), states, 11).run(&opts);
-    let states = SeqTable::<ThreeState>::initial_states(&init);
-    let faulted = Simulation::new(SeqTable::new(ThreeState), states, 11).run_faulted(&opts, &plan);
-    assert_eq!(trace(&plain), trace(&faulted), "seq");
+    let mut plain = Simulation::new(SeqTable::new(ThreeState), states.clone(), 11);
+    let rp = plain.run(&opts);
+    let mut faulted = Simulation::new(SeqTable::new(ThreeState), states.clone(), 11);
+    let rf = faulted.run_faulted(&opts, &[]);
+    let mut uniform = Simulation::new(SeqTable::new(ThreeState), states, 11);
+    uniform.set_scheduler(SchedulerSpec::Uniform);
+    let ru = uniform.run(&opts);
+    let want = (trace(&rp), plain.rng_state());
+    assert_eq!((trace(&rf), faulted.rng_state()), want, "seq, no faults");
+    assert_eq!((trace(&ru), uniform.rng_state()), want, "seq, uniform");
 }
 
 #[test]

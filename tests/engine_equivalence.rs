@@ -1,41 +1,37 @@
-//! Distribution-level consistency between the three schedulers.
+//! Distribution-level consistency between the two engines.
 //!
-//! The sequential per-agent engine is the ground truth; the per-pair
-//! configuration-space engine and the multinomial-tally engine must
-//! reproduce its *observable statistics* (they are not trajectory-level
-//! equivalent: both batch engines sample participants with replacement,
-//! an `O(ℓ²/n)` per-batch approximation). For 3-state majority and USD,
-//! at two population sizes each, and for the recovery time after a fault,
-//! each pair of engines is compared on the parallel times of [`TRIALS`]
-//! seeded runs per engine: by a two-sided Mann–Whitney rank test for
-//! location, and by the ratio of their interquartile ranges for scale
-//! (the rank test alone passes a spread that collapses or explodes
+//! The sequential per-agent engine is the ground truth; the multinomial
+//! batch engine must reproduce its *observable statistics* (it is not
+//! trajectory-level equivalent: it samples batch participants with
+//! replacement, an `O(ℓ²/n)` per-batch approximation). For 3-state
+//! majority and USD, at two population sizes each, and for the recovery
+//! time after a fault, the engines are compared on the parallel times of
+//! [`TRIALS`] seeded runs per engine: by a two-sided Mann–Whitney rank
+//! test for location, and by the ratio of their interquartile ranges for
+//! scale (the rank test alone passes a spread that collapses or explodes
 //! around the right median).
 //!
 //! **False-failure rate:** at most 10⁻³ per comparison for the rank test
 //! (normal approximation to the rank statistic, with tie and continuity
-//! corrections), so about 10⁻² over the file's nine comparisons. The
+//! corrections), so about 5·10⁻³ over the file's five comparisons. The
 //! spread check fails at a ratio of 5: for a normal law the sample IQR
 //! of 50 runs has a coefficient of variation of about 0.17, so a ratio
 //! of 5 lies about seven standard deviations of the log-ratio out, and
 //! its false-failure rate is negligible beside the rank test's.
 //!
-//! **Power:** the time distributions measured here (120 runs per engine
-//! on the sequential and multinomial engines, and on all three for the
-//! recovery time) have coefficients of variation of at most 0.15. At 50
-//! runs per engine the test then rejects a 15% shift of the median with
-//! probability at least 0.95: resampling the measured recovery times, it
-//! rejected a 15% shift in 96–98% of 4,000 draws per engine, and the
-//! unshifted law in 0.03%.
+//! **Power:** the time distributions measured here (120 runs per engine)
+//! have coefficients of variation of at most 0.15. At 50 runs per engine
+//! the test then rejects a 15% shift of the median with probability at
+//! least 0.95: resampling the measured recovery times, it rejected a 15%
+//! shift in 96–98% of 4,000 draws per engine, and the unshifted law in
+//! 0.03%.
 //!
-//! **Runtime:** about 25 s of the debug-build test suite on two cores,
-//! most of it the sequential and per-pair engines simulating to the
-//! fault.
+//! **Runtime:** about 20 s of the debug-build test suite on two cores,
+//! most of it the sequential engine simulating to the fault.
 
 use exact_plurality::baselines::{Usd, UsdTable};
 use exact_plurality::engine::{
-    BatchSimulation, FaultPlan, FaultSpec, PairwiseBatchSimulation, Protocol, RunOptions,
-    RunStatus, Simulation,
+    BatchSimulation, FaultSpec, Protocol, RunOptions, RunStatus, Simulation,
 };
 use exact_plurality::majority::ThreeState;
 
@@ -194,15 +190,6 @@ fn three_state_majority_engines_agree() {
             max_interactions: n * 200_000,
             check_every: 0,
         };
-        let pairwise: Vec<f64> = (0..TRIALS)
-            .map(|i| {
-                let mut sim =
-                    PairwiseBatchSimulation::new(ThreeState, majority_counts(n), 2000 + i);
-                let r = sim.run(&opts);
-                assert_eq!(r.status, RunStatus::Converged);
-                r.parallel_time
-            })
-            .collect();
         let multinomial: Vec<f64> = (0..TRIALS)
             .map(|i| {
                 let mut sim = BatchSimulation::new(ThreeState, majority_counts(n), 3000 + i);
@@ -212,13 +199,7 @@ fn three_state_majority_engines_agree() {
             })
             .collect();
 
-        assert_consistent(&format!("majority3 pairwise n={n}"), &seq, &pairwise);
         assert_consistent(&format!("majority3 multinomial n={n}"), &seq, &multinomial);
-        assert_consistent(
-            &format!("majority3 multinomial-vs-pairwise n={n}"),
-            &pairwise,
-            &multinomial,
-        );
     }
 }
 
@@ -226,13 +207,12 @@ fn three_state_majority_engines_agree() {
 fn fault_recovery_times_agree_across_engines() {
     // The fault layer must not break cross-engine consistency: the same
     // strike (10% of a converged 3-state population scrambled at parallel
-    // time 40) must yield statistically consistent recovery times on all
-    // three engines. At this n the population converges at t ≈ 19 ± 1.3,
+    // time 40) must yield statistically consistent recovery times on both
+    // engines. At this n the population converges at t ≈ 19 ± 1.3,
     // so t = 40 strikes a converged population while keeping the
     // simulation before the strike short enough for 50 runs per engine.
     let n = 20_000u64;
-    let plan =
-        FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@40:0.1").expect("spec parses"));
+    let faults = FaultSpec::parse_list("corrupt@40:0.1").expect("spec parses");
 
     let recovery = |r: &exact_plurality::engine::RunResult, label: &str, i: u64| -> f64 {
         assert_eq!(r.status, RunStatus::Converged, "{label} trial {i}");
@@ -251,7 +231,7 @@ fn fault_recovery_times_agree_across_engines() {
     let seq: Vec<f64> = (0..TRIALS)
         .map(|i| {
             let mut sim = Simulation::new(ThreeState, states.clone(), 6000 + i);
-            recovery(&sim.run_faulted(&seq_opts, &plan), "seq", i)
+            recovery(&sim.run_faulted(&seq_opts, &faults), "seq", i)
         })
         .collect();
 
@@ -259,22 +239,14 @@ fn fault_recovery_times_agree_across_engines() {
         max_interactions: n * 200_000,
         check_every: 0,
     };
-    let pairwise: Vec<f64> = (0..TRIALS)
-        .map(|i| {
-            let mut sim = PairwiseBatchSimulation::new(ThreeState, majority_counts(n), 7000 + i);
-            recovery(&sim.run_faulted(&opts, &plan), "pairwise", i)
-        })
-        .collect();
     let multinomial: Vec<f64> = (0..TRIALS)
         .map(|i| {
             let mut sim = BatchSimulation::new(ThreeState, majority_counts(n), 8000 + i);
-            recovery(&sim.run_faulted(&opts, &plan), "multinomial", i)
+            recovery(&sim.run_faulted(&opts, &faults), "multinomial", i)
         })
         .collect();
 
-    assert_consistent("recovery pairwise", &seq, &pairwise);
     assert_consistent("recovery multinomial", &seq, &multinomial);
-    assert_consistent("recovery multinomial-vs-pairwise", &pairwise, &multinomial);
 }
 
 #[test]
@@ -295,14 +267,6 @@ fn usd_engines_agree() {
             max_interactions: (n as u64) * 200_000,
             check_every: 0,
         };
-        let pairwise: Vec<f64> = (0..TRIALS)
-            .map(|i| {
-                let mut sim = PairwiseBatchSimulation::new(table(), init.clone(), 4000 + i);
-                let r = sim.run(&opts);
-                assert_eq!(r.status, RunStatus::Converged);
-                r.parallel_time
-            })
-            .collect();
         let multinomial: Vec<f64> = (0..TRIALS)
             .map(|i| {
                 let mut sim = BatchSimulation::new(table(), init.clone(), 5000 + i);
@@ -312,12 +276,6 @@ fn usd_engines_agree() {
             })
             .collect();
 
-        assert_consistent(&format!("usd pairwise n={n}"), &seq, &pairwise);
         assert_consistent(&format!("usd multinomial n={n}"), &seq, &multinomial);
-        assert_consistent(
-            &format!("usd multinomial-vs-pairwise n={n}"),
-            &pairwise,
-            &multinomial,
-        );
     }
 }

@@ -3,7 +3,7 @@
 //! adversarial schedulers) must degrade *gracefully* — wrong outputs or
 //! exhausted budgets are acceptable, panics, livelocks past the budget, or
 //! corrupted convergence (mixed winner reports) are not. The fault-layer
-//! tests cover all three engines.
+//! tests cover both engines.
 
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
@@ -80,15 +80,13 @@ fn unordered_with_skimpy_leader_patience_terminates() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-layer injection: the same "degrade, never panic" contract on all
-// three engines, under a hostile plan (half the population corrupted, then
+// Fault-layer injection: the same "degrade, never panic" contract on both
+// engines, under a hostile plan (half the population corrupted, then
 // churned, then swamped with minority supporters) and an adversarial
-// scheduler on top.
+// scheduler on top (both schedulers on the batched engine).
 
-fn hostile_plan() -> FaultPlan {
-    FaultPlan::from_specs(
-        &FaultSpec::parse_list("corrupt@5:0.5,churn@10:0.5,inject@15:0.9:2").expect("specs parse"),
-    )
+fn hostile_plan() -> Vec<FaultSpec> {
+    FaultSpec::parse_list("corrupt@5:0.5,churn@10:0.5,inject@15:0.9:2").expect("specs parse")
 }
 
 fn assert_degrades_cleanly(r: &RunResult) {
@@ -106,20 +104,12 @@ fn assert_degrades_cleanly(r: &RunResult) {
 
 #[test]
 fn hostile_faults_degrade_never_panic_on_batch_engine() {
-    let sched: SchedulerSpec = "starve:1:0.25".parse().expect("scheduler parses");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
-    let mut sim = BatchSimulation::new(ThreeState, vec![0, 700, 300], 3);
-    sim.set_scheduler(sched.build());
-    assert_degrades_cleanly(&sim.run_faulted(&opts, &hostile_plan()));
-}
-
-#[test]
-fn hostile_faults_degrade_never_panic_on_pairwise_engine() {
-    let sched: SchedulerSpec = "pairbias:0.5".parse().expect("scheduler parses");
-    let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
-    let mut sim = PairwiseBatchSimulation::new(ThreeState, vec![0, 700, 300], 3);
-    sim.set_scheduler(sched.build());
-    assert_degrades_cleanly(&sim.run_faulted(&opts, &hostile_plan()));
+    for sched in ["starve:1:0.25", "pairbias:0.5"] {
+        let mut sim = BatchSimulation::new(ThreeState, vec![0, 700, 300], 3);
+        sim.set_scheduler(sched.parse().expect("scheduler parses"));
+        assert_degrades_cleanly(&sim.run_faulted(&opts, &hostile_plan()));
+    }
 }
 
 #[test]
@@ -129,7 +119,7 @@ fn hostile_faults_degrade_never_panic_on_sequential_table_engine() {
     let init = vec![0u64, 700, 300];
     let states = SeqTable::<ThreeState>::initial_states(&init);
     let mut sim = Simulation::new(SeqTable::new(ThreeState), states, 3);
-    sim.set_scheduler(sched.build());
+    sim.set_scheduler(sched);
     assert_degrades_cleanly(&sim.run_faulted(&opts, &hostile_plan()));
 }
 
@@ -137,14 +127,13 @@ fn hostile_faults_degrade_never_panic_on_sequential_table_engine() {
 fn corrupting_a_paper_protocol_mid_run_terminates_cleanly() {
     let counts = Counts::bias_one(401, 3);
     let assignment = counts.assignment();
-    let plan =
-        FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@100:0.3").expect("spec parses"));
+    let faults = FaultSpec::parse_list("corrupt@100:0.3").expect("spec parses");
     for seed in 0..3 {
         let (proto, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
         let mut sim = Simulation::new(proto, states, seed);
         let r = sim.run_faulted(
             &RunOptions::with_parallel_time_budget(assignment.n(), 50_000.0),
-            &plan,
+            &faults,
         );
         assert!(r.interactions > 0);
         assert_eq!(r.faults.len(), 1, "seed {seed}");

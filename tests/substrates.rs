@@ -41,9 +41,9 @@ fn load_balance_hits_the_band_within_logarithmic_time() {
 #[test]
 fn majority_is_exact_at_bias_one_over_seeds() {
     // Window 24: the reliable setting for the undiluted (no undecided
-    // agents) standalone case — see the window sweep in the debug_majority
-    // probe and experiment X14b. The in-tournament matches run diluted with
-    // undecided players and get away with the smaller Tuning default.
+    // agents) standalone case. The in-tournament matches (their window is
+    // swept in experiment X14b) run diluted with undecided players and get
+    // away with the smaller Tuning default.
     let mut wrong = 0;
     for seed in 0..10 {
         let (proto, states) = CancelSplitRun::new(1001, 1000, 0, 24);

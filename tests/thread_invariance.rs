@@ -16,11 +16,9 @@
 //! faults and churn still shard across threads. These tests pin that the
 //! thread count stays out of the stream on every path.
 
-use exact_plurality::engine::fault::ByzantineAdversary;
-use exact_plurality::engine::{rng, ChurnProcess, ChurnSpec, SegmentRunner};
+use exact_plurality::engine::{rng, AdversarySpec, ChurnProcess, ChurnSpec, SegmentRunner};
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
-use std::sync::Arc;
 
 const N: u64 = 4_000_000;
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -52,15 +50,13 @@ fn full_runs_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn faulted_runs_replay_fault_records_at_any_thread_count() {
-    let plan = FaultPlan::from_specs(
-        &FaultSpec::parse_list("corrupt@1:0.2,churn@2:0.1").expect("specs parse"),
-    );
+    let faults = FaultSpec::parse_list("corrupt@1:0.2,churn@2:0.1").expect("specs parse");
     let opts = RunOptions::with_parallel_time_budget(N as usize, 4.0);
     let run = |threads: usize| {
         let mut sim = BatchSimulation::new(ThreeState, init(), 7002);
         sim.set_threads(threads);
-        let r = sim.run_faulted(&opts, &plan);
-        assert!(!r.faults.is_empty(), "the plan must actually strike");
+        let r = sim.run_faulted(&opts, &faults);
+        assert!(!r.faults.is_empty(), "the faults must actually strike");
         (trace(&r), sim.counts().to_vec(), sim.rng_state())
     };
     let want = run(1);
@@ -74,10 +70,10 @@ fn adversarial_runs_are_thread_count_invariant() {
     let opts = RunOptions::with_parallel_time_budget(N as usize, 3.0);
     let run = |threads: usize| {
         let mut sim = BatchSimulation::new(ThreeState, init(), 7003);
-        sim.set_adversary(Arc::new(ByzantineAdversary {
+        sim.set_adversary(AdversarySpec::Byzantine {
             frac: 0.05,
             opinion: Some(2),
-        }));
+        });
         sim.set_threads(threads);
         let r = sim.run(&opts);
         let paths = sim.tally_paths();
@@ -89,19 +85,6 @@ fn adversarial_runs_are_thread_count_invariant() {
     for threads in &THREADS[1..] {
         assert_eq!(run(*threads), want, "threads = {threads}");
     }
-}
-
-#[test]
-fn pairwise_engine_accepts_the_knob_as_a_no_op() {
-    // The per-pair reference engine is serial; `set_threads` exists for
-    // interface parity and must not perturb its stream.
-    let opts = RunOptions::with_parallel_time_budget(100_000, 50.0);
-    let run = |threads: usize| {
-        let mut sim = PairwiseBatchSimulation::new(ThreeState, vec![0, 60_000, 40_000], 7004);
-        sim.set_threads(threads);
-        trace(&sim.run(&opts))
-    };
-    assert_eq!(run(1), run(8));
 }
 
 #[test]
