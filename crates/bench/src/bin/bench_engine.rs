@@ -6,11 +6,11 @@
 //!
 //! * 3-state majority at `n ∈ {10⁴, 10⁶, 10⁸}` on both engines:
 //!   `sequential` (per-agent `Simulation::step`) and `batch_multinomial`
-//!   (`BatchSimulation`), plus a thread sweep of the latter at `n = 10⁸`;
+//!   (`BatchSimulation`);
 //! * USD with `k ∈ {2, 64, 1024}` opinions on `bias_one(n, k)` at
-//!   `n ∈ {10⁴, 10⁶, 10⁸}` on `BatchSimulation`, at 1 thread and, where
-//!   the host has them, 2. These span the state count `S = k + 1`, which
-//!   decides between the lumped and the per-initiator tally.
+//!   `n ∈ {10⁴, 10⁶, 10⁸}` on `BatchSimulation`. These span the state
+//!   count `S = k + 1`, which decides between the lumped and the
+//!   per-initiator tally.
 //!
 //! Each rate drives a fresh configuration for a fixed interaction budget
 //! below the convergence horizon, repeating until ≥ 0.5 s of wall clock
@@ -95,16 +95,10 @@ fn rate(target: u64, mut run: impl FnMut() -> f64) -> f64 {
 }
 
 /// Interactions per second of `BatchSimulation` stepping `target`
-/// interactions from `counts` at `threads`.
-fn batch_rate<P: TableProtocol + Clone>(
-    protocol: &P,
-    counts: &[u64],
-    target: u64,
-    threads: usize,
-) -> f64 {
+/// interactions from `counts`.
+fn batch_rate<P: TableProtocol + Clone>(protocol: &P, counts: &[u64], target: u64) -> f64 {
     rate(target, || {
         let mut sim = BatchSimulation::new(protocol.clone(), counts.to_vec(), 42);
-        sim.set_threads(threads);
         let t0 = Instant::now();
         while sim.interactions() < target {
             sim.step_batch();
@@ -145,45 +139,25 @@ fn main() {
         .iter()
         .map(|&(n, _)| {
             let target = (5 * n).min(1_000_000_000);
-            Spread::of(|| batch_rate(&ThreeState, &majority(n), target, 1))
+            Spread::of(|| batch_rate(&ThreeState, &majority(n), target))
         })
         .collect();
     rows.push(("batch_multinomial", multinomial));
 
-    // Thread sweep on the multinomial engine at n = 1e8: 1/2/4/max
-    // (deduplicated), same seed — the engine is thread-count-invariant, so
-    // every sweep point simulates the byte-identical trajectory.
-    let mut sweep_threads: Vec<usize> = [1usize, 2, 4, nproc]
-        .into_iter()
-        .filter(|&t| t <= nproc)
-        .collect();
-    sweep_threads.dedup();
-    let sweep: Vec<(usize, Spread)> = sweep_threads
-        .iter()
-        .map(|&threads| {
-            let counts = majority(100_000_000);
-            let r = Spread::of(|| batch_rate(&ThreeState, &counts, 1_000_000_000, threads));
-            (threads, r)
-        })
-        .collect();
-
-    // USD over the state-count axis, at 1 thread and (where available) 2.
-    let usd_threads: Vec<usize> = [1usize, 2].into_iter().filter(|&t| t <= nproc).collect();
-    let mut usd: Vec<(usize, usize, Vec<Spread>)> = Vec::new();
+    // USD over the state-count axis.
+    let mut usd: Vec<(usize, Vec<Spread>)> = Vec::new();
     let mut usd_setup: Vec<(usize, Spread)> = Vec::new();
     for k in [2usize, 64, 1024] {
         let table = UsdTable::new(k);
-        for &threads in &usd_threads {
-            let rates = GRID
-                .iter()
-                .map(|&(n, _)| {
-                    let counts = table.initial_counts(Counts::bias_one(n as usize, k).supports());
-                    let target = (2 * n).min(20_000_000);
-                    Spread::of(|| batch_rate(&table, &counts, target, threads))
-                })
-                .collect();
-            usd.push((k, threads, rates));
-        }
+        let rates = GRID
+            .iter()
+            .map(|&(n, _)| {
+                let counts = table.initial_counts(Counts::bias_one(n as usize, k).supports());
+                let target = (2 * n).min(20_000_000);
+                Spread::of(|| batch_rate(&table, &counts, target))
+            })
+            .collect();
+        usd.push((k, rates));
         let counts = table.initial_counts(Counts::bias_one(100_000_000, k).supports());
         let setup = Spread::of(|| {
             let t0 = Instant::now();
@@ -200,18 +174,10 @@ fn main() {
         let cells: Vec<String> = rates.iter().map(Spread::human).collect();
         println!("{name:>20} {}", cells.join("  "));
     }
-    println!("thread sweep, batch_multinomial at n=1e8:");
-    for &(threads, r) in &sweep {
-        println!("{:>20} {}", format!("threads={threads}"), r.human());
-    }
     println!("USD on bias_one(n, k), budget min(2n, 2e7) interactions:");
-    for (k, threads, rates) in &usd {
+    for (k, rates) in &usd {
         let cells: Vec<String> = rates.iter().map(Spread::human).collect();
-        println!(
-            "{:>20} {}",
-            format!("k={k} threads={threads}"),
-            cells.join("  ")
-        );
+        println!("{:>20} {}", format!("k={k}"), cells.join("  "));
     }
     for (k, setup) in &usd_setup {
         println!(
@@ -241,27 +207,18 @@ fn main() {
     ));
     json.push_str("  \"three_state_majority\": {\n");
     json.push_str("    \"configuration\": \"60/40 opinion split, pre-convergence budget\",\n");
-    for (name, rates) in &rows {
-        json.push_str(&format!("    \"{name}\": {},\n", grid_json(rates)));
-    }
-    let sweep_cells: Vec<String> = sweep
+    let rows_json: Vec<String> = rows
         .iter()
-        .map(|(threads, r)| format!("\"{threads}\": {}", r.json()))
+        .map(|(name, rates)| format!("    \"{name}\": {}", grid_json(rates)))
         .collect();
-    json.push_str(&format!(
-        "    \"threads_sweep_n1e8\": {{{}}}\n",
-        sweep_cells.join(", ")
-    ));
-    json.push_str("  },\n");
+    json.push_str(&rows_json.join(",\n"));
+    json.push_str("\n  },\n");
     json.push_str("  \"usd\": {\n");
     json.push_str(
         "    \"configuration\": \"bias_one(n, k), budget min(2n, 2e7) interactions, BatchSimulation\",\n",
     );
-    for (k, threads, rates) in &usd {
-        json.push_str(&format!(
-            "    \"k{k}_threads{threads}\": {},\n",
-            grid_json(rates)
-        ));
+    for (k, rates) in &usd {
+        json.push_str(&format!("    \"k{k}\": {},\n", grid_json(rates)));
     }
     let setup_cells: Vec<String> = usd_setup
         .iter()

@@ -63,10 +63,8 @@ Common experiment flags:
   --seed S                   base seed; trial i derives its own stream
   --full                     run the larger (slower) grid
   --out DIR                  output directory for CSV + manifest (default results/)
-  --threads T                total worker budget (default: all cores); split
-                             across concurrent trials first, leftover cores
-                             parallelize inside each batched-engine run
-                             (results are byte-identical at any T)
+  --threads T                worker threads for concurrent trials (default:
+                             all cores); results are byte-identical at any T
   --engine {seq,batch}       engine for table-protocol arms (default batch)
   --faults SPEC[,SPEC..]     fault hooks, e.g. corrupt@50:0.1 inject@50:0.1:2
                              churn@50:0.05 (overrides scenario defaults)
@@ -95,7 +93,7 @@ pub struct ExpOpts {
     pub full: bool,
     /// Output directory for CSV files and run manifests.
     pub out_dir: PathBuf,
-    /// Worker threads.
+    /// Worker threads for concurrent trials.
     pub threads: usize,
     /// Engine for table-protocol arms.
     pub engine: Engine,
@@ -216,17 +214,6 @@ impl ExpOpts {
     /// CSV path for an experiment table.
     pub fn csv_path(&self, name: &str) -> PathBuf {
         self.out_dir.join(format!("{name}.csv"))
-    }
-
-    /// Worker threads to give each *engine run*, treating `--threads` as a
-    /// total budget: trial-level parallelism claims up to `trials` cores
-    /// and whatever is left over multiplies each batched run. A single
-    /// long trial therefore gets the whole machine; wide ensembles stay
-    /// one-thread-per-trial. Thread counts never change results (the
-    /// engine is thread-count-invariant), so this split is pure
-    /// scheduling.
-    pub fn engine_threads(&self) -> usize {
-        (self.threads / self.trials.min(self.threads)).max(1)
     }
 }
 

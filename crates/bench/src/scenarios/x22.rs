@@ -70,11 +70,6 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
             init,
         ),
     };
-    // One soak trial owns the whole `--threads` budget; the trajectory
-    // (and every checkpoint) is byte-identical at any thread count, so a
-    // resume may use a different count than the original run.
-    runner.set_threads(ctx.opts.threads);
-
     // `drive` cuts segments at absolute multiples of `every`, derived from
     // the live clock — a resumed run recomputes exactly the boundaries the
     // uninterrupted run used, so the stitched series is bit-identical.

@@ -82,8 +82,6 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
             churn,
             init.clone(),
         );
-        // Serial over targets, so each soak gets the full thread budget.
-        runner.set_threads(ctx.opts.threads);
         runner.advance_to(horizon);
         let series: &[ChurnSample] = runner.series();
         let samples = series.len();

@@ -5,7 +5,7 @@
 /// The paper gives all ten tournament phases the same length Θ(log n). We
 /// generalise to per-phase lengths `Ψ_p` (still Θ(log n) each, so the total
 /// state count is unchanged) because the *match* phase needs a much larger
-/// constant than the buffer phases; see `DESIGN.md` §3.3.
+/// constant than the buffer phases.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSchedule {
     /// `ends[p]` is the exclusive end of phase `p`; `ends.last() == period`.

@@ -46,7 +46,7 @@ impl SimpleAlgorithm {
                 let mut agent = Agent::collector(op, phase, true);
                 // Lemma 3(3): opinion 1 starts as the first defender. The
                 // paper sets the bit at each agent's first interaction; we
-                // set it at time 0 (outcome-equivalent, DESIGN.md §3.5).
+                // set it at time 0 (outcome-equivalent).
                 if op == 1 {
                     if let Role::Collector(c) = &mut agent.role {
                         c.defender = true;

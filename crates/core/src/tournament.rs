@@ -740,8 +740,10 @@ impl Machine {
         opinion.map(u32::from)
     }
 
-    /// Canonical census encoding; see DESIGN.md §3.6 for the accounting of
-    /// the junta-clock counter.
+    /// Canonical census encoding. A collector's junta-clock counter enters
+    /// only during the improved protocol's initialization (`phase < 0`),
+    /// modulo the clock's `64·m` window
+    /// ([`JuntaClock::encode_counter`](pp_clocks::JuntaClock::encode_counter)).
     pub fn encode(&self, x: &Agent) -> u64 {
         let shared = ((x.phase + 16) as u64)
             | u64::from(x.done_once) << 5

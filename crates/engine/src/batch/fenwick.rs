@@ -8,17 +8,14 @@
 //! power-of-two strides, so a draw costs one bounded RNG word plus
 //! `⌈log₂ S⌉` adds.
 //!
-//! [`ShardedFenwick`] layers a two-level variant on top for the parallel
-//! engine: states are partitioned into fixed shards, each its own
-//! [`Fenwick`], with a top-level tree over shard totals. Full rebuilds
-//! (admit, churn, fault strikes) then parallelise over shards — each
-//! worker rebuilds the shards it owns and the `O(S log S)` serial rebuild
-//! leaves the hot path — while `add`/`index_of` keep the exact cumulative
-//! semantics of a flat tree: **for any `target`, a sharded tree and a flat
-//! tree over the same weights return the same index**, because both
-//! resolve the cumulative interval containing `target` in index order.
-//! That equivalence is what lets the chunked tally kernel use either view
-//! interchangeably without perturbing sampled streams.
+//! [`ShardedFenwick`], the engine's census, layers a two-level variant on
+//! top: states are partitioned into fixed shards, each its own
+//! [`Fenwick`], with a top-level tree over shard totals. `add`/`index_of`
+//! keep the exact cumulative semantics of a flat tree: **for any
+//! `target`, a sharded tree and a flat tree over the same weights return
+//! the same index**, because both resolve the cumulative interval
+//! containing `target` in index order, and a draw consumes the same RNG
+//! word from either.
 
 use rand::Rng;
 
@@ -28,27 +25,6 @@ use crate::protocol::SimRng;
 /// 3–4-state majority protocols) collapse to a single shard and behave
 /// exactly like a flat tree; only wide tables (USD at large `k`) fan out.
 const SHARD_STATES: usize = 256;
-
-/// Anything that maps a cumulative-weight target to a state index — the
-/// read-only interface the batch tally kernel samples through, satisfied
-/// by both [`Fenwick`] and [`ShardedFenwick`] with identical semantics.
-pub trait StateSampler {
-    /// Sum of all weights.
-    fn total_weight(&self) -> u64;
-
-    /// The index whose cumulative weight interval contains `target`
-    /// (`0 ≤ target < total`).
-    fn locate(&self, target: u64) -> usize;
-
-    /// Draw an index with probability proportional to its weight,
-    /// consuming exactly one bounded RNG word.
-    #[inline]
-    fn draw(&self, rng: &mut SimRng) -> usize {
-        let total = self.total_weight();
-        assert!(total > 0, "cannot sample from an empty distribution");
-        self.locate(rng.gen_range(0..total))
-    }
-}
 
 /// Fenwick tree over `u64` weights for weighted index sampling.
 #[derive(Debug, Clone)]
@@ -172,23 +148,10 @@ impl Fenwick {
     }
 }
 
-impl StateSampler for Fenwick {
-    #[inline]
-    fn total_weight(&self) -> u64 {
-        self.total
-    }
-
-    #[inline]
-    fn locate(&self, target: u64) -> usize {
-        self.index_of(target)
-    }
-}
-
 /// Two-level Fenwick census: states partitioned into 256-state shards,
 /// each an independent [`Fenwick`], plus a top tree over shard
 /// totals. Point updates touch one shard and the top (`O(log S)` as
-/// before); full rebuilds fan shards out over scoped threads and merge the
-/// shard totals serially at the end.
+/// before); a full rebuild rebuilds every shard, then the top.
 #[derive(Debug, Clone)]
 pub struct ShardedFenwick {
     /// Per-shard trees; all but the last cover exactly `shard_len` states.
@@ -202,8 +165,7 @@ pub struct ShardedFenwick {
 }
 
 impl ShardedFenwick {
-    /// Build from per-index weights (serial; use [`Self::rebuild`] with a
-    /// thread count to parallelise subsequent rebuilds).
+    /// Build from per-index weights.
     pub fn from_weights(weights: &[u64]) -> Self {
         let len = weights.len();
         assert!(len > 0, "Fenwick tree needs at least one weight");
@@ -237,38 +199,15 @@ impl ShardedFenwick {
         self.top.total()
     }
 
-    /// Rebuild every shard from `weights`, fanning shards out over up to
-    /// `threads` scoped workers; shard totals merge serially at the end.
-    /// The result is a pure function of `weights` — identical at any
-    /// thread count — because each shard is rebuilt from the same slice
-    /// regardless of which worker owns it.
+    /// Rebuild every shard from `weights`, then the top tree over the
+    /// shard totals. `threads` is ignored: the rebuild runs on the
+    /// calling thread, and the argument remains only because perfbench
+    /// still passes it.
     pub fn rebuild(&mut self, weights: &[u64], threads: usize) {
+        let _ = threads;
         assert_eq!(weights.len(), self.len, "weight count changed");
-        let shard_len = self.shard_len;
-        let group = if threads > 1 && self.shards.len() > 1 {
-            self.shards.len().div_ceil(threads.min(self.shards.len()))
-        } else {
-            self.shards.len()
-        };
-        if group < self.shards.len() {
-            std::thread::scope(|scope| {
-                for (shard_group, weight_group) in self
-                    .shards
-                    .chunks_mut(group)
-                    .zip(weights.chunks(group * shard_len))
-                {
-                    scope.spawn(move || {
-                        for (shard, w) in shard_group.iter_mut().zip(weight_group.chunks(shard_len))
-                        {
-                            *shard = Fenwick::from_weights(w);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (shard, w) in self.shards.iter_mut().zip(weights.chunks(shard_len)) {
-                *shard = Fenwick::from_weights(w);
-            }
+        for (shard, w) in self.shards.iter_mut().zip(weights.chunks(self.shard_len)) {
+            *shard = Fenwick::from_weights(w);
         }
         let totals: Vec<u64> = self.shards.iter().map(Fenwick::total).collect();
         self.top = Fenwick::from_weights(&totals);
@@ -319,18 +258,6 @@ impl ShardedFenwick {
         let shard = self.top.index_of(target);
         let rem = target - self.top.prefix(shard);
         shard * self.shard_len + self.shards[shard].index_of(rem)
-    }
-}
-
-impl StateSampler for ShardedFenwick {
-    #[inline]
-    fn total_weight(&self) -> u64 {
-        self.total()
-    }
-
-    #[inline]
-    fn locate(&self, target: u64) -> usize {
-        self.index_of(target)
     }
 }
 
@@ -462,23 +389,12 @@ mod tests {
         for target in 0..flat.total() {
             assert_eq!(sharded.index_of(target), flat.index_of(target));
         }
-    }
-
-    #[test]
-    fn sharded_rebuild_is_thread_count_invariant() {
-        let w0 = mixed_weights(700, 1);
-        let w1 = mixed_weights(700, 2);
-        let mut serial = ShardedFenwick::from_weights(&w0);
-        let mut threaded = ShardedFenwick::from_weights(&w0);
-        serial.rebuild(&w1, 1);
-        threaded.rebuild(&w1, 4);
-        assert_eq!(serial.total(), threaded.total());
-        for (i, &want) in w1.iter().enumerate() {
-            assert_eq!(serial.get(i), want, "serial rebuild get({i})");
-            assert_eq!(threaded.get(i), want, "threaded rebuild get({i})");
-        }
-        for target in (0..serial.total()).step_by(97) {
-            assert_eq!(serial.index_of(target), threaded.index_of(target));
+        // A rebuild replaces every shard: back to the original weights.
+        sharded.rebuild(&w, 1);
+        let fresh = Fenwick::from_weights(&w);
+        assert_eq!(sharded.total(), fresh.total());
+        for target in 0..fresh.total() {
+            assert_eq!(sharded.index_of(target), fresh.index_of(target));
         }
     }
 

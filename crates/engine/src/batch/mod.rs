@@ -57,14 +57,12 @@
 //!   Randomized tables, adversaries and schedulers always take the split,
 //!   unchanged.
 //!
-//! The lumped draw runs inline on the main stream, so it is
-//! thread-count-invariant by construction and never enters the tally pool.
-//! Nor does the split such a run falls back to: on 2 cores the pool
-//! slowed those batches at every measured grid point (USD `k = 1024` at
-//! `n = 10⁶` ran at 1.2M/s on 2 threads against 4.7M/s on 1), so it
-//! serves only the per-initiator split of randomized tables and
-//! adversarial runs (`batch/tally.rs`). [`BatchSimulation::tally_paths`]
-//! counts which path each batch took.
+//! The lumped draw runs on the main stream; the per-initiator split draws
+//! its root there and each initiator's subtree on a substream of its own
+//! (`batch/tally.rs`). Both run on the calling thread: one run is one
+//! thread, and parallelism lives one level up, across independent trials
+//! ([`crate::ensemble`]). [`BatchSimulation::tally_paths`] counts which
+//! path each batch took.
 //!
 //! # Accuracy
 //!
@@ -99,11 +97,10 @@ pub mod birthday;
 pub mod fenwick;
 mod lumped;
 pub mod multinomial;
-mod pool;
 pub(crate) mod sim;
 pub(crate) mod tally;
 
-pub use fenwick::{Fenwick, ShardedFenwick, StateSampler};
+pub use fenwick::{Fenwick, ShardedFenwick};
 pub use sim::{AdmitError, BatchSimulation, TallyPaths};
 
 use crate::protocol::SimRng;
@@ -111,9 +108,10 @@ use crate::protocol::SimRng;
 /// A population protocol presented as a transition table over a small state
 /// space `0..states()`, runnable on the configuration-space engine.
 ///
-/// The `Send + Sync + 'static` supertraits let the threaded tally path
-/// share the table with pool workers; every table here is a small
-/// value-type (often zero-sized), so the bounds cost nothing in practice.
+/// The `Send + Sync + 'static` supertraits let a table move into a
+/// service's simulation thread and be shared by the trial threads of an
+/// ensemble; every table here is a small value-type (often zero-sized),
+/// so the bounds cost nothing in practice.
 pub trait TableProtocol: Send + Sync + 'static {
     /// Size of the state space.
     fn states(&self) -> usize;

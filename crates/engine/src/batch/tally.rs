@@ -1,5 +1,4 @@
-//! The per-initiator tally kernel shared by the serial and threaded
-//! batch paths.
+//! The per-initiator tally kernel.
 //!
 //! A uniform batch tally is a two-level conditional-binomial split tree:
 //! the root multinomial splits the batch's `ℓ` interactions over
@@ -8,26 +7,23 @@
 //! Fenwick draw per interaction below it) and folds the resulting
 //! transitions into per-state `delta`/`usage` accumulators.
 //!
-//! **Determinism model.** The root split is drawn on the coordinating
-//! thread from the main simulation stream; each subtree then runs on a
-//! *counter-based* substream seeded `derive(key, subtree_index)`, where
-//! `key` is one word drawn from the main stream per tally attempt. A
-//! subtree's output is therefore a pure function of
-//! `(key, subtree_index, configuration)` — it does not matter which
-//! worker runs it, in what order, or how many workers exist — and the
-//! merged tally is a pure function of the attempt's inputs. That is the
-//! whole thread-count-invariance argument: 1, 2, or 64 threads claim the
-//! same subtrees with the same substreams and sum the same integers.
+//! **Streams.** The root split is drawn from the main simulation stream;
+//! each subtree then runs on a *counter-based* substream seeded
+//! `derive(key, subtree_index)`, where `key` is one word drawn from the
+//! main stream per tally attempt. A subtree's output is therefore a pure
+//! function of `(key, subtree_index, configuration)`, and the main stream
+//! advances by the root draw plus one key word per attempt, however many
+//! draws the subtrees make.
 //!
 //! The accumulation helpers ([`accumulate`] and friends) are free
 //! functions so the adversarial-scheduler path in
-//! [`sim`](crate::batch::BatchSimulation), which stays serial (its
-//! real-valued class weighting is inherently sequential), shares the
-//! exact transition semantics.
+//! [`sim`](crate::batch::BatchSimulation), which draws its real-valued
+//! class weighting from the main stream, shares the exact transition
+//! semantics.
 
 use rand::SeedableRng;
 
-use crate::batch::fenwick::StateSampler;
+use crate::batch::fenwick::ShardedFenwick;
 use crate::batch::multinomial::{binomial, binomial_batch, multinomial_into};
 use crate::batch::TableProtocol;
 use crate::fault::LieTarget;
@@ -44,15 +40,14 @@ pub(crate) struct TallyCtx<'a, P: TableProtocol> {
     pub states: usize,
 }
 
-/// Everything a subtree kernel reads but never writes, bundled so the
-/// serial loop and the pool workers call the same entry point.
-pub(crate) struct TallySpec<'a, P: TableProtocol, T: StateSampler> {
+/// Everything a subtree kernel reads but never writes.
+pub(crate) struct TallySpec<'a, P: TableProtocol> {
     pub ctx: TallyCtx<'a, P>,
     /// Pre-batch configuration (frozen while the tally is sampled).
     pub counts: &'a [u64],
     pub n: u64,
     /// Weighted sampler over `counts` for the per-draw responder path.
-    pub tree: &'a T,
+    pub tree: &'a ShardedFenwick,
     /// Multiplicities at or below this resolve responders one Fenwick
     /// draw at a time; above it, through a responder multinomial.
     pub split_threshold: u64,
@@ -61,7 +56,7 @@ pub(crate) struct TallySpec<'a, P: TableProtocol, T: StateSampler> {
     pub key: u64,
 }
 
-/// Worker-local scratch reused across subtrees and batches.
+/// Kernel scratch reused across subtrees and batches.
 #[derive(Debug, Default)]
 pub(crate) struct TallyScratch {
     responders: Vec<(usize, u64)>,
@@ -78,8 +73,8 @@ pub(crate) struct TallyScratch {
 /// Run one initiator subtree: initiator state `a` with `multiplicity`
 /// interactions, substream index `subtree`. Adds (never overwrites) into
 /// `delta`/`usage`, so per-subtree outputs merge by plain summation.
-pub(crate) fn run_subtree<P: TableProtocol, T: StateSampler>(
-    spec: &TallySpec<'_, P, T>,
+pub(crate) fn run_subtree<P: TableProtocol>(
+    spec: &TallySpec<'_, P>,
     subtree: usize,
     a: usize,
     multiplicity: u64,
@@ -102,7 +97,7 @@ pub(crate) fn run_subtree<P: TableProtocol, T: StateSampler>(
     pairs.clear();
     if multiplicity <= spec.split_threshold {
         for _ in 0..multiplicity {
-            let b = spec.tree.draw(&mut rng);
+            let b = spec.tree.sample(&mut rng);
             pairs.push((b, 1));
         }
     } else {

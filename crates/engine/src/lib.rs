@@ -107,9 +107,7 @@ pub mod segment;
 pub mod sim;
 pub mod table_seq;
 
-pub use batch::{
-    AdmitError, BatchSimulation, Fenwick, ShardedFenwick, StateSampler, TableProtocol, TallyPaths,
-};
+pub use batch::{AdmitError, BatchSimulation, Fenwick, ShardedFenwick, TableProtocol, TallyPaths};
 pub use census::Census;
 pub use checkpoint::Checkpoint;
 pub use churn::ChurnProcess;

@@ -157,13 +157,10 @@ impl<P: TableProtocol> SegmentRunner<P> {
         &mut self.sim
     }
 
-    /// Set the engine's worker budget (see
-    /// [`BatchSimulation::set_threads`]). Purely a throughput knob: the
-    /// driven run, its series, and its checkpoints are byte-identical at
-    /// every value, so a service may resume a checkpoint with a different
-    /// thread count.
+    /// Does nothing: the engine runs on the calling thread. Remains only
+    /// because perfbench still calls it.
     pub fn set_threads(&mut self, threads: usize) {
-        self.sim.set_threads(threads);
+        let _ = threads;
     }
 
     /// The churn process driving the segments.

@@ -198,9 +198,6 @@ pub struct Metrics {
     pub batches: u64,
     /// Simulation segments stepped.
     pub segments: u64,
-    /// Engine worker threads (`--threads`). Pure scheduling: the
-    /// trajectory is byte-identical at any value.
-    pub threads: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
     /// Mean checkpoint write latency in milliseconds (NaN before the
@@ -345,7 +342,7 @@ impl Response {
                 "{{\"ok\":true,\"type\":\"metrics\",\"uptime_s\":{},\"requests\":{},\
                  \"errors\":{},\"ingest_requests\":{},\"ingested_agents\":{},\"ingest_rate\":{},\
                  \"interactions\":{},\"interactions_rate\":{},\"batches\":{},\"segments\":{},\
-                 \"threads\":{},\"checkpoints\":{},\"checkpoint_mean_ms\":{}}}",
+                 \"checkpoints\":{},\"checkpoint_mean_ms\":{}}}",
                 num(m.uptime_s),
                 m.requests,
                 m.errors,
@@ -356,7 +353,6 @@ impl Response {
                 num(m.interactions_rate),
                 m.batches,
                 m.segments,
-                m.threads,
                 m.checkpoints,
                 num(m.checkpoint_mean_ms)
             ),
@@ -459,7 +455,6 @@ impl Response {
                 interactions_rate: f64_field(&v, "interactions_rate")?,
                 batches: u64_field(&v, "batches")?,
                 segments: u64_field(&v, "segments")?,
-                threads: u64_field(&v, "threads")?,
                 checkpoints: u64_field(&v, "checkpoints")?,
                 checkpoint_mean_ms: f64_field(&v, "checkpoint_mean_ms")?,
             })),

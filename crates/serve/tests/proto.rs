@@ -81,7 +81,6 @@ fn every_response_round_trips() {
             interactions_rate: 35_273_368.25,
             batches: 4_321,
             segments: 17,
-            threads: 8,
             checkpoints: 3,
             checkpoint_mean_ms: 0.875,
         }),

@@ -1,7 +1,7 @@
 //! Statistics and reporting for the experiment harness.
 //!
 //! Everything the benches need to turn ensembles of [`f64`] measurements
-//! into the tables recorded in `EXPERIMENTS.md`:
+//! into the tables the experiment scenarios print and write as CSV:
 //!
 //! * [`Summary`] — mean / std / quantiles of a sample,
 //! * [`wilson_interval`] — confidence intervals on success probabilities,

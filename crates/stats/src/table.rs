@@ -6,8 +6,7 @@ use std::io;
 use std::path::Path;
 
 /// A simple column-aligned table. Used by every experiment binary to print
-/// the rows recorded in `EXPERIMENTS.md` and to persist them as CSV under
-/// `results/`.
+/// its rows and to persist them as CSV under `results/`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,

@@ -14,8 +14,9 @@
 //! leader election, load balancing, epidemic broadcast).
 //!
 //! This facade crate re-exports the workspace so that examples and downstream
-//! users need a single dependency. See `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for the measured reproduction of every theorem.
+//! users need a single dependency. The experiments that measure each theorem
+//! are the scenarios of the `xp` binary in `crates/bench` (`xp list` names
+//! them).
 //!
 //! # Quickstart
 //!

@@ -15,7 +15,10 @@
 //! `UsdTable::new(4)` (which takes the lumped tally), each in a clean run,
 //! a faulted run, two churned runs, under two schedulers, under two
 //! adversaries and under a scheduler and an adversary on a faulted run;
-//! plus the `ppckpt` bytes a churned segment run writes.
+//! the `ppckpt` bytes a churned segment run writes; and adversarial runs
+//! of `ThreeState` and `UsdTable::new(2)` at `n = 4·10⁶`, whose batches
+//! (`ℓ ≈ 1,250` interactions, against about 63 at `n = 10⁴`) split over
+//! initiators with many interactions per subtree.
 
 use exact_plurality::baselines::UsdTable;
 use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner};
@@ -124,6 +127,18 @@ const SEED: u64 = 5;
 const BUDGET: f64 = 200.0;
 const CHURN_STOP: f64 = 40.0;
 
+/// The large-population pins: three adversaries, two parallel-time
+/// units. On the 60/40 start the runner-up stays opinion 2, so
+/// `adaptive:0.05` aims every batch where `byz:0.05:2` does and draws the
+/// same stream; `split` forges a pair of opinions instead.
+const LARGE_N: usize = 4_000_000;
+const LARGE_BUDGET: f64 = 2.0;
+const LARGE_MODES: [Mode; 3] = [
+    Mode::Adversary("byz:0.05:2"),
+    Mode::Adversary("adaptive:0.05"),
+    Mode::Adversary("adaptive:0.05:split"),
+];
+
 /// Drive one engine (anything with the shared run/knob methods) in one
 /// mode and return its run result.
 macro_rules! drive {
@@ -172,10 +187,10 @@ fn seq_digest(mode: Mode) -> u64 {
     h.0
 }
 
-fn batch_digest<P: TableProtocol>(table: P, init: Vec<u64>, mode: Mode) -> u64 {
+fn batch_digest<P: TableProtocol>(table: P, init: Vec<u64>, mode: Mode, budget: f64) -> u64 {
     let n: u64 = init.iter().sum();
     let mut sim = BatchSimulation::new(table, init.clone(), SEED);
-    let opts = RunOptions::with_parallel_time_budget(n as usize, BUDGET);
+    let opts = RunOptions::with_parallel_time_budget(n as usize, budget);
     let r = drive!(sim, mode, opts, &init);
     let mut h = Fnv::new();
     h.result(&r);
@@ -235,7 +250,7 @@ fn sequential_table_streams_are_pinned() {
 fn batch_three_state_streams_are_pinned() {
     let got: Vec<u64> = MODES
         .iter()
-        .map(|&m| batch_digest(ThreeState, vec![0, 6_000, 4_000], m))
+        .map(|&m| batch_digest(ThreeState, vec![0, 6_000, 4_000], m, BUDGET))
         .collect();
     assert_pinned("batch three-state n=1e4", &got, &BATCH_THREE_STATE);
 }
@@ -244,9 +259,26 @@ fn batch_three_state_streams_are_pinned() {
 fn batch_lumped_usd_streams_are_pinned() {
     let got: Vec<u64> = MODES
         .iter()
-        .map(|&m| batch_digest(UsdTable::new(4), usd_init(), m))
+        .map(|&m| batch_digest(UsdTable::new(4), usd_init(), m, BUDGET))
         .collect();
     assert_pinned("batch usd k=4 n=1e4", &got, &BATCH_USD);
+}
+
+#[test]
+fn batch_adversarial_streams_at_large_n_are_pinned() {
+    let supports = [LARGE_N * 3 / 5, LARGE_N * 2 / 5];
+    let three_state = vec![0, supports[0] as u64, supports[1] as u64];
+    let usd = UsdTable::new(2);
+    let got: Vec<u64> = LARGE_MODES
+        .iter()
+        .flat_map(|&m| {
+            [
+                batch_digest(ThreeState, three_state.clone(), m, LARGE_BUDGET),
+                batch_digest(usd.clone(), usd.initial_counts(&supports), m, LARGE_BUDGET),
+            ]
+        })
+        .collect();
+    assert_pinned("batch adversarial n=4e6", &got, &BATCH_ADVERSARIAL_LARGE);
 }
 
 #[test]
@@ -297,3 +329,13 @@ const BATCH_USD: [u64; 9] = [
 ];
 
 const CHECKPOINTS: [u64; 2] = [0x9ac7_3978_34cb_e92a, 0x20bc_489e_a638_4678];
+
+/// `LARGE_MODES` order, `ThreeState` then `UsdTable::new(2)` in each.
+const BATCH_ADVERSARIAL_LARGE: [u64; 6] = [
+    0xd412_9c08_4e9c_3c28,
+    0x6759_269d_7cca_40e8,
+    0xd412_9c08_4e9c_3c28,
+    0x6759_269d_7cca_40e8,
+    0xe301_3a0a_d0bc_af30,
+    0x195c_cfa8_c2ba_2c66,
+];
