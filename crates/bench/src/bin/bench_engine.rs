@@ -18,20 +18,40 @@
 //! (construction plus the first batch, which builds the change table) at
 //! `n = 10⁸`.
 //!
+//! A third block times the layer under every batch tally: nanoseconds per
+//! `multinomial::binomial` draw at one `(n, p)` per sampler regime
+//! (geometric skips, BINV, BTRS at `n·p ≈ 47` and `n·p = 3,000`) and one
+//! past the memoised ln-factorials, again median, min and max of
+//! [`REPEATS`].
+//!
 //! Usage: `cargo run --release -p plurality-bench --bin bench_engine
 //! [-- path/to/BENCH_engine.json]`
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use pp_baselines::UsdTable;
-use pp_engine::{BatchSimulation, Simulation, TableProtocol};
+use pp_engine::batch::multinomial::binomial;
+use pp_engine::{BatchSimulation, SimRng, Simulation, TableProtocol};
 use pp_majority::ThreeState;
 use pp_workloads::Counts;
+use rand::SeedableRng;
 
 /// Measurements per grid point.
 const REPEATS: usize = 3;
 
 const GRID: [(u64, &str); 3] = [(10_000, "1e4"), (1_000_000, "1e6"), (100_000_000, "1e8")];
+
+/// `(n, p)` per binomial regime: geometric skips (`n ≤ 16`), BINV
+/// (`n·p < 10`), BTRS at `n·p ≈ 47` and at `n·p = 3,000`, and BTRS past
+/// the memoised ln-factorials (`k < 2¹⁵`).
+const SAMPLER_GRID: [(u64, f64); 5] = [
+    (12, 0.3),
+    (60, 0.1),
+    (6_000, 1.0 / 128.0),
+    (6_000, 0.5),
+    (40_000, 0.3),
+];
 
 /// Median, min and max of [`REPEATS`] measurements.
 #[derive(Debug, Clone, Copy)]
@@ -107,6 +127,24 @@ fn batch_rate<P: TableProtocol + Clone>(protocol: &P, counts: &[u64], target: u6
     })
 }
 
+/// Nanoseconds per `binomial(n, p)` draw over a million draws, after a
+/// warm-up that also fills the ln-factorial table.
+fn ns_per_draw(n: u64, p: f64) -> f64 {
+    const DRAWS: u32 = 1_000_000;
+    let mut rng = SimRng::seed_from_u64(42);
+    let mut sum = 0u64;
+    for _ in 0..DRAWS / 10 {
+        sum = sum.wrapping_add(binomial(&mut rng, black_box(n), black_box(p)));
+    }
+    let t0 = Instant::now();
+    for _ in 0..DRAWS {
+        sum = sum.wrapping_add(binomial(&mut rng, black_box(n), black_box(p)));
+    }
+    let secs = t0.elapsed().as_secs_f64();
+    black_box(sum);
+    secs * 1e9 / f64::from(DRAWS)
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
@@ -168,6 +206,11 @@ fn main() {
         usd_setup.push((k, setup));
     }
 
+    let sampler: Vec<Spread> = SAMPLER_GRID
+        .iter()
+        .map(|&(n, p)| Spread::of(|| ns_per_draw(n, p)))
+        .collect();
+
     println!("interactions/sec, median [min, max] of {REPEATS} (nproc = {nproc})");
     println!("3-state majority (60/40 start):");
     for (name, rates) in &rows {
@@ -186,6 +229,17 @@ fn main() {
             setup.median * 1e3,
             setup.min * 1e3,
             setup.max * 1e3
+        );
+    }
+
+    println!("ns per binomial draw:");
+    for (&(n, p), ns) in SAMPLER_GRID.iter().zip(&sampler) {
+        println!(
+            "{:>20} {:.0} [{:.0}, {:.0}]",
+            format!("n={n} p={p:.4}"),
+            ns.median,
+            ns.min,
+            ns.max
         );
     }
 
@@ -228,7 +282,18 @@ fn main() {
         "    \"setup_ms_n1e8\": {{{}}}\n",
         setup_cells.join(", ")
     ));
-    json.push_str("  }\n}\n");
+    json.push_str("  },\n");
+    json.push_str("  \"binomial\": {\n");
+    json.push_str(&format!(
+        "    \"unit\": \"ns per multinomial::binomial draw, median/min/max of {REPEATS} repeats\",\n"
+    ));
+    let sampler_cells: Vec<String> = SAMPLER_GRID
+        .iter()
+        .zip(&sampler)
+        .map(|(&(n, p), ns)| format!("    \"n{n}_p{p}\": {}", ns.json()))
+        .collect();
+    json.push_str(&sampler_cells.join(",\n"));
+    json.push_str("\n  }\n}\n");
     std::fs::write(&path, json).expect("write BENCH_engine.json");
     eprintln!("wrote {path}");
 }

@@ -21,9 +21,11 @@
 //! counts the same way (or, for small counts, draws responders through an
 //! `O(log S)` Fenwick-tree sampler, [`fenwick`]), and applies each distinct
 //! ordered state pair `(a, b)` *once* with its multiplicity. Per-interaction
-//! cost is thus **sub-constant** whenever batches are long: a batch of `ℓ`
-//! interactions costs `O(S·√ℓ + S log S)` RNG-and-memory work in the worst
-//! case, `o(ℓ)` for `ℓ ≫ S²`.
+//! cost is thus **sub-constant** whenever batches are long: each binomial
+//! draw has `O(1)` expected cost whatever its `n` ([`multinomial`]), so a
+//! batch of `ℓ` interactions costs at most `O(S)` binomial draws or
+//! `O(log S)`-cost tree draws per initiator state, `O(S² log S)` in the
+//! worst case however long the batch, and `o(ℓ)` for `ℓ ≫ S² log S`.
 //!
 //! # Lumped tallies
 //!

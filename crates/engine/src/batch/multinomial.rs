@@ -2,38 +2,74 @@
 //!
 //! The batched engine turns a batch of `ℓ` interactions into per-state
 //! participant counts in one shot: a multinomial over the configuration is
-//! decomposed into conditional binomials (`X_s ~ Bin(remaining, w_s/rest)`).
-//! The binomial sampler picks its algorithm by regime:
+//! decomposed into conditional binomials (`X_s ~ Bin(remaining, w_s/rest)`),
+//! one per non-empty cell but the last. Each binomial draw picks its
+//! algorithm by its own `n` and `p`, with `p` mirrored to `p ≤ ½`:
 //!
-//! * `n ≤ 16` — inverted geometric skips (`O(n·p + 1)` log-uniforms, never
-//!   a per-trial coin flip),
-//! * `n·p < 10` — BINV-style inversion from zero (`O(n·p)` expected),
-//! * otherwise — inversion from the mode, walking outward (`O(√(n·p))`
-//!   expected, the reason batch tallies cost `O(√ℓ)` rather than `O(ℓ)`).
+//! * `n ≤ 16` — inverted geometric skips: `n·p + 1` uniforms and logs
+//!   expected, never a per-trial coin flip;
+//! * `n·p < 10` — BINV, inversion from zero: one uniform, one `exp` and
+//!   `n·p + 1` pmf steps expected;
+//! * otherwise — Hörmann's BTRS, transformed rejection with squeeze, whose
+//!   expected cost does not grow with `n·p`. A draw takes 1.35–1.41
+//!   pairs of uniforms at `n·p = 10`, 1.24 at `n·p ≈ 47` and 1.13–1.17
+//!   at `n·p ≥ 700`. The squeeze accepts 37–51%, 74% and 85–89% of
+//!   draws there with no logarithm; every candidate it misses costs one
+//!   `ln` and four ln-factorials.
 //!
-//! All branches invert a single uniform against exact pmf recurrences; the
-//! only approximation is `f64` rounding (ln-factorials via a 16-entry exact
-//! table plus a Stirling series accurate to ~1e-12 beyond it).
+//! So every draw costs `O(1)` expected work, and a batch's multinomial
+//! costs `O(cells)` draws however long the batch is.
+//!
+//! All three are exact: the inversions invert one uniform against exact
+//! pmf recurrences, and BTRS accepts against the exact pmf ratio. The only
+//! approximation is `f64` rounding, in the ln-factorials: a 16-entry exact
+//! table, then a Stirling series through the `1/(360·k³)` term, whose error
+//! is 7.5·10⁻¹⁰ at `k = 16` and falls below 10⁻¹² only past `k ≈ 60`.
+//! Values for `k < 2¹⁵` are memoised in one process-wide table (256 KB),
+//! filled by the same series on first use, so they keep its bits. A
+//! chi-square test pins each regime's draws to the exact pmf.
 //!
 //! # Batch forms
 //!
 //! The tally path often needs many draws that share one success
 //! probability (the per-pair-type lie splits of a Byzantine batch, the
 //! `p = ½` halves of a split forgery). [`binomial_batch`] processes those
-//! as one array pass with the transcendental setup (`ln p`, `ln q`,
-//! `p/q`) hoisted out of the per-lane loop; each lane then runs the same
-//! branch-light pmf recurrence the scalar sampler would, consuming the
-//! same uniforms in lane order, so it draws the stream one scalar call per
-//! lane would. Exact-distribution tests pin the batch form to the scalar
-//! one and to the closed-form pmf.
+//! as one array pass over one setup (`p/q`, then `ln q` and `ln(p/q)` on
+//! first use), so the lanes share its transcendentals; each lane consumes
+//! exactly the uniforms the scalar sampler would, in lane order, so it
+//! draws the stream one scalar call per lane would. Exact-distribution
+//! tests pin the batch form to the scalar one and to the closed-form pmf.
+
+use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 use rand::Rng;
 
 use crate::protocol::SimRng;
 
-/// `ln(k!)` — exact table for `k < 16`, Stirling series beyond.
+/// How many `ln(k!)` values [`ln_factorial`] memoises: `k < 2¹⁵`, 256 KB.
+const LN_FACTORIAL_MEMO: usize = 1 << 15;
+
+/// `ln(k!)`. Values for `k < 2¹⁵` come from one process-wide table, filled
+/// by [`ln_factorial_series`] on the first call (so a memoised value has
+/// the bits of a computed one); larger `k` are computed.
 #[inline]
 fn ln_factorial(k: u64) -> f64 {
+    static MEMO: OnceLock<Box<[f64; LN_FACTORIAL_MEMO]>> = OnceLock::new();
+    if k < LN_FACTORIAL_MEMO as u64 {
+        MEMO.get_or_init(|| {
+            let memo: Vec<f64> = (0..LN_FACTORIAL_MEMO as u64)
+                .map(ln_factorial_series)
+                .collect();
+            memo.into_boxed_slice().try_into().expect("2¹⁵ values")
+        })[k as usize]
+    } else {
+        ln_factorial_series(k)
+    }
+}
+
+/// `ln(k!)` — exact table for `k < 16`, Stirling series beyond.
+fn ln_factorial_series(k: u64) -> f64 {
     const TABLE: [f64; 16] = [
         0.0,
         0.0,
@@ -61,26 +97,16 @@ fn ln_factorial(k: u64) -> f64 {
     }
 }
 
-/// `ln P[Bin(n, p) = k]`, with `ln p` / `ln q` pre-hoisted so batch
-/// callers pay the transcendentals once per shared `p`.
-#[inline]
-fn ln_binom_pmf(n: u64, k: u64, ln_p: f64, ln_q: f64) -> f64 {
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-        + k as f64 * ln_p
-        + (n - k) as f64 * ln_q
-}
-
-/// The `p`-dependent constants every binomial regime needs, computed once
-/// so batch draws sharing a success probability pay the transcendentals
-/// (`ln p`, `ln q`, the odds ratio) once per *batch* instead of once per
-/// *draw*. Holds the half-probability (`p ≤ 0.5`); callers mirror.
+/// The `p`-dependent constants of a draw, for `p ≤ ½` (callers mirror).
+/// The logarithms are taken on first use: a draw that the BTRS squeeze
+/// accepts reads neither, and batch draws sharing `p` take each once.
 struct BinomialSetup {
     p: f64,
     q: f64,
     /// Odds `p / q`.
     s: f64,
-    ln_p: f64,
-    ln_q: f64,
+    ln_q: OnceCell<f64>,
+    ln_odds: OnceCell<f64>,
 }
 
 impl BinomialSetup {
@@ -91,15 +117,36 @@ impl BinomialSetup {
             p,
             q,
             s: p / q,
-            ln_p: p.ln(),
-            ln_q: q.ln(),
+            ln_q: OnceCell::new(),
+            ln_odds: OnceCell::new(),
         }
+    }
+
+    fn ln_q(&self) -> f64 {
+        *self.ln_q.get_or_init(|| self.q.ln())
+    }
+
+    fn ln_odds(&self) -> f64 {
+        *self.ln_odds.get_or_init(|| self.s.ln())
     }
 }
 
+/// Panic unless `p` is a probability. A NaN would otherwise pass every
+/// comparison the samplers make and never be accepted.
+fn check_probability(p: f64) {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "binomial success probability p = {p} is not in [0, 1]"
+    );
+}
+
 /// Draw `X ~ Binomial(n, p)`.
+///
+/// # Panics
+///
+/// If `p` is not in `[0, 1]` (a NaN included).
 pub fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
-    debug_assert!((0.0..=1.0).contains(&p), "p = {p}");
+    check_probability(p);
     if n == 0 || p <= 0.0 {
         return 0;
     }
@@ -118,8 +165,12 @@ pub fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
 /// once; each lane consumes exactly the uniforms the scalar [`binomial`]
 /// would, in lane order, so this is stream-identical to one [`binomial`]
 /// call per lane.
+///
+/// # Panics
+///
+/// If `p` is not in `[0, 1]` (a NaN included).
 pub fn binomial_batch(rng: &mut SimRng, ns: &[u64], p: f64, out: &mut Vec<u64>) {
-    debug_assert!((0.0..=1.0).contains(&p), "p = {p}");
+    check_probability(p);
     out.clear();
     if p <= 0.0 {
         out.resize(ns.len(), 0);
@@ -149,7 +200,7 @@ fn binomial_half(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u64 {
     if (n as f64) * setup.p < 10.0 {
         binomial_binv(rng, n, setup)
     } else {
-        binomial_mode_inversion(rng, n, setup)
+        binomial_btrs(rng, n, setup)
     }
 }
 
@@ -160,6 +211,7 @@ fn binomial_half(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u64 {
 /// and the loop body is branch-light: no per-trial accept test, just the
 /// skip-exhausts-the-remaining-trials exit.
 fn binomial_geometric_skip(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u64 {
+    let ln_q = setup.ln_q();
     let mut successes = 0u64;
     let mut trials = 0u64; // trials consumed so far
     loop {
@@ -167,7 +219,7 @@ fn binomial_geometric_skip(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u
         // `P(skip ≥ j) = P(U < q^j) = q^j` — exactly geometric. `u = 0`
         // gives `skip = ∞` (no success in any finite tail), which the
         // float comparison below handles without a cast.
-        let skip = (u.ln() / setup.ln_q).floor();
+        let skip = (u.ln() / ln_q).floor();
         if skip >= (n - trials) as f64 {
             return successes;
         }
@@ -185,7 +237,7 @@ fn binomial_geometric_skip(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u
 fn binomial_binv(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u64 {
     let s = setup.s;
     let a = (n as f64 + 1.0) * s;
-    let f0 = (n as f64 * setup.ln_q).exp();
+    let f0 = (n as f64 * setup.ln_q()).exp();
     loop {
         let mut f = f0;
         let mut u: f64 = rng.gen();
@@ -206,46 +258,50 @@ fn binomial_binv(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u64 {
     }
 }
 
-/// Inversion from the mode, walking outward on both sides. Expected
-/// `O(σ) = O(√(n·p·q))` steps; the two-sided walk is branch-light — each
-/// iteration is two pmf-ratio multiplies and two compare-subtract steps.
-fn binomial_mode_inversion(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u64 {
-    let (p, q) = (setup.p, setup.q);
-    let mode = (((n + 1) as f64) * p).floor().min(n as f64) as u64;
-    let pmf_mode = ln_binom_pmf(n, mode, setup.ln_p, setup.ln_q).exp();
+/// BTRS, Hörmann's transformed rejection with squeeze (W. Hörmann, "The
+/// generation of binomial random variates", J. Statist. Comput. Simul. 46,
+/// 1993), valid for `n·p ≥ 10`, `p ≤ ½`. Each round maps a pair of
+/// uniforms `(u, v)` to a candidate `k` under a hat whose tails fall off
+/// like `1/(k − n·p)²`. Candidates inside the squeeze (`|u| ≤ 0.43`,
+/// `v ≤ v_r`) are accepted with no further work; any other candidate is
+/// accepted when `v`, scaled to the hat, lies below `P[k] / P[m]` at the
+/// mode `m`, which costs one `ln` and four ln-factorials.
+fn binomial_btrs(rng: &mut SimRng, n: u64, setup: &BinomialSetup) -> u64 {
+    let nf = n as f64;
+    let spq = (nf * setup.p * setup.q).sqrt();
+    let b = 1.15 + 2.53 * spq;
+    let a = -0.0873 + 0.0248 * b + 0.01 * setup.p;
+    let c = nf * setup.p + 0.5;
+    let v_r = 0.92 - 4.2 / b;
+    // The constants of the exact test, on the first candidate that needs
+    // them: the hat's scale `α`, the mode `m` and `ln(m!·(n − m)!)`.
+    let mut exact: Option<(f64, u64, f64)> = None;
     loop {
-        let mut u: f64 = rng.gen();
-        if u < pmf_mode {
-            return mode;
+        let u = rng.gen::<f64>() - 0.5;
+        let v: f64 = rng.gen();
+        let us = 0.5 - u.abs();
+        // `us = 0` sends `k` to −∞, which the range test rejects.
+        let k = ((2.0 * a / us + b) * u + c).floor();
+        // Hörmann tests the squeeze first. The squeeze never leaves the
+        // support, so the law is the same, and no cast sees an out-of-range
+        // `k`.
+        if !(0.0..=nf).contains(&k) {
+            continue;
         }
-        u -= pmf_mode;
-        let (mut lo, mut f_lo) = (mode, pmf_mode);
-        let (mut hi, mut f_hi) = (mode, pmf_mode);
-        loop {
-            let mut moved = false;
-            if hi < n {
-                f_hi *= (n - hi) as f64 * p / ((hi + 1) as f64 * q);
-                hi += 1;
-                if u < f_hi {
-                    return hi;
-                }
-                u -= f_hi;
-                moved = true;
-            }
-            if lo > 0 {
-                f_lo *= lo as f64 * q / ((n - lo + 1) as f64 * p);
-                lo -= 1;
-                if u < f_lo {
-                    return lo;
-                }
-                u -= f_lo;
-                moved = true;
-            }
-            if !moved {
-                // Support exhausted with residual mass from rounding
-                // (probability ~1e-15): redraw.
-                break;
-            }
+        if us >= 0.07 && v <= v_r {
+            return k as u64;
+        }
+        let k = k as u64;
+        let (alpha, m, ln_fact_m) = *exact.get_or_insert_with(|| {
+            let m = (((n + 1) as f64) * setup.p).floor() as u64;
+            let ln_fact_m = ln_factorial(m) + ln_factorial(n - m);
+            ((2.83 + 5.1 / b) * spq, m, ln_fact_m)
+        });
+        let hat = (v * alpha / (a / (us * us) + b)).ln();
+        let ratio = ln_fact_m - ln_factorial(k) - ln_factorial(n - k)
+            + (k as f64 - m as f64) * setup.ln_odds();
+        if hat <= ratio {
+            return k;
         }
     }
 }
@@ -260,7 +316,7 @@ fn ln_poisson_pmf(mean: f64, k: u64) -> f64 {
 ///
 /// Knuth's product-of-uniforms for small means (`O(mean)` uniforms),
 /// inversion from the mode walking outward for large ones (`O(√mean)`
-/// expected) — the same split [`binomial`] uses.
+/// expected).
 pub fn poisson(rng: &mut SimRng, mean: f64) -> u64 {
     debug_assert!(mean >= 0.0 && mean.is_finite(), "mean = {mean}");
     if mean <= 0.0 {
@@ -408,7 +464,7 @@ pub fn multinomial_weighted_into(
     total: f64,
     out: &mut Vec<(usize, u64)>,
 ) {
-    debug_assert!(total > 0.0, "total weight must be positive");
+    debug_assert!(total > 0.0, "total weight {total} is not positive");
     let mut remaining = trials;
     let mut rest = total;
     let mut last_pos = None;
@@ -444,6 +500,7 @@ pub fn multinomial_weighted_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::chi_square_tail;
     use rand::SeedableRng;
 
     fn mean_var(rng: &mut SimRng, n: u64, p: f64, draws: u64) -> (f64, f64) {
@@ -469,9 +526,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "p = NaN")]
+    fn binomial_refuses_a_nan_probability() {
+        // Every comparison with NaN is false: unchecked, the large-mean
+        // sampler would reject forever, and the geometric skips would
+        // return `n`.
+        binomial(&mut SimRng::seed_from_u64(0), 100, f64::NAN);
+    }
+
+    #[test]
     fn binomial_moments_match_in_every_regime() {
-        // (n, p) hitting: Bernoulli counting, BINV, mode inversion, and the
-        // p > 1/2 mirror of each.
+        // (n, p) hitting: geometric skips, BINV, BTRS, and the p > 1/2
+        // mirror of each.
         let cases = [
             (10u64, 0.3),
             (10, 0.8),
@@ -495,6 +561,87 @@ mod tests {
             assert!(
                 (var - want_var).abs() / want_var.max(1.0) < 0.1,
                 "n={n} p={p}: var {var} vs {want_var}"
+            );
+        }
+    }
+
+    /// `P[Bin(n, p) = k]` for every `k`, by the pmf ratio walked out from
+    /// the mode and then normalised: exact up to rounding, and independent
+    /// of the sampler's log-factorials.
+    fn exact_pmf(n: u64, p: f64) -> Vec<f64> {
+        let q = 1.0 - p;
+        let n_us = n as usize;
+        let mode = (((n + 1) as f64 * p).floor() as usize).min(n_us);
+        let mut pmf = vec![0.0f64; n_us + 1];
+        pmf[mode] = 1.0;
+        for k in mode..n_us {
+            pmf[k + 1] = pmf[k] * (n_us - k) as f64 * p / ((k + 1) as f64 * q);
+        }
+        for k in (0..mode).rev() {
+            pmf[k] = pmf[k + 1] * (k + 1) as f64 * q / ((n_us - k) as f64 * p);
+        }
+        let total: f64 = pmf.iter().sum();
+        pmf.iter().map(|f| f / total).collect()
+    }
+
+    /// The per-case false-failure rate of the binomial law test: ten cases
+    /// keep the test's overall rate at 10⁻⁴ (union bound).
+    const BINOMIAL_LAW_ALPHA: f64 = 1e-5;
+
+    /// Chi-square goodness of fit of `draws` calls of `binomial(n, p)`
+    /// against the exact pmf. Outcomes are pooled in order of `k` until each
+    /// cell expects at least 20 draws; a short remainder joins the last
+    /// cell. Returns the statistic, its degrees of freedom and its p-value.
+    fn binomial_fit(seed: u64, n: u64, p: f64, draws: u64) -> (f64, f64, f64) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut hist = vec![0u64; n as usize + 1];
+        for _ in 0..draws {
+            hist[binomial(&mut rng, n, p) as usize] += 1;
+        }
+        let mut cells: Vec<(u64, f64)> = Vec::new();
+        let (mut seen, mut want) = (0u64, 0.0f64);
+        for (&h, f) in hist.iter().zip(exact_pmf(n, p)) {
+            seen += h;
+            want += f * draws as f64;
+            if want >= 20.0 {
+                cells.push((seen, want));
+                (seen, want) = (0, 0.0);
+            }
+        }
+        let last = cells.last_mut().expect("draws expect at least 20 in total");
+        last.0 += seen;
+        last.1 += want;
+        let stat: f64 = cells.iter().map(|&(o, e)| (o as f64 - e).powi(2) / e).sum();
+        let df = (cells.len() - 1) as f64;
+        (stat, df, chi_square_tail(df, stat))
+    }
+
+    #[test]
+    fn binomial_draws_the_exact_law_in_every_regime() {
+        let cases: [(u64, f64); 10] = [
+            // Geometric skips (n ≤ 16).
+            (12, 0.3),
+            // BINV (n·p < 10).
+            (60, 0.1),
+            // n·p = 10 exactly: the edge of the large-mean regime, at its
+            // smallest n and at a small p, and mirrored from p > ½.
+            (20, 0.5),
+            (100, 0.1),
+            (40, 0.75),
+            // n·p ≈ 47, n·p = 700 and n·p = 3,000.
+            (6_000, 1.0 / 128.0),
+            (2_000, 0.35),
+            (6_000, 0.5),
+            // Mirrored from p > ½ at n·q = 300.
+            (1_000, 0.7),
+            // Past the memoised ln-factorials (k < 2¹⁵).
+            (40_000, 0.3),
+        ];
+        for (i, (n, p)) in cases.into_iter().enumerate() {
+            let (stat, df, pv) = binomial_fit(1_000 + i as u64, n, p, 1_000_000);
+            assert!(
+                pv > BINOMIAL_LAW_ALPHA,
+                "Bin({n}, {p}): chi-square {stat:.1} on {df} df, p = {pv:.2e}"
             );
         }
     }
@@ -609,7 +756,7 @@ mod tests {
         // The array pass must consume exactly the uniforms the scalar
         // sampler would, in lane order — outputs AND the post-call RNG
         // position must match. Mixed regimes per batch: geometric skip,
-        // BINV, mode inversion, and p > 1/2 mirrors.
+        // BINV, BTRS, and p > 1/2 mirrors.
         let lanes: Vec<u64> = vec![0, 1, 4, 16, 17, 500, 1000, 5_000, 1_000_000, 3];
         for (seed, p) in [
             (3u64, 0.3f64),
@@ -660,9 +807,8 @@ mod tests {
                 for _ in 0..draws {
                     hist[binomial(&mut rng, n, p) as usize] += 1;
                 }
-                let q = 1.0 - p;
-                for (k, &h) in hist.iter().enumerate() {
-                    let want = ln_binom_pmf(n, k as u64, p.ln(), q.ln()).exp() * draws as f64;
+                for (k, (&h, f)) in hist.iter().zip(exact_pmf(n, p)).enumerate() {
+                    let want = f * draws as f64;
                     if want < 50.0 {
                         // Too little mass for a tight relative test; just
                         // bound the tail.

@@ -24,9 +24,11 @@
 //! predicate reads only per-state counts — the engine advances in
 //! collision-free batches of `Θ(√n)` interactions. Batch lengths are
 //! sampled in `O(1)` by inverting the birthday survival function; each
-//! batch becomes one *multinomial tally* of ordered state pairs (binomial
-//! splits, `O(S·√ℓ)` per batch) applied with multiplicity, with a
-//! Fenwick-tree sampler covering the small-count cases in `O(log S)`.
+//! batch becomes one *multinomial tally* of ordered state pairs, or of a
+//! deterministic table's count changes, applied with multiplicity. The
+//! tally is drawn as conditional binomials of `O(1)` expected cost each,
+//! at most `O(S)` per initiator state whatever `ℓ` is, with a Fenwick-tree
+//! sampler covering the small-count cases in `O(log S)`.
 //! Per-interaction cost is **sub-constant**: throughput *grows* with `n`
 //! (billions of interactions per second at `n = 10⁸`, see
 //! `BENCH_engine.json`). Randomized transitions are supported — the table
@@ -106,6 +108,8 @@ pub mod rng;
 pub mod segment;
 pub mod sim;
 pub mod table_seq;
+#[cfg(test)]
+mod test_support;
 
 pub use batch::{AdmitError, BatchSimulation, Fenwick, ShardedFenwick, TableProtocol, TallyPaths};
 pub use census::Census;

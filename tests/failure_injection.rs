@@ -112,6 +112,21 @@ fn hostile_faults_degrade_never_panic_on_batch_engine() {
     }
 }
 
+/// A NaN participation weight is a malformed spec: the CLI refuses it, but
+/// the fields are public. The batched engine's weighted tally hands it to
+/// the binomial sampler, which must refuse it by name instead of looping
+/// forever (debug builds stop one step earlier, at the NaN total weight).
+#[test]
+#[should_panic(expected = "NaN")]
+fn nan_scheduler_weight_panics_instead_of_hanging_on_batch_engine() {
+    let mut sim = BatchSimulation::new(ThreeState, vec![0, 6_000, 4_000], 3);
+    sim.set_scheduler(SchedulerSpec::Starve {
+        opinion: 1,
+        weight: f64::NAN,
+    });
+    sim.run(&RunOptions::with_parallel_time_budget(10_000, 20.0));
+}
+
 #[test]
 fn hostile_faults_degrade_never_panic_on_sequential_table_engine() {
     let sched: SchedulerSpec = "starve:2:0.5".parse().expect("scheduler parses");

@@ -15,10 +15,13 @@
 //! `UsdTable::new(4)` (which takes the lumped tally), each in a clean run,
 //! a faulted run, two churned runs, under two schedulers, under two
 //! adversaries and under a scheduler and an adversary on a faulted run;
-//! the `ppckpt` bytes a churned segment run writes; and adversarial runs
-//! of `ThreeState` and `UsdTable::new(2)` at `n = 4·10⁶`, whose batches
+//! the `ppckpt` bytes a churned segment run writes; adversarial runs of
+//! `ThreeState` and `UsdTable::new(2)` at `n = 4·10⁶`, whose batches
 //! (`ℓ ≈ 1,250` interactions, against about 63 at `n = 10⁴`) split over
-//! initiators with many interactions per subtree.
+//! initiators with many interactions per subtree; and clean runs of
+//! `ThreeState` and `UsdTable::new(64)` at `n = 10⁸`, the benchmark's
+//! regime, whose lumped batches (`ℓ ≈ 6,300`) draw most of their cells
+//! with the large-mean binomial sampler.
 
 use exact_plurality::baselines::UsdTable;
 use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner};
@@ -281,6 +284,30 @@ fn batch_adversarial_streams_at_large_n_are_pinned() {
     assert_pinned("batch adversarial n=4e6", &got, &BATCH_ADVERSARIAL_LARGE);
 }
 
+/// The clean large-population pins: 0.1 parallel-time units at `n = 10⁸`.
+const HUGE_N: u64 = 100_000_000;
+const HUGE_BUDGET: f64 = 0.1;
+
+#[test]
+fn batch_clean_streams_at_huge_n_are_pinned() {
+    let usd = UsdTable::new(64);
+    let got = [
+        batch_digest(
+            ThreeState,
+            vec![0, HUGE_N * 3 / 5, HUGE_N * 2 / 5],
+            Mode::Clean,
+            HUGE_BUDGET,
+        ),
+        batch_digest(
+            usd.clone(),
+            usd.initial_counts(Counts::bias_one(HUGE_N as usize, 64).supports()),
+            Mode::Clean,
+            HUGE_BUDGET,
+        ),
+    ];
+    assert_pinned("batch clean n=1e8", &got, &BATCH_CLEAN_HUGE);
+}
+
 #[test]
 fn segment_checkpoint_bytes_are_pinned() {
     let got = [
@@ -305,37 +332,41 @@ const SEQ: [u64; 9] = [
 ];
 
 const BATCH_THREE_STATE: [u64; 9] = [
-    0x1507_0633_2862_6b5d,
-    0x3ecc_a023_8db2_59d2,
-    0x72c8_8410_4cfe_aee9,
-    0x575a_b7ce_2a79_4739,
-    0x0018_5332_f7e6_e285,
-    0x00bc_e913_6ad4_c688,
-    0x0da8_cc4a_644a_b946,
-    0x3881_a940_ff6c_eda3,
-    0x3189_108c_b8dc_16fd,
+    0xe24d_da17_1ff9_15dc,
+    0x8b05_3c87_9474_f4e3,
+    0x8d72_fbc1_b933_ffc6,
+    0xb1e3_d95b_885e_2bbd,
+    0x26d5_a765_e2d0_4def,
+    0x49cd_e15c_459e_6cd9,
+    0xc67f_c0a9_25b1_5b1f,
+    0x4320_466e_047e_4e29,
+    0x64b7_4d30_2dda_36cd,
 ];
 
 const BATCH_USD: [u64; 9] = [
-    0xe73f_3c96_c3cf_7eb3,
-    0xbf6d_00e0_8c83_3c37,
-    0x3ea2_7095_0f15_469b,
-    0xca81_e368_8c8c_840d,
-    0x407d_4540_752d_f5fe,
-    0x424c_2203_a782_4a99,
-    0x6195_5457_d70e_e0c3,
-    0xb717_64c8_d874_3f5f,
-    0xf4af_4bc4_d658_19c6,
+    0xb040_2a4b_7a82_dc7c,
+    0x08f4_b63b_5195_e2d2,
+    0x9250_21b4_7673_a261,
+    0x040b_6f45_ac97_8da3,
+    0x5eb6_660d_b50d_fec0,
+    0xeb72_8a85_455e_f487,
+    0x2411_cdc4_5340_54a4,
+    0x75f2_5163_1a94_f0d2,
+    0x7b8a_90a2_39a1_b6f3,
 ];
 
-const CHECKPOINTS: [u64; 2] = [0x9ac7_3978_34cb_e92a, 0x20bc_489e_a638_4678];
+const CHECKPOINTS: [u64; 2] = [0x554e_687c_adfb_eb06, 0xe003_b42e_486e_b947];
 
 /// `LARGE_MODES` order, `ThreeState` then `UsdTable::new(2)` in each.
 const BATCH_ADVERSARIAL_LARGE: [u64; 6] = [
-    0xd412_9c08_4e9c_3c28,
-    0x6759_269d_7cca_40e8,
-    0xd412_9c08_4e9c_3c28,
-    0x6759_269d_7cca_40e8,
-    0xe301_3a0a_d0bc_af30,
-    0x195c_cfa8_c2ba_2c66,
+    0x8c7a_8c6a_4648_60ff,
+    0x6632_fdd7_6332_e367,
+    0x8c7a_8c6a_4648_60ff,
+    0x6632_fdd7_6332_e367,
+    0xe6e5_2de8_9a2d_023a,
+    0x2cbc_0bc2_f5f1_f1ec,
 ];
+
+/// `ThreeState` on a 60/40 start, then `UsdTable::new(64)` on
+/// `bias_one(10⁸, 64)`.
+const BATCH_CLEAN_HUGE: [u64; 2] = [0x739a_35b2_d1de_32e0, 0x3690_82df_2ddd_e238];
