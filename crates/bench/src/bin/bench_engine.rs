@@ -24,6 +24,12 @@
 //! past the memoised ln-factorials, again median, min and max of
 //! [`REPEATS`].
 //!
+//! A fourth block rates the fault layer on 3-state majority at the same
+//! three sizes, again median, min and max of [`REPEATS`]: a clean `run()`,
+//! `run_faulted()` with an empty plan, `run_churned()` under symmetric
+//! `churn:0.005` and under `churn:0.005:0.005:plurality`, and `run()`
+//! against an `adaptive:0.05` adversary ([`FAULT_ROWS`]).
+//!
 //! Usage: `cargo run --release -p plurality-bench --bin bench_engine
 //! [-- path/to/BENCH_engine.json]`
 
@@ -32,7 +38,7 @@ use std::time::Instant;
 
 use pp_baselines::UsdTable;
 use pp_engine::batch::multinomial::binomial;
-use pp_engine::{BatchSimulation, SimRng, Simulation, TableProtocol};
+use pp_engine::{BatchSimulation, ChurnProcess, RunOptions, SimRng, Simulation, TableProtocol};
 use pp_majority::ThreeState;
 use pp_workloads::Counts;
 use rand::SeedableRng;
@@ -51,6 +57,15 @@ const SAMPLER_GRID: [(u64, f64); 5] = [
     (6_000, 1.0 / 128.0),
     (6_000, 0.5),
     (40_000, 0.3),
+];
+
+/// The fault-layer rows, in JSON order.
+const FAULT_ROWS: [&str; 5] = [
+    "clean_run",
+    "empty_plan",
+    "active_churn",
+    "adaptive_adversary",
+    "targeted_churn",
 ];
 
 /// Median, min and max of [`REPEATS`] measurements.
@@ -123,6 +138,33 @@ fn batch_rate<P: TableProtocol + Clone>(protocol: &P, counts: &[u64], target: u6
         while sim.interactions() < target {
             sim.step_batch();
         }
+        t0.elapsed().as_secs_f64()
+    })
+}
+
+/// Interactions per second of the fault-layer row named `row` (one of
+/// [`FAULT_ROWS`]) on 3-state majority from a 60/40 start at `n`.
+fn fault_rate(row: &str, n: u64) -> f64 {
+    let target = (5 * n).min(1_000_000_000);
+    let opts = RunOptions {
+        max_interactions: target,
+        check_every: 1_000_000,
+    };
+    let churn = |spec: &str| ChurnProcess::new(spec.parse().expect("churn spec"));
+    let (symmetric, targeted) = (churn("churn:0.005"), churn("churn:0.005:0.005:plurality"));
+    let init = vec![0u64, n * 3 / 5, n * 2 / 5];
+    rate(target, || {
+        let mut sim = BatchSimulation::new(ThreeState, init.clone(), 42);
+        if row == "adaptive_adversary" {
+            sim.set_adversary("adaptive:0.05".parse().expect("adversary spec"));
+        }
+        let t0 = Instant::now();
+        match row {
+            "empty_plan" => sim.run_faulted(&opts, &[]),
+            "active_churn" => sim.run_churned(&opts, &symmetric, &init, f64::MAX),
+            "targeted_churn" => sim.run_churned(&opts, &targeted, &init, f64::MAX),
+            _ => sim.run(&opts),
+        };
         t0.elapsed().as_secs_f64()
     })
 }
@@ -211,6 +253,15 @@ fn main() {
         .map(|&(n, p)| Spread::of(|| ns_per_draw(n, p)))
         .collect();
 
+    let fault: Vec<Vec<Spread>> = FAULT_ROWS
+        .iter()
+        .map(|row| {
+            GRID.iter()
+                .map(|&(n, _)| Spread::of(|| fault_rate(row, n)))
+                .collect()
+        })
+        .collect();
+
     println!("interactions/sec, median [min, max] of {REPEATS} (nproc = {nproc})");
     println!("3-state majority (60/40 start):");
     for (name, rates) in &rows {
@@ -241,6 +292,12 @@ fn main() {
             ns.min,
             ns.max
         );
+    }
+
+    println!("fault layer on 3-state majority (60/40 start), interactions/sec:");
+    for (name, rates) in FAULT_ROWS.iter().zip(&fault) {
+        let cells: Vec<String> = rates.iter().map(Spread::human).collect();
+        println!("{name:>20} {}", cells.join("  "));
     }
 
     let grid_json = |rates: &[Spread]| -> String {
@@ -293,6 +350,17 @@ fn main() {
         .map(|(&(n, p), ns)| format!("    \"n{n}_p{p}\": {}", ns.json()))
         .collect();
     json.push_str(&sampler_cells.join(",\n"));
+    json.push_str("\n  },\n");
+    json.push_str("  \"fault\": {\n");
+    json.push_str(
+        "    \"configuration\": \"3-state majority, 60/40 opinion split, pre-convergence budget, BatchSimulation; active_churn churn:0.005, adaptive_adversary adaptive:0.05, targeted_churn churn:0.005:0.005:plurality\",\n",
+    );
+    let fault_rows: Vec<String> = FAULT_ROWS
+        .iter()
+        .zip(&fault)
+        .map(|(name, rates)| format!("    \"{name}\": {}", grid_json(rates)))
+        .collect();
+    json.push_str(&fault_rows.join(",\n"));
     json.push_str("\n  }\n}\n");
     std::fs::write(&path, json).expect("write BENCH_engine.json");
     eprintln!("wrote {path}");

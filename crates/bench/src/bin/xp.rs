@@ -12,6 +12,9 @@
 //! Shared flags are the common experiment flags (`--trials`, `--seed`,
 //! `--full`, `--out`, `--threads`, `--engine`). Every run writes its CSV
 //! tables plus a `<scenario>_manifest.json` under the output directory.
+//! A run flag a scenario does not honor (`--faults`, `--churn`, …) is
+//! refused before anything runs: `xp run` exits 2, and `xp all` skips
+//! that scenario with a note.
 
 use plurality_bench::harness::{self, parse_args, CliError};
 use plurality_bench::registry;
@@ -80,6 +83,12 @@ fn main() {
                     })
                 })
                 .collect();
+            for s in &scenarios {
+                let refused = registry::refused_flags(s, &opts);
+                if !refused.is_empty() {
+                    fail(&format!("{} does not honor {}", s.name, refused.join(", ")));
+                }
+            }
             for s in scenarios {
                 run_one(s, &opts);
             }
@@ -104,7 +113,16 @@ fn main() {
                 ));
             }
             for s in selected {
-                run_one(s, &opts);
+                let refused = registry::refused_flags(s, &opts);
+                if refused.is_empty() {
+                    run_one(s, &opts);
+                } else {
+                    eprintln!(
+                        "note: skipping {}: it does not honor {}",
+                        s.name,
+                        refused.join(", ")
+                    );
+                }
             }
         }
         Some("help") => println!("{XP_USAGE}\n{}", harness::USAGE),

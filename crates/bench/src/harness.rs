@@ -80,7 +80,9 @@ Common experiment flags:
   --checkpoint-every T       write an engine checkpoint every T parallel time
                              (checkpoint-capable scenarios only)
   --resume FILE              resume a checkpoint-capable scenario from FILE
-  --help                     print this help";
+  --help                     print this help
+A scenario that cannot honor --faults, --scheduler, --adversary, --churn,
+--checkpoint-every or --resume refuses it by name before its first trial.";
 
 /// Options shared by all experiment binaries.
 #[derive(Debug, Clone)]

@@ -16,8 +16,9 @@
 //!   `xp all`;
 //! * [`harness`] — the shared CLI ([`ExpOpts`], [`parse_args`]) and
 //!   trial-ensemble execution, including the fault-injection flags
-//!   (`--faults corrupt@50:0.1,…` and `--scheduler starve:1:0.5`) that
-//!   every scenario honors.
+//!   (`--faults corrupt@50:0.1,…` and `--scheduler starve:1:0.5`), which
+//!   a scenario either honors or refuses by name
+//!   ([`scenario::Scenario::flags`]).
 //!
 //! # Running experiments
 //!
@@ -34,7 +35,8 @@
 //! Write `scenarios/xNN.rs` exposing a `SCENARIO` constant whose body is
 //! (typically) one [`scenario::Study`] — grid points from named
 //! [`pp_workloads::Workload`]s, arms from [`arm`], output schema from
-//! [`scenario::col`] — then add it to the array in `registry.rs`. See
+//! [`scenario::col`], plus the [`scenario::RunFlag`]s it honors — then
+//! add it to the array in `registry.rs`. See
 //! `scenarios/x17.rs` for the template; the definition is under twenty
 //! lines and `xp run xNN` works immediately, manifest included.
 

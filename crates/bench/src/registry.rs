@@ -8,7 +8,7 @@ use std::io;
 use std::path::PathBuf;
 
 use crate::harness::ExpOpts;
-use crate::scenario::{Ctx, Scenario};
+use crate::scenario::{Ctx, RunFlag, Scenario};
 use crate::scenarios;
 use crate::sink::Sink;
 
@@ -59,12 +59,24 @@ pub fn list_lines() -> Vec<String> {
         .collect()
 }
 
+/// The CLI names of the run flags `opts` sets that `scenario` does not
+/// honor (see [`Scenario::flags`]).
+pub fn refused_flags(scenario: &Scenario, opts: &ExpOpts) -> Vec<&'static str> {
+    RunFlag::ALL
+        .into_iter()
+        .filter(|f| f.is_set(opts) && !scenario.flags.contains(f))
+        .map(RunFlag::name)
+        .collect()
+}
+
 /// Run one scenario end to end: execute the body, then write the run
 /// manifest. Returns the manifest path.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures and output-schema mismatches.
+/// `InvalidInput`, before any trial runs or any file is written, if
+/// `opts` sets a flag the scenario does not honor; otherwise propagates
+/// I/O failures and output-schema mismatches.
 pub fn run(scenario: &Scenario, opts: &ExpOpts) -> io::Result<PathBuf> {
     run_with(scenario, opts, true)
 }
@@ -79,6 +91,13 @@ pub fn run_quiet(scenario: &Scenario, opts: &ExpOpts) -> io::Result<PathBuf> {
 }
 
 fn run_with(scenario: &Scenario, opts: &ExpOpts, verbose: bool) -> io::Result<PathBuf> {
+    let refused = refused_flags(scenario, opts);
+    if !refused.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} does not honor {}", scenario.name, refused.join(", ")),
+        ));
+    }
     let mut sink = Sink::new(scenario.name, opts);
     sink.verbose = verbose;
     {
@@ -119,6 +138,20 @@ mod tests {
             );
         }
         assert!(find("x99").is_none());
+    }
+
+    #[test]
+    fn flags_a_scenario_does_not_honor_are_refused() {
+        let opts = ExpOpts {
+            faults: pp_engine::FaultSpec::parse_list("corrupt@5:0.5").expect("valid"),
+            churn: Some("churn:0.05".parse().expect("valid")),
+            ..ExpOpts::default()
+        };
+        let refused = |name| refused_flags(find(name).expect("registered"), &opts);
+        assert_eq!(refused("x02"), ["--faults", "--churn"]);
+        assert_eq!(refused("x13"), ["--churn"]);
+        assert_eq!(refused("x24"), ["--faults"]);
+        assert!(refused_flags(find("x07").expect("registered"), &ExpOpts::default()).is_empty());
     }
 
     #[test]

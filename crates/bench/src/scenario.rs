@@ -1,10 +1,11 @@
 //! Declarative scenario API.
 //!
 //! A [`Scenario`] is a registered experiment: a name, a one-line
-//! description, a declared output schema (the CSV basenames it emits) and
-//! a run function. Scenario bodies receive a [`Ctx`] giving them the
-//! parsed CLI options, uniform arm execution ([`Ctx::run_arm`]) and result
-//! emission ([`Ctx::emit`] → CSV + manifest).
+//! description, a declared output schema (the CSV basenames it emits), the
+//! run flags it honors and a run function. Scenario bodies receive a
+//! [`Ctx`] giving them the parsed CLI options, uniform arm execution
+//! ([`Ctx::run_arm`], which applies `--faults`, `--scheduler` and
+//! `--adversary`) and result emission ([`Ctx::emit`] → CSV + manifest).
 //!
 //! Grid-shaped experiments don't write loops at all: a [`Study`] describes
 //! a grid of [`GridPoint`]s (workload + budget + tuning), a list of
@@ -31,6 +32,68 @@ use crate::harness::{Engine, ExpOpts};
 use crate::protocols::TrialOutcome;
 use crate::sink::Sink;
 
+/// A run flag that only some scenarios honor. A scenario lists the ones
+/// it honors in [`Scenario::flags`]; the registry refuses every other one
+/// that is set before the scenario's first trial, so a manifest never
+/// records a flag its run ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunFlag {
+    /// `--faults`.
+    Faults,
+    /// `--scheduler`.
+    Scheduler,
+    /// `--adversary`.
+    Adversary,
+    /// `--churn`.
+    Churn,
+    /// `--checkpoint-every`.
+    CheckpointEvery,
+    /// `--resume`.
+    Resume,
+}
+
+impl RunFlag {
+    /// Every flag, in CLI order.
+    pub const ALL: [RunFlag; 6] = [
+        RunFlag::Faults,
+        RunFlag::Scheduler,
+        RunFlag::Adversary,
+        RunFlag::Churn,
+        RunFlag::CheckpointEvery,
+        RunFlag::Resume,
+    ];
+
+    /// The flags every trial run through [`Ctx::run_arm`] honors, provided
+    /// its arms hand them to the engine (paper-protocol and table arms do;
+    /// closure arms do not).
+    pub const TRIAL: &'static [RunFlag] =
+        &[RunFlag::Faults, RunFlag::Scheduler, RunFlag::Adversary];
+
+    /// The CLI spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            RunFlag::Faults => "--faults",
+            RunFlag::Scheduler => "--scheduler",
+            RunFlag::Adversary => "--adversary",
+            RunFlag::Churn => "--churn",
+            RunFlag::CheckpointEvery => "--checkpoint-every",
+            RunFlag::Resume => "--resume",
+        }
+    }
+
+    /// Whether `opts` sets the flag.
+    pub fn is_set(self, opts: &ExpOpts) -> bool {
+        match self {
+            RunFlag::Faults => !opts.faults.is_empty(),
+            RunFlag::Scheduler => opts.scheduler.is_some(),
+            RunFlag::Adversary => opts.adversary.is_some(),
+            RunFlag::Churn => opts.churn.is_some(),
+            RunFlag::CheckpointEvery => opts.checkpoint_every.is_some(),
+            RunFlag::Resume => opts.resume.is_some(),
+        }
+    }
+}
+
 /// A registered experiment.
 pub struct Scenario {
     /// Short name (`"x01"`), the primary CLI handle.
@@ -42,6 +105,8 @@ pub struct Scenario {
     /// CSV basenames this scenario emits, in order — the output schema
     /// contract checked by [`Sink::finish`].
     pub outputs: &'static [&'static str],
+    /// The [`RunFlag`]s the scenario honors; any other one is refused.
+    pub flags: &'static [RunFlag],
     /// The scenario body.
     pub run: fn(&mut Ctx) -> io::Result<()>,
 }
@@ -96,12 +161,20 @@ impl Ctx<'_> {
         }
     }
 
-    /// Run one arm over the ensemble: resolves the engine, derives
-    /// per-trial seeds from `stream` and fans trials out across threads.
+    /// Run one arm over the ensemble: resolves the engine, lets the
+    /// `--faults`, `--scheduler` and `--adversary` flags override the
+    /// spec's own, derives per-trial seeds from `stream` and fans trials
+    /// out across threads.
     pub fn run_arm(&self, arm: &dyn ErasedArm, spec: &TrialSpec, stream: u64) -> Vec<TrialOutcome> {
         let engine = self.engine_for(arm);
+        let mut spec = spec.clone();
+        if !self.opts.faults.is_empty() {
+            spec.faults = self.opts.faults.clone();
+        }
+        spec.scheduler = self.opts.scheduler.or(spec.scheduler);
+        spec.adversary = self.opts.adversary.or(spec.adversary);
         self.opts
-            .run_trials(stream, |seed| arm.run(spec, engine, seed))
+            .run_trials(stream, |seed| arm.run(&spec, engine, seed))
     }
 }
 
@@ -122,7 +195,7 @@ pub struct GridPoint {
     /// Tuning constants (per-point so ablations can sweep them).
     pub tuning: Tuning,
     /// Fault hooks applied in every trial of this point (`--faults`
-    /// overrides when non-empty).
+    /// overrides when non-empty, see [`Ctx::run_arm`]).
     pub faults: Vec<FaultSpec>,
     /// Interaction scheduler (`--scheduler` overrides; `None` = uniform).
     pub scheduler: Option<SchedulerSpec>,
@@ -554,21 +627,14 @@ impl Study {
                 continue;
             }
             let counts: Counts = point.workload.counts();
-            // CLI fault/scheduler/adversary flags override the point's
-            // defaults.
-            let faults = if ctx.opts.faults.is_empty() {
-                point.faults.clone()
-            } else {
-                ctx.opts.faults.clone()
-            };
             let spec = TrialSpec {
                 counts: &counts,
                 budget: sa.budget.unwrap_or(point.budget),
                 tuning: point.tuning,
                 census: self.census,
-                faults,
-                scheduler: ctx.opts.scheduler.or(point.scheduler),
-                adversary: ctx.opts.adversary.or(point.adversary),
+                faults: point.faults.clone(),
+                scheduler: point.scheduler,
+                adversary: point.adversary,
             };
             let stream = self.stream_base + (arm_idx as u64) * 10_000 + point_idx as u64;
             let outcomes = ctx.run_arm(sa.arm.as_ref(), &spec, stream);

@@ -17,7 +17,7 @@ use pp_workloads::Workload;
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -25,6 +25,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x01_simple_scaling",
     about: "Theorem 1(1): SimpleAlgorithm time = O(k·log n), with a USD baseline arm",
     outputs: &["x01_simple_scaling", "x01_simple_scaling_baseline"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

@@ -14,7 +14,7 @@ use pp_workloads::Workload;
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -22,6 +22,8 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x02_state_census",
     about: "X2/X6: distinct states visited stay O(k + log n), far below the Ω(k²) bound",
     outputs: &["x02_state_census"],
+    // Census trials run without faults.
+    flags: &[RunFlag::Scheduler, RunFlag::Adversary],
     run,
 };
 

@@ -15,7 +15,7 @@ use pp_workloads::Workload;
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -23,6 +23,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x03_exactness",
     about: "Exactness at bias 1: success rates with Wilson intervals for all three protocols",
     outputs: &["x03_exactness"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

@@ -17,7 +17,7 @@ use pp_workloads::Workload;
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, PointRun, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, PointRun, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -25,6 +25,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x04_unordered_scaling",
     about: "Theorem 1(2): UnorderedAlgorithm pays an additive O(log² n) for leader election",
     outputs: &["x04_unordered_scaling", "x04_unordered_scaling_baseline"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

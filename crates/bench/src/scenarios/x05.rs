@@ -15,7 +15,7 @@ use pp_workloads::Counts;
 
 use crate::arm::{self, TrialSpec};
 use crate::protocols::Algo;
-use crate::scenario::{Ctx, Scenario};
+use crate::scenario::{Ctx, RunFlag, Scenario};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -23,6 +23,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x05_improved_speedup",
     about: "Theorem 2: pruning beats the unordered variant on one-large-many-small inputs",
     outputs: &["x05_improved_speedup"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

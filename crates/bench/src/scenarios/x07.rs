@@ -20,6 +20,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x07_init",
     about: "Lemma 3: initialization ends in O(n(k + log n)) with balanced roles",
     outputs: &["x07_init"],
+    flags: &[],
     run,
 };
 

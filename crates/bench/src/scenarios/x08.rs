@@ -22,6 +22,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x08_clocks",
     about: "Lemmas 6/7 + Claim 8: junta sizes and per-subpopulation clock tick spacing",
     outputs: &["x08a_junta", "x08b_subpop_clocks"],
+    flags: &[],
     run,
 };
 

@@ -26,6 +26,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x09_pruning",
     about: "Lemmas 9/10: pruning conserves plurality tokens and eliminates insignificant opinions",
     outputs: &["x09_pruning"],
+    flags: &[],
     run,
 };
 

@@ -29,6 +29,8 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x10_majority",
     about: "Majority substrates: cancel/split vs 3-state vs 4-state, and the 3-state bias knee",
     outputs: &["x10a_majority_bias1", "x10b_three_state_bias"],
+    // The cancel/split arm hands no fault, scheduler or adversary to its engine.
+    flags: &[],
     run,
 };
 

@@ -21,6 +21,8 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x11_leader",
     about: "Leader election: unique leader w.h.p. in O(log² n) parallel time",
     outputs: &["x11_leader"],
+    // The leader-election arm hands no fault, scheduler or adversary to its engine.
+    flags: &[],
     run,
 };
 

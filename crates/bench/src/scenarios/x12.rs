@@ -23,6 +23,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x12_dynamics",
     about: "Substrate constants: epidemic broadcast, load balancing, leaderless phase clock",
     outputs: &["x12a_epidemic", "x12b_load_balance", "x12c_clock"],
+    flags: &[],
     run,
 };
 

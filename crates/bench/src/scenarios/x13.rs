@@ -19,7 +19,7 @@ use pp_workloads::Counts;
 use crate::arm::{self, TrialSpec};
 use crate::harness::Engine;
 use crate::protocols::{median_parallel_time, Algo};
-use crate::scenario::{Ctx, Scenario};
+use crate::scenario::{Ctx, RunFlag, Scenario};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -27,6 +27,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x13_usd_comparison",
     about: "USD vs SimpleAlgorithm across the bias range — fast lottery vs exact consensus",
     outputs: &["x13_usd_comparison"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

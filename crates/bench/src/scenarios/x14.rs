@@ -15,7 +15,7 @@ use pp_workloads::Workload;
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -23,6 +23,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x14_ablations",
     about: "Ablations: phase-length scale, match window and merge cap vs correctness",
     outputs: &["x14a_phase_scale", "x14b_match_window", "x14c_merge_cap"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

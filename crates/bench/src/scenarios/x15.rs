@@ -17,7 +17,7 @@ use pp_workloads::Workload;
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -25,6 +25,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x15_large_k",
     about: "Appendix C: SimpleAlgorithm at large k, base tuning vs the 1/c decrement rule",
     outputs: &["x15_large_k"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

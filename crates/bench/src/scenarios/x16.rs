@@ -27,6 +27,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x16_trajectories",
     about: "Trajectory figures: USD supports random-walk; Simple's defender settles",
     outputs: &["x16a_usd_trajectory", "x16b_simple_trajectory"],
+    flags: &[],
     run,
 };
 

@@ -17,7 +17,7 @@ use std::io;
 use pp_workloads::Workload;
 
 use crate::arm;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -25,6 +25,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x17_adversarial_init",
     about: "USD across adversarial input shapes (bias-1, one-large, Zipf, geometric tails)",
     outputs: &["x17_adversarial_init"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

@@ -23,7 +23,7 @@ use pp_majority::{four_state_counts, FourState, ThreeState};
 use pp_workloads::{Counts, Workload};
 
 use crate::arm;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -31,6 +31,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x18_fault_recovery",
     about: "Recovery time and winner survival vs corrupted fraction (USD, 3-/4-state)",
     outputs: &["x18_fault_recovery"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

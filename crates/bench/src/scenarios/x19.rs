@@ -24,7 +24,7 @@ use pp_workloads::Workload;
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -32,6 +32,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x19_adversarial_execution",
     about: "Simple/unordered under starving and pair-biased schedulers plus mid-run injection",
     outputs: &["x19_adversarial_execution"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

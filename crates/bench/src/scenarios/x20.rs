@@ -19,7 +19,7 @@ use pp_stats::{fit_affine, Table};
 use pp_workloads::{Counts, Workload};
 
 use crate::arm;
-use crate::scenario::{col, Ctx, GridPoint, PointRun, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, PointRun, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -27,6 +27,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x20_repeated_corruption",
     about: "Reconvergence time vs n under repeated 20% corruption, with O(log n) fit",
     outputs: &["x20_repeated_corruption", "x20_fit"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

@@ -28,7 +28,7 @@ use pp_workloads::{Counts, Workload};
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -36,6 +36,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x21_byzantine_tolerance",
     about: "Survivable Byzantine lying fraction (USD, 3-/4-state, simple)",
     outputs: &["x21_byzantine_tolerance"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

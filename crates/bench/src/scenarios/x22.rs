@@ -25,7 +25,7 @@ use pp_engine::{
 use pp_majority::ThreeState;
 use pp_stats::Table;
 
-use crate::scenario::{col, Ctx, Scenario};
+use crate::scenario::{col, Ctx, RunFlag, Scenario};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -33,6 +33,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x22_churn_soak",
     about: "Churn soak: population/plurality series under Poisson join/leave, checkpointable",
     outputs: &["x22_churn_series", "x22_churn_summary"],
+    flags: &[RunFlag::Churn, RunFlag::CheckpointEvery, RunFlag::Resume],
     run,
 };
 

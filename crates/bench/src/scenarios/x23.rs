@@ -28,7 +28,7 @@ use pp_workloads::{Counts, Workload};
 
 use crate::arm;
 use crate::protocols::Algo;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -36,6 +36,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x23_adaptive_tolerance",
     about: "Survivable adaptive lying fraction vs x21's fixed lies, per strategy",
     outputs: &["x23_adaptive_tolerance"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

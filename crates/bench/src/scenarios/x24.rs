@@ -23,7 +23,7 @@ use pp_engine::{rng, BatchSimulation, ChurnProcess, ChurnSample, ChurnSpec, Segm
 use pp_majority::ThreeState;
 use pp_stats::Table;
 
-use crate::scenario::{col, Ctx, Scenario};
+use crate::scenario::{col, Ctx, RunFlag, Scenario};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -31,6 +31,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x24_targeted_churn",
     about: "Time-in-consensus under plurality-/minority-targeted vs uniform churn",
     outputs: &["x24_targeted_churn"],
+    flags: &[RunFlag::Churn],
     run,
 };
 

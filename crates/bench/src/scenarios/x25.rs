@@ -26,7 +26,7 @@ use pp_stats::{fit_affine, Table};
 use pp_workloads::{Counts, Workload};
 
 use crate::arm;
-use crate::scenario::{col, Ctx, GridPoint, PointRun, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, PointRun, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -34,6 +34,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x25_corruption_tolerance",
     about: "Measured corruption tolerance vs the √(n log n)/n additive-noise margin",
     outputs: &["x25_corruption_sweep", "x25_tolerance", "x25_fit"],
+    flags: RunFlag::TRIAL,
     run,
 };
 

@@ -282,3 +282,86 @@ fn churn_soak_resumes_byte_identically_from_a_checkpoint() {
     fs::remove_dir_all(&out_full).ok();
     fs::remove_dir_all(&out_resumed).ok();
 }
+
+#[test]
+fn trial_flags_reach_arms_run_outside_a_study() {
+    // x13 hands its arms plain `TrialSpec`s through `Ctx::run_arm`; the
+    // fault and adversary flags must change its rows, not only its
+    // manifest.
+    use pp_engine::FaultSpec;
+    let scenario = registry::find("x13").expect("x13 registered");
+    let mut csvs = Vec::new();
+    for (tag, flagged) in [("x13-plain", false), ("x13-flagged", true)] {
+        let out = temp_out(tag);
+        let mut opts = ExpOpts {
+            trials: 1,
+            out_dir: out.clone(),
+            ..ExpOpts::default()
+        };
+        if flagged {
+            opts.faults = FaultSpec::parse_list("corrupt@5:0.5").expect("valid");
+            opts.adversary = Some("byz:0.2:2".parse().expect("valid"));
+        }
+        let manifest = registry::run_quiet(scenario, &opts).expect("x13 runs");
+        let json = fs::read_to_string(&manifest).expect("manifest written");
+        if flagged {
+            for field in [
+                "\"faults\": [\"corrupt@5:0.5\"]",
+                "\"adversary\": \"byz:0.2:2\"",
+            ] {
+                assert!(json.contains(field), "manifest missing {field}:\n{json}");
+            }
+        }
+        csvs.push(fs::read_to_string(opts.csv_path("x13_usd_comparison")).expect("csv"));
+        fs::remove_dir_all(&out).ok();
+    }
+    assert_ne!(csvs[0], csvs[1], "the flags left every x13 row unchanged");
+}
+
+#[test]
+fn flags_a_scenario_cannot_honor_are_refused_before_it_runs() {
+    // x02 collects a state census, which runs without faults; x17 runs no
+    // churn. `xp run` refuses either flag by name and writes nothing.
+    for (args, flag) in [
+        (&["run", "x02", "--faults", "corrupt@5:0.5"][..], "--faults"),
+        (&["run", "x17", "--churn", "churn:0.05"], "--churn"),
+        (
+            &[
+                "run",
+                "x17",
+                "x02",
+                "--scheduler",
+                "uniform",
+                "--resume",
+                "x.ckpt",
+            ],
+            "--resume",
+        ),
+    ] {
+        let out = temp_out(&format!("refused-{flag}"));
+        let output = Command::new(env!("CARGO_BIN_EXE_xp"))
+            .args(args)
+            .arg("--out")
+            .arg(&out)
+            .output()
+            .expect("xp runs");
+        assert_eq!(output.status.code(), Some(2), "args {args:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(stderr.contains(flag), "args {args:?}: {stderr}");
+        assert!(!out.exists(), "args {args:?} wrote {}", out.display());
+    }
+
+    // `xp all` skips such a scenario with a note and writes no manifest
+    // for it.
+    let out = temp_out("refused-all");
+    let output = Command::new(env!("CARGO_BIN_EXE_xp"))
+        .args(["all", "--filter", "x17", "--churn", "churn:0.05", "--out"])
+        .arg(&out)
+        .output()
+        .expect("xp runs");
+    assert!(output.status.success());
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("skipping x17"), "{stderr}");
+    assert!(!out.join("x17_manifest.json").exists());
+    fs::remove_dir_all(&out).ok();
+}

@@ -8,23 +8,16 @@
 //! power-of-two strides, so a draw costs one bounded RNG word plus
 //! `⌈log₂ S⌉` adds.
 //!
-//! [`ShardedFenwick`], the engine's census, layers a two-level variant on
-//! top: states are partitioned into fixed shards, each its own
-//! [`Fenwick`], with a top-level tree over shard totals. `add`/`index_of`
-//! keep the exact cumulative semantics of a flat tree: **for any
-//! `target`, a sharded tree and a flat tree over the same weights return
-//! the same index**, because both resolve the cumulative interval
-//! containing `target` in index order, and a draw consumes the same RNG
-//! word from either.
+//! The batch engine keeps one [`Fenwick`] over its counts and rebuilds it
+//! in place ([`Fenwick::rebuild`], `O(S)`) at the start of every batch
+//! that samples it; a draw maps each RNG word to the state whose
+//! cumulative interval contains it, so any tree over the same weights
+//! draws the same states from the same stream. [`ShardedFenwick`] only
+//! forwards to a [`Fenwick`].
 
 use rand::Rng;
 
 use crate::protocol::SimRng;
-
-/// States per shard in a [`ShardedFenwick`]. Small state spaces (the
-/// 3–4-state majority protocols) collapse to a single shard and behave
-/// exactly like a flat tree; only wide tables (USD at large `k`) fan out.
-const SHARD_STATES: usize = 256;
 
 /// Fenwick tree over `u64` weights for weighted index sampling.
 #[derive(Debug, Clone)]
@@ -44,26 +37,37 @@ impl Fenwick {
     pub fn from_weights(weights: &[u64]) -> Self {
         let len = weights.len();
         assert!(len > 0, "Fenwick tree needs at least one weight");
-        let mut tree = vec![0u64; len + 1];
-        tree[1..].copy_from_slice(weights);
-        for i in 1..=len {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= len {
-                tree[parent] += tree[i];
-            }
-        }
-        let total = weights.iter().sum();
         let top = if len.is_power_of_two() {
             len
         } else {
             len.next_power_of_two() >> 1
         };
-        Self {
-            tree,
+        let mut tree = Self {
+            tree: vec![0; len + 1],
             len,
             top,
-            total,
+            total: 0,
+        };
+        tree.rebuild(weights);
+        tree
+    }
+
+    /// Replace every weight in `O(len)`, reusing the allocation: the tree
+    /// afterwards equals `from_weights(weights)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` has a different length.
+    pub fn rebuild(&mut self, weights: &[u64]) {
+        assert_eq!(weights.len(), self.len, "weight count changed");
+        self.tree[1..].copy_from_slice(weights);
+        for i in 1..=self.len {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= self.len {
+                self.tree[parent] += self.tree[i];
+            }
         }
+        self.total = weights.iter().sum();
     }
 
     /// Number of weights.
@@ -148,116 +152,31 @@ impl Fenwick {
     }
 }
 
-/// Two-level Fenwick census: states partitioned into 256-state shards,
-/// each an independent [`Fenwick`], plus a top tree over shard
-/// totals. Point updates touch one shard and the top (`O(log S)` as
-/// before); a full rebuild rebuilds every shard, then the top.
+/// A forwarding shim over one [`Fenwick`], named for the sharded census
+/// it replaced. Remains only because perfbench still calls it.
 #[derive(Debug, Clone)]
-pub struct ShardedFenwick {
-    /// Per-shard trees; all but the last cover exactly `shard_len` states.
-    shards: Vec<Fenwick>,
-    /// States per shard.
-    shard_len: usize,
-    /// Tree over shard totals, merged after every rebuild.
-    top: Fenwick,
-    /// Number of states.
-    len: usize,
-}
+pub struct ShardedFenwick(Fenwick);
 
 impl ShardedFenwick {
-    /// Build from per-index weights.
+    /// [`Fenwick::from_weights`].
     pub fn from_weights(weights: &[u64]) -> Self {
-        let len = weights.len();
-        assert!(len > 0, "Fenwick tree needs at least one weight");
-        let shard_len = SHARD_STATES;
-        let shards: Vec<Fenwick> = weights
-            .chunks(shard_len)
-            .map(Fenwick::from_weights)
-            .collect();
-        let totals: Vec<u64> = shards.iter().map(Fenwick::total).collect();
-        let top = Fenwick::from_weights(&totals);
-        Self {
-            shards,
-            shard_len,
-            top,
-            len,
-        }
+        Self(Fenwick::from_weights(weights))
     }
 
-    /// Number of states.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the tree covers no weights (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sum of all weights.
-    pub fn total(&self) -> u64 {
-        self.top.total()
-    }
-
-    /// Rebuild every shard from `weights`, then the top tree over the
-    /// shard totals. `threads` is ignored: the rebuild runs on the
-    /// calling thread, and the argument remains only because perfbench
-    /// still passes it.
+    /// [`Fenwick::rebuild`]; `threads` is ignored.
     pub fn rebuild(&mut self, weights: &[u64], threads: usize) {
         let _ = threads;
-        assert_eq!(weights.len(), self.len, "weight count changed");
-        for (shard, w) in self.shards.iter_mut().zip(weights.chunks(self.shard_len)) {
-            *shard = Fenwick::from_weights(w);
-        }
-        let totals: Vec<u64> = self.shards.iter().map(Fenwick::total).collect();
-        self.top = Fenwick::from_weights(&totals);
+        self.0.rebuild(weights);
     }
 
-    /// Add `delta` to the weight at `index`: one shard update plus one
-    /// top update.
+    /// [`Fenwick::add`].
     pub fn add(&mut self, index: usize, delta: i64) {
-        debug_assert!(index < self.len);
-        let shard = index / self.shard_len;
-        self.shards[shard].add(index % self.shard_len, delta);
-        self.top.add(shard, delta);
+        self.0.add(index, delta);
     }
 
-    /// Weight currently stored at `index`.
-    pub fn get(&self, index: usize) -> u64 {
-        self.shards[index / self.shard_len].get(index % self.shard_len)
-    }
-
-    /// Sum of weights at indices `< count`.
-    pub fn prefix(&self, count: usize) -> u64 {
-        debug_assert!(count <= self.len);
-        let shard = count / self.shard_len;
-        if shard == self.shards.len() {
-            return self.top.total();
-        }
-        self.top.prefix(shard) + self.shards[shard].prefix(count % self.shard_len)
-    }
-
-    /// Draw an index with probability proportional to its weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the total weight is zero.
-    #[inline]
+    /// [`Fenwick::sample`].
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        assert!(self.total() > 0, "cannot sample from an empty distribution");
-        self.index_of(rng.gen_range(0..self.total()))
-    }
-
-    /// The index whose cumulative weight interval contains `target` —
-    /// descends the top tree to pick the shard, then the shard tree.
-    /// Agrees with a flat [`Fenwick`] over the same weights for every
-    /// target.
-    #[inline]
-    pub fn index_of(&self, target: u64) -> usize {
-        debug_assert!(target < self.total());
-        let shard = self.top.index_of(target);
-        let rem = target - self.top.prefix(shard);
-        shard * self.shard_len + self.shards[shard].index_of(rem)
+        self.0.sample(rng)
     }
 }
 
@@ -337,76 +256,19 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random weights without an RNG dependency.
-    fn mixed_weights(len: usize, salt: u64) -> Vec<u64> {
-        (0..len as u64)
-            .map(|i| {
-                let h = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                (h >> 57) * u64::from(!h.is_multiple_of(5))
-            })
-            .collect()
-    }
-
     #[test]
-    fn sharded_agrees_with_flat_for_every_target() {
-        // Straddle shard boundaries: 1 shard, exactly 2, and a ragged tail.
-        for len in [3usize, 255, 256, 257, 700] {
-            let w = mixed_weights(len, 12);
-            let flat = Fenwick::from_weights(&w);
-            let sharded = ShardedFenwick::from_weights(&w);
-            assert_eq!(sharded.total(), flat.total());
-            assert_eq!(sharded.len(), flat.len());
-            let total = flat.total();
-            let step = (total / 4096).max(1);
-            let mut target = 0;
-            while target < total {
-                assert_eq!(
-                    sharded.index_of(target),
-                    flat.index_of(target),
-                    "len {len}, target {target}"
-                );
-                target += step;
-            }
-            for i in 0..len {
-                assert_eq!(sharded.get(i), flat.get(i), "get({i})");
-                assert_eq!(sharded.prefix(i), flat.prefix(i), "prefix({i})");
-            }
-            assert_eq!(sharded.prefix(len), flat.prefix(len));
-        }
-    }
-
-    #[test]
-    fn sharded_add_tracks_flat() {
-        let w = mixed_weights(600, 5);
-        let mut flat = Fenwick::from_weights(&w);
-        let mut sharded = ShardedFenwick::from_weights(&w);
-        // Deltas spread across shards, including one that zeroes a state.
-        for (i, d) in [(0usize, 7i64), (255, -(w[255] as i64)), (256, 3), (599, 11)] {
-            flat.add(i, d);
-            sharded.add(i, d);
-        }
-        assert_eq!(sharded.total(), flat.total());
-        for target in 0..flat.total() {
-            assert_eq!(sharded.index_of(target), flat.index_of(target));
-        }
-        // A rebuild replaces every shard: back to the original weights.
-        sharded.rebuild(&w, 1);
+    fn rebuild_in_place_matches_a_fresh_build() {
+        let mut t = Fenwick::from_weights(&[4, 1, 0, 9, 2, 6, 3]);
+        t.add(3, -9);
+        let w = [0u64, 7, 7, 1, 0, 5, 2];
+        t.rebuild(&w);
         let fresh = Fenwick::from_weights(&w);
-        assert_eq!(sharded.total(), fresh.total());
+        assert_eq!(t.total(), fresh.total());
         for target in 0..fresh.total() {
-            assert_eq!(sharded.index_of(target), fresh.index_of(target));
+            assert_eq!(t.index_of(target), fresh.index_of(target), "{target}");
         }
-    }
-
-    #[test]
-    fn sharded_sampling_consumes_the_same_stream_as_flat() {
-        let w = mixed_weights(300, 9);
-        let flat = Fenwick::from_weights(&w);
-        let sharded = ShardedFenwick::from_weights(&w);
-        let mut rng_a = SimRng::seed_from_u64(21);
-        let mut rng_b = SimRng::seed_from_u64(21);
-        for _ in 0..5000 {
-            assert_eq!(flat.sample(&mut rng_a), sharded.sample(&mut rng_b));
+        for (i, &wi) in w.iter().enumerate() {
+            assert_eq!(t.get(i), wi, "get({i})");
         }
     }
 

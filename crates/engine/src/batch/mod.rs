@@ -19,7 +19,8 @@
 //! it splits the batch length into initiator counts with `O(S)` binomial
 //! draws ([`multinomial`]), splits each initiator count into responder
 //! counts the same way (or, for small counts, draws responders through an
-//! `O(log S)` Fenwick-tree sampler, [`fenwick`]), and applies each distinct
+//! `O(log S)` Fenwick-tree sampler, [`fenwick`], rebuilt from the counts
+//! in `O(S)` at the start of the batch), and applies each distinct
 //! ordered state pair `(a, b)` *once* with its multiplicity. Per-interaction
 //! cost is thus **sub-constant** whenever batches are long: each binomial
 //! draw has `O(1)` expected cost whatever its `n` ([`multinomial`]), so a
@@ -40,7 +41,8 @@
 //!   work that weights the changes: `O(min(|members|, S − |members|))` per
 //!   `(change, responder)` list, `O(k)` per batch for USD. The per-initiator
 //!   split costs `O(S_occupied)` binomials per initiator, about `S²` per
-//!   batch once every state is occupied. The change table is built once,
+//!   batch once every state is occupied, plus the `O(S)` rebuild of its
+//!   Fenwick sampler; a lumped batch reads no sampler and keeps none. The change table is built once,
 //!   on the first batch that could use it, with up to `O(S²)` calls of
 //!   `delta`. A build stops as soon as the changes reach its cap (the
 //!   batch length, and at least twice the last cap), so a table with too

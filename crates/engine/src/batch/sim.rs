@@ -5,21 +5,22 @@ use std::sync::Arc;
 use rand::{Rng, SeedableRng};
 
 use crate::batch::birthday::draw_batch_len;
-use crate::batch::fenwick::ShardedFenwick;
+use crate::batch::fenwick::Fenwick;
 use crate::batch::lumped::{Change, ChangeTable};
 use crate::batch::multinomial::{
     binomial, multinomial_into, multinomial_weighted_into, multinomial_wide_into,
 };
-use crate::batch::tally::{self, run_subtree, TallyCtx, TallyScratch, TallySpec};
+use crate::batch::tally::{self, TallyCtx, TallyScratch};
 use crate::batch::TableProtocol;
 use crate::churn::ChurnProcess;
 use crate::driver::{self, Clock, Engine};
 use crate::fault::{
     resolve_forgery, strike_counts, AdversarySpec, ChurnTarget, FaultSpec, LieTarget,
-    OpinionCensus, SchedulerSpec,
+    OpinionCensus, SchedulerSpec, SCHEDULER_RETRIES,
 };
 use crate::protocol::SimRng;
 use crate::result::{RunOptions, RunResult};
+use crate::rng;
 
 /// Floor on the multiplicity below which responders are always drawn one
 /// by one through the Fenwick sampler. The full rule is adaptive: a
@@ -105,7 +106,7 @@ struct LumpedPlan {
 /// Per-interaction cost is sub-constant for long batches: a batch of `ℓ`
 /// interactions costs one binomial draw per lumped cell, or `O(S)` draws
 /// per initiator state on the split, each of `O(1)` expected cost whatever
-/// `ℓ` is, plus `O(log S)` per *distinct* transition applied,
+/// `ℓ` is, plus `O(S)` to apply the batch's net change to the counts,
 /// instead of `O(S)` per interaction when every pair is sampled and
 /// applied one by one (see the [`crate::batch`] module docs for the
 /// accounting and the rule between the two tallies).
@@ -114,10 +115,12 @@ pub struct BatchSimulation<P: TableProtocol> {
     /// Shared by clones.
     protocol: Arc<P>,
     counts: Vec<u64>,
-    /// Sharded Fenwick mirror of `counts` for `O(log S)` weighted draws;
-    /// frozen at the pre-batch configuration while a tally is being
-    /// sampled, rebuilt in full after admits, churn and faults.
-    tree: ShardedFenwick,
+    /// Weighted sampler over `counts` for the split batches' `O(log S)`
+    /// draws, rebuilt from `counts` at the start of each split batch. Its
+    /// tally attempts read it frozen at the pre-batch configuration; the
+    /// per-pair fallbacks update it with every live interaction. Stale
+    /// between split batches, where nothing reads it.
+    tree: Fenwick,
     n: u64,
     rng: SimRng,
     clock: Clock,
@@ -200,7 +203,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
         );
         let n: u64 = counts.iter().sum();
         assert!(n >= 2, "population must contain at least two agents");
-        let tree = ShardedFenwick::from_weights(&counts);
+        let tree = Fenwick::from_weights(&counts);
         let states = counts.len();
         let deterministic = protocol.is_deterministic();
         Self {
@@ -228,8 +231,8 @@ impl<P: TableProtocol> BatchSimulation<P> {
         }
     }
 
-    /// Does nothing: every batch and census rebuild runs on the calling
-    /// thread. Remains only because perfbench still calls it.
+    /// Does nothing: every batch runs on the calling thread. Remains only
+    /// because perfbench still calls it.
     pub fn set_threads(&mut self, threads: usize) {
         let _ = threads;
     }
@@ -327,7 +330,6 @@ impl<P: TableProtocol> BatchSimulation<P> {
         // A state's count never exceeds the population, so this fits.
         self.counts[state] += count;
         self.n = n;
-        self.tree.rebuild(&self.counts, 1);
         Ok(())
     }
 
@@ -389,6 +391,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             return;
         }
         self.paths.inline += 1;
+        self.tree.rebuild(&self.counts);
         for _ in 0..MAX_TALLY_RETRIES {
             let feasible = match sched {
                 None => self.try_tally(len),
@@ -511,16 +514,10 @@ impl<P: TableProtocol> BatchSimulation<P> {
         true
     }
 
-    /// Add the attempt's `delta` to the counts and the census tree.
+    /// Add the attempt's `delta` to the counts.
     fn apply_delta(&mut self) {
-        for s in 0..self.counts.len() {
-            let d = self.delta[s];
-            if d != 0 {
-                self.counts[s] = self.counts[s]
-                    .checked_add_signed(d)
-                    .expect("feasible delta");
-                self.tree.add(s, d);
-            }
+        for (c, &d) in self.counts.iter_mut().zip(&self.delta) {
+            *c = c.checked_add_signed(d).expect("feasible delta");
         }
     }
 
@@ -548,26 +545,30 @@ impl<P: TableProtocol> BatchSimulation<P> {
             &mut self.initiators,
         );
 
+        // Multiplicities at or below this resolve responders one tree draw
+        // at a time; above it, through a responder multinomial.
         let occupied = self.counts.iter().filter(|&&c| c > 0).count() as u64;
-        let spec = TallySpec {
-            ctx: TallyCtx {
-                protocol: &*self.protocol,
-                deterministic: self.deterministic,
-                lie: self.lie,
-                states: self.counts.len(),
-            },
-            counts: &self.counts,
-            n: self.n,
-            tree: &self.tree,
-            split_threshold: SPLIT_FLOOR.max(occupied),
-            key: self.rng.gen::<u64>(),
+        let split_threshold = SPLIT_FLOOR.max(occupied);
+        let key = self.rng.gen::<u64>();
+        let ctx = TallyCtx {
+            protocol: &*self.protocol,
+            deterministic: self.deterministic,
+            lie: self.lie,
+            states: self.counts.len(),
         };
         for (subtree, &(a, multiplicity)) in self.initiators.iter().enumerate() {
-            run_subtree(
-                &spec,
-                subtree,
+            let mut rng = SimRng::seed_from_u64(rng::derive(key, subtree as u64));
+            let cells = &mut self.scratch.cells;
+            cells.clear();
+            if multiplicity <= split_threshold {
+                cells.extend((0..multiplicity).map(|_| (self.tree.sample(&mut rng), 1)));
+            } else {
+                multinomial_into(&mut rng, multiplicity, &self.counts, self.n, cells);
+            }
+            tally::fold_subtree(
+                &ctx,
+                &mut rng,
                 a,
-                multiplicity,
                 &mut self.scratch,
                 &mut self.delta,
                 &mut self.usage,
@@ -796,11 +797,42 @@ impl<P: TableProtocol> BatchSimulation<P> {
             } else {
                 self.sample_state_weighted(sched)
             };
+            // A single-agent state cannot interact with itself: redraw the
+            // responder, then take any other agent once the weights keep
+            // landing on the initiator.
+            let mut retries = 0;
             while b == a && self.counts[a] < 2 {
-                b = self.sample_state_weighted(sched);
+                b = if retries < SCHEDULER_RETRIES {
+                    retries += 1;
+                    self.sample_state_weighted(sched)
+                } else {
+                    self.sample_other_agent(a, sched)
+                };
             }
             self.apply_live_interaction(a, b);
         }
+    }
+
+    /// A uniform draw among the agents other than the lone agent in state
+    /// `a`: the scheduled fallback's responder after
+    /// [`SCHEDULER_RETRIES`] weighted redraws landed on that agent. Marks
+    /// the scheduler saturated when none of the others carries weight.
+    fn sample_other_agent(&mut self, a: usize, sched: SchedulerSpec) -> usize {
+        debug_assert_eq!(self.counts[a], 1);
+        let weighted = (0..self.counts.len()).any(|s| {
+            s != a && self.counts[s] > 0 && sched.opinion_weight(self.protocol.opinion(s)) > 0.0
+        });
+        if !weighted {
+            self.scheduler_saturated = true;
+        }
+        let mut target = self.rng.gen_range(0..self.n - 1);
+        for s in (0..self.counts.len()).filter(|&s| s != a) {
+            if target < self.counts[s] {
+                return s;
+            }
+            target -= self.counts[s];
+        }
+        unreachable!("the other agents' counts sum to n - 1")
     }
 
     /// One weighted state draw (linear scan over `counts · weight`); falls
@@ -877,9 +909,9 @@ impl<P: TableProtocol> BatchSimulation<P> {
 
     /// Run under a list of faults: batches are split at each fault's
     /// parallel time (the batch straddling it is truncated to land exactly
-    /// on it), the strike is applied to the census between batches —
-    /// `O(S)` binomial thinning, so the `n = 10⁸` fast path stays fast —
-    /// and the Fenwick mirror is rebuilt. Recovery bookkeeping matches
+    /// on it), and the strike is applied to the counts between batches —
+    /// `O(S)` binomial thinning, so the `n = 10⁸` fast path stays fast.
+    /// Recovery bookkeeping matches
     /// [`Simulation::run_faulted`](crate::Simulation::run_faulted); an
     /// empty list replays [`run`](Self::run) exactly.
     pub fn run_faulted(&mut self, opts: &RunOptions, faults: &[FaultSpec]) -> RunResult {
@@ -889,8 +921,8 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// Run under a steady-state churn process until `stop_at` parallel
     /// time: after every batch, `Poisson`-distributed joins (drawn from the
     /// `initial` distribution) and leaves (multinomial thinning of the live
-    /// counts, never below two agents) are applied and the Fenwick mirror
-    /// rebuilt; a [`ChurnSample`](crate::ChurnSample) is recorded each
+    /// counts, never below two agents) are applied to the counts; a
+    /// [`ChurnSample`](crate::ChurnSample) is recorded each
     /// time the clock crosses a multiple of the process's sampling period.
     ///
     /// Convergence does not stop a churned run; the status is
@@ -957,7 +989,6 @@ impl<P: TableProtocol> Engine for BatchSimulation<P> {
             fault,
             &mut self.rng,
         );
-        self.tree.rebuild(&self.counts, 1);
     }
 
     /// Poisson join/leave events covering a batch of `len` interactions,
@@ -1028,7 +1059,6 @@ impl<P: TableProtocol> Engine for BatchSimulation<P> {
             }
             self.n += joins;
         }
-        self.tree.rebuild(&self.counts, 1);
     }
 
     /// The live opinion tally in `O(S)`, for adaptive forgeries and

@@ -4,8 +4,10 @@
 //! the root multinomial splits the batch's `ℓ` interactions over
 //! initiator states, and each initiator state's subtree resolves its
 //! responders (a responder multinomial above the split threshold, one
-//! Fenwick draw per interaction below it) and folds the resulting
-//! transitions into per-state `delta`/`usage` accumulators.
+//! Fenwick draw per interaction below it, in
+//! [`BatchSimulation`](crate::batch::BatchSimulation)) and folds the
+//! resulting transitions into per-state `delta`/`usage` accumulators
+//! ([`fold_subtree`]).
 //!
 //! **Streams.** The root split is drawn from the main simulation stream;
 //! each subtree then runs on a *counter-based* substream seeded
@@ -21,14 +23,10 @@
 //! class weighting from the main stream, shares the exact transition
 //! semantics.
 
-use rand::SeedableRng;
-
-use crate::batch::fenwick::ShardedFenwick;
 use crate::batch::multinomial::{binomial, binomial_batch, multinomial_into};
 use crate::batch::TableProtocol;
 use crate::fault::LieTarget;
 use crate::protocol::SimRng;
-use crate::rng;
 
 /// The batch-invariant context a tally needs: protocol semantics plus the
 /// adversary snapshot.
@@ -40,28 +38,11 @@ pub(crate) struct TallyCtx<'a, P: TableProtocol> {
     pub states: usize,
 }
 
-/// Everything a subtree kernel reads but never writes.
-pub(crate) struct TallySpec<'a, P: TableProtocol> {
-    pub ctx: TallyCtx<'a, P>,
-    /// Pre-batch configuration (frozen while the tally is sampled).
-    pub counts: &'a [u64],
-    pub n: u64,
-    /// Weighted sampler over `counts` for the per-draw responder path.
-    pub tree: &'a ShardedFenwick,
-    /// Multiplicities at or below this resolve responders one Fenwick
-    /// draw at a time; above it, through a responder multinomial.
-    pub split_threshold: u64,
-    /// The attempt key: one main-stream word, combined with the subtree
-    /// index to seed each subtree's substream.
-    pub key: u64,
-}
-
 /// Kernel scratch reused across subtrees and batches.
 #[derive(Debug, Default)]
 pub(crate) struct TallyScratch {
-    responders: Vec<(usize, u64)>,
     /// Responder cells `(b, multiplicity)` of the current subtree.
-    pairs: Vec<(usize, u64)>,
+    pub cells: Vec<(usize, u64)>,
     // Lanes for the Byzantine array passes.
     ms: Vec<u64>,
     a_lies: Vec<u64>,
@@ -70,48 +51,32 @@ pub(crate) struct TallyScratch {
     b_lies: Vec<u64>,
 }
 
-/// Run one initiator subtree: initiator state `a` with `multiplicity`
-/// interactions, substream index `subtree`. Adds (never overwrites) into
-/// `delta`/`usage`, so per-subtree outputs merge by plain summation.
-pub(crate) fn run_subtree<P: TableProtocol>(
-    spec: &TallySpec<'_, P>,
-    subtree: usize,
+/// Fold one initiator subtree — initiator state `a` against the responder
+/// cells in `scratch.cells`, drawn on the subtree's substream `rng` — into
+/// `delta`/`usage`. Adds (never overwrites), so per-subtree outputs merge
+/// by plain summation.
+pub(crate) fn fold_subtree<P: TableProtocol>(
+    ctx: &TallyCtx<'_, P>,
+    rng: &mut SimRng,
     a: usize,
-    multiplicity: u64,
     scratch: &mut TallyScratch,
     delta: &mut [i64],
     usage: &mut [u64],
 ) {
-    let mut rng = SimRng::seed_from_u64(rng::derive(spec.key, subtree as u64));
     let TallyScratch {
-        responders,
-        pairs,
+        cells,
         ms,
         a_lies,
         both,
         rest,
         b_lies,
     } = scratch;
-
-    // Resolve responders into `(b, m)` cells.
-    pairs.clear();
-    if multiplicity <= spec.split_threshold {
-        for _ in 0..multiplicity {
-            let b = spec.tree.sample(&mut rng);
-            pairs.push((b, 1));
-        }
-    } else {
-        responders.clear();
-        multinomial_into(&mut rng, multiplicity, spec.counts, spec.n, responders);
-        pairs.extend_from_slice(responders);
-    }
-
-    match spec.ctx.lie {
+    match ctx.lie {
         None => {
-            for &(b, m) in pairs.iter() {
+            for &(b, m) in cells.iter() {
                 usage[a] += m;
                 usage[b] += m;
-                honest_delta(&spec.ctx, &mut rng, delta, a, b, m);
+                honest_delta(ctx, rng, delta, a, b, m);
             }
         }
         Some((frac, forged)) => {
@@ -120,30 +85,21 @@ pub(crate) fn run_subtree<P: TableProtocol>(
             // multiplicities (each participant lies independently with
             // probability `frac`), then the per-cell transitions apply.
             ms.clear();
-            ms.extend(pairs.iter().map(|&(_, m)| m));
-            binomial_batch(&mut rng, ms, frac, a_lies);
-            binomial_batch(&mut rng, a_lies, frac, both);
+            ms.extend(cells.iter().map(|&(_, m)| m));
+            binomial_batch(rng, ms, frac, a_lies);
+            binomial_batch(rng, a_lies, frac, both);
             rest.clear();
             rest.extend(ms.iter().zip(a_lies.iter()).map(|(&m, &l)| m - l));
-            binomial_batch(&mut rng, rest, frac, b_lies);
-            for (i, &(b, m)) in pairs.iter().enumerate() {
+            binomial_batch(rng, rest, frac, b_lies);
+            for (i, &(b, m)) in cells.iter().enumerate() {
                 usage[a] += m;
                 usage[b] += m;
                 let m_honest = m - a_lies[i] - b_lies[i];
                 if m_honest > 0 {
-                    honest_delta(&spec.ctx, &mut rng, delta, a, b, m_honest);
+                    honest_delta(ctx, rng, delta, a, b, m_honest);
                 }
-                one_sided(
-                    &spec.ctx,
-                    &mut rng,
-                    delta,
-                    a,
-                    b,
-                    a_lies[i] - both[i],
-                    forged,
-                    true,
-                );
-                one_sided(&spec.ctx, &mut rng, delta, a, b, b_lies[i], forged, false);
+                one_sided(ctx, rng, delta, a, b, a_lies[i] - both[i], forged, true);
+                one_sided(ctx, rng, delta, a, b, b_lies[i], forged, false);
             }
         }
     }

@@ -1,18 +1,20 @@
-//! Crash-safe checkpoint/restore for both engines.
+//! Crash-safe checkpoint/restore for the batched engine.
 //!
 //! A [`Checkpoint`] captures everything a run needs to resume
-//! byte-identically: the configuration (per-state counts, plus the
-//! per-agent state vector on the sequential engine), the raw RNG state,
-//! the folded parallel clock, the initial distribution (churn rejoins draw
-//! from it) and any [`ChurnSample`] series accumulated so far. Restoring
-//! rebuilds the engine and replays the *exact* RNG trajectory the
-//! checkpointed run would have taken — the engines' churned/faulted loops
-//! only cut at natural batch boundaries, so a killed-and-resumed run
-//! produces the same CSV as an uninterrupted one.
+//! byte-identically: the per-state counts, the raw RNG state, the folded
+//! parallel clock, the initial distribution (churn rejoins draw from it)
+//! and any [`ChurnSample`] series accumulated so far. Restoring rebuilds
+//! the engine and replays the *exact* RNG trajectory the checkpointed run
+//! would have taken — the engine's churned/faulted loops only cut at
+//! natural batch boundaries, so a killed-and-resumed run produces the
+//! same CSV as an uninterrupted one.
 //!
 //! The on-disk format is a versioned line-based text file (`ppckpt v1`).
 //! Floats are serialized as their IEEE-754 bit patterns, never decimal, so
-//! the clock and series survive the round trip bit-exactly.
+//! the clock and series survive the round trip bit-exactly. Its `engine`
+//! line is always `engine batch` and its `states` line (per-agent states,
+//! which the batched engine has none of) always `states 0`; a file with
+//! any other value is refused.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -21,8 +23,6 @@ use std::path::Path;
 
 use crate::batch::{BatchSimulation, TableProtocol};
 use crate::result::ChurnSample;
-use crate::sim::Simulation;
-use crate::table_seq::SeqTable;
 
 /// Format magic + version of the current writer.
 const HEADER: &str = "ppckpt v1";
@@ -30,8 +30,6 @@ const HEADER: &str = "ppckpt v1";
 /// A point-in-time engine snapshot, restorable byte-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Engine tag: `"seq"` or `"batch"`.
-    pub engine: String,
     /// Interactions executed so far.
     pub interactions: u64,
     /// Interactions folded into `time_base`.
@@ -40,10 +38,8 @@ pub struct Checkpoint {
     pub time_base: f64,
     /// Raw xoshiro256++ state.
     pub rng: [u64; 4],
-    /// Per-state counts (all engines).
+    /// Per-state counts.
     pub counts: Vec<u64>,
-    /// Per-agent states — sequential engine only, empty otherwise.
-    pub states: Vec<u32>,
     /// The run's initial distribution (churn joins draw from it).
     pub initial: Vec<u64>,
     /// Churn series accumulated up to the snapshot.
@@ -59,56 +55,21 @@ impl Checkpoint {
     ) -> Self {
         let (interactions, interactions_base, time_base) = sim.clock_parts();
         Self {
-            engine: "batch".to_string(),
             interactions,
             interactions_base,
             time_base,
             rng: sim.rng_state(),
             counts: sim.counts().to_vec(),
-            states: Vec::new(),
             initial: initial.to_vec(),
             series: series.to_vec(),
         }
     }
 
-    /// Snapshot a sequential table run mid-run (the sequential engine is
-    /// checkpointable for table protocols, whose agent states are plain
-    /// indices).
-    pub fn of_seq<P: TableProtocol>(
-        sim: &Simulation<SeqTable<P>>,
-        initial: &[u64],
-        series: &[ChurnSample],
-    ) -> Self {
-        let (interactions, interactions_base, time_base) = sim.clock_parts();
-        let states = sim.states().to_vec();
-        let mut counts = vec![0u64; sim.protocol().table().states()];
-        for &s in &states {
-            counts[s as usize] += 1;
-        }
-        Self {
-            engine: "seq".to_string(),
-            interactions,
-            interactions_base,
-            time_base,
-            rng: sim.rng_state(),
-            counts,
-            states,
-            initial: initial.to_vec(),
-            series: series.to_vec(),
-        }
-    }
-
-    /// Check the snapshot against the engine and protocol it is being
-    /// restored into, so a mismatched or hand-corrupted file surfaces as an
-    /// error instead of tripping an engine-constructor assertion.
-    fn check_restore(&self, engine: &str, states: usize) -> io::Result<()> {
+    /// Check the snapshot against the protocol it is being restored into,
+    /// so a mismatched or hand-corrupted file surfaces as an error instead
+    /// of tripping an engine-constructor assertion.
+    fn check_restore(&self, states: usize) -> io::Result<()> {
         let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-        if self.engine != engine {
-            return Err(bad(format!(
-                "checkpoint holds a '{}' snapshot, not '{engine}'",
-                self.engine
-            )));
-        }
         if self.counts.len() != states {
             return Err(bad(format!(
                 "checkpoint has {} states, protocol has {states}",
@@ -123,19 +84,6 @@ impl Checkpoint {
         if n < 2 {
             return Err(bad(format!("checkpoint population {n} is below 2")));
         }
-        if engine == "seq" {
-            if self.states.len() as u64 != n {
-                return Err(bad(format!(
-                    "checkpoint agent vector ({}) disagrees with counts ({n})",
-                    self.states.len()
-                )));
-            }
-            if let Some(&s) = self.states.iter().find(|&&s| s as usize >= states) {
-                return Err(bad(format!(
-                    "checkpoint agent state {s} is outside the protocol's 0..{states}"
-                )));
-            }
-        }
         Ok(())
     }
 
@@ -143,33 +91,11 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// `InvalidData` if the snapshot is not a `batch` one or disagrees with
-    /// the protocol's state space.
+    /// `InvalidData` if the snapshot disagrees with the protocol's state
+    /// space or holds fewer than two agents.
     pub fn restore_batch<P: TableProtocol>(&self, protocol: P) -> io::Result<BatchSimulation<P>> {
-        self.check_restore("batch", protocol.states())?;
+        self.check_restore(protocol.states())?;
         let mut sim = BatchSimulation::new(protocol, self.counts.clone(), 0);
-        sim.restore_clock(
-            self.interactions,
-            self.interactions_base,
-            self.time_base,
-            self.rng,
-        );
-        Ok(sim)
-    }
-
-    /// Rebuild a sequential table run at the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` if the snapshot is not a `seq` one, its agent vector
-    /// disagrees with its counts, or any agent state falls outside the
-    /// protocol's state space.
-    pub fn restore_seq<P: TableProtocol>(
-        &self,
-        protocol: P,
-    ) -> io::Result<Simulation<SeqTable<P>>> {
-        self.check_restore("seq", protocol.states())?;
-        let mut sim = Simulation::new(SeqTable::new(protocol), self.states.clone(), 0);
         sim.restore_clock(
             self.interactions,
             self.interactions_base,
@@ -183,7 +109,7 @@ impl Checkpoint {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{HEADER}");
-        let _ = writeln!(out, "engine {}", self.engine);
+        let _ = writeln!(out, "engine batch");
         let _ = writeln!(out, "interactions {}", self.interactions);
         let _ = writeln!(out, "interactions_base {}", self.interactions_base);
         let _ = writeln!(out, "time_base_bits {}", self.time_base.to_bits());
@@ -199,11 +125,7 @@ impl Checkpoint {
             }
             let _ = writeln!(out);
         }
-        let _ = write!(out, "states {}", self.states.len());
-        for s in &self.states {
-            let _ = write!(out, " {s}");
-        }
-        let _ = writeln!(out);
+        let _ = writeln!(out, "states 0");
         let _ = writeln!(out, "series {}", self.series.len());
         for s in &self.series {
             let _ = writeln!(
@@ -223,7 +145,9 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on any malformed or version-mismatched input.
+    /// `InvalidData` on any malformed or version-mismatched input, and on
+    /// a snapshot of another engine (an `engine` line other than `batch`,
+    /// or per-agent states).
     pub fn from_text(text: &str) -> io::Result<Self> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         let mut lines = text.lines();
@@ -237,9 +161,8 @@ impl Checkpoint {
                 .map(str::to_string)
                 .ok_or_else(|| bad("field out of order"))
         };
-        let engine = field("engine")?;
-        if !matches!(engine.as_str(), "seq" | "batch") {
-            return Err(bad("unknown engine tag"));
+        if field("engine")? != "batch" {
+            return Err(bad("not a batch-engine checkpoint"));
         }
         let parse_u64 = |v: &str| v.parse::<u64>().map_err(|_| bad("malformed integer"));
         let interactions = parse_u64(&field("interactions")?)?;
@@ -265,10 +188,9 @@ impl Checkpoint {
         };
         let counts = vec_field(field("counts")?)?;
         let initial = vec_field(field("initial")?)?;
-        let states: Vec<u32> = vec_field(field("states")?)?
-            .into_iter()
-            .map(|s| u32::try_from(s).map_err(|_| bad("state out of range")))
-            .collect::<io::Result<_>>()?;
+        if field("states")? != "0" {
+            return Err(bad("per-agent states are not restorable"));
+        }
         let series_len = parse_u64(&field("series")?)? as usize;
         // The length is untrusted input: pre-allocate only what the
         // remaining text could plausibly hold, so a corrupt header can't
@@ -302,13 +224,11 @@ impl Checkpoint {
             return Err(bad("missing end marker"));
         }
         Ok(Self {
-            engine,
             interactions,
             interactions_base,
             time_base,
             rng,
             counts,
-            states,
             initial,
             series,
         })
@@ -355,7 +275,6 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::protocol::SimRng;
-    use crate::result::RunOptions;
 
     /// 3-state approximate majority (blank 0, A 1, B 2).
     struct Am3;
@@ -390,13 +309,11 @@ mod tests {
 
     fn demo_checkpoint() -> Checkpoint {
         Checkpoint {
-            engine: "batch".to_string(),
             interactions: 12_345,
             interactions_base: 1_000,
             time_base: 1.25,
             rng: [1, 2, 3, u64::MAX],
             counts: vec![0, 600, 400],
-            states: Vec::new(),
             initial: vec![0, 600, 400],
             series: vec![
                 ChurnSample {
@@ -447,11 +364,29 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_restores_are_errors_not_panics() {
-        // Engine-tag mismatch: a batch snapshot refuses the seq restore.
-        let ck = demo_checkpoint();
-        assert!(ck.restore_seq(Am3).is_err());
+    fn sequential_snapshots_are_refused() {
+        let text = demo_checkpoint().to_text();
+        assert!(text.contains("\nengine batch\n") && text.contains("\nstates 0\n"));
+        // A `seq` snapshot as the sequential engine once wrote it: its tag
+        // and one state per agent.
+        let agents = format!("states 1000{}", " 1".repeat(600) + &" 2".repeat(400));
+        let seq = text
+            .replace("engine batch", "engine seq")
+            .replace("states 0", &agents);
+        for bad in [
+            seq.clone(),
+            text.replace("engine batch", "engine seq"),
+            text.replace("states 0", &agents),
+        ] {
+            assert_eq!(
+                Checkpoint::from_text(&bad).map_err(|e| e.kind()),
+                Err(io::ErrorKind::InvalidData)
+            );
+        }
+    }
 
+    #[test]
+    fn mismatched_restores_are_errors_not_panics() {
         // State-space mismatch: counts longer than the protocol's table.
         let mut wide = demo_checkpoint();
         wide.counts = vec![0, 600, 400, 7];
@@ -466,18 +401,6 @@ mod tests {
         let mut huge = demo_checkpoint();
         huge.counts = vec![0, u64::MAX, 2];
         assert!(huge.restore_batch(Am3).is_err());
-
-        // Seq snapshots validate the agent vector against the counts and
-        // the protocol's state space.
-        let mut seq = demo_checkpoint();
-        seq.engine = "seq".to_string();
-        seq.counts = vec![0, 2, 1];
-        seq.states = vec![1, 1]; // one agent short of the counts
-        assert!(seq.restore_seq(Am3).is_err());
-        seq.states = vec![1, 1, 9]; // out-of-range state
-        assert!(seq.restore_seq(Am3).is_err());
-        seq.states = vec![1, 1, 2];
-        assert!(seq.restore_seq(Am3).is_ok());
     }
 
     #[test]
@@ -524,28 +447,6 @@ mod tests {
             resumed.step_batch();
             assert_eq!(resumed.counts(), sim.counts());
             assert_eq!(resumed.interactions(), sim.interactions());
-        }
-    }
-
-    #[test]
-    fn seq_restore_replays_the_exact_stream() {
-        let initial = [0u64, 70, 30];
-        let states = SeqTable::<Am3>::initial_states(&initial);
-        let mut sim = Simulation::new(SeqTable::new(Am3), states, 5);
-        let opts = RunOptions {
-            max_interactions: 500,
-            check_every: 0,
-        };
-        sim.run(&opts);
-        let ck = Checkpoint::of_seq(&sim, &initial, &[]);
-        assert_eq!(ck.counts.iter().sum::<u64>(), 100);
-        let mut resumed = ck.restore_seq(Am3).expect("restore");
-        assert_eq!(resumed.states(), sim.states());
-        for _ in 0..200 {
-            let a = sim.step();
-            let b = resumed.step();
-            assert_eq!(a, b);
-            assert_eq!(resumed.states(), sim.states());
         }
     }
 }

@@ -94,28 +94,9 @@ impl<P: Protocol> Simulation<P> {
         self.clock.parallel_time(self.states.len() as u64)
     }
 
-    /// The raw RNG state, for checkpointing.
+    /// The raw RNG state.
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
-    }
-
-    /// The clock's checkpoint triple: `(interactions, interactions_base,
-    /// time_base)`.
-    pub fn clock_parts(&self) -> (u64, u64, f64) {
-        self.clock.parts()
-    }
-
-    /// Restore RNG and clock from a checkpoint, making subsequent steps
-    /// replay the checkpointed run's stream exactly.
-    pub fn restore_clock(
-        &mut self,
-        interactions: u64,
-        interactions_base: u64,
-        time_base: f64,
-        rng: [u64; 4],
-    ) {
-        self.clock = Clock::restored(interactions, interactions_base, time_base);
-        self.rng = SimRng::from_state(rng);
     }
 
     /// The current configuration.

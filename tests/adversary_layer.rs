@@ -8,7 +8,10 @@
 //! batched engine's median recovery time stays within 15% of the
 //! sequential engine's.
 
-use exact_plurality::engine::{AdversarySpec, Checkpoint, ChurnProcess, ChurnSpec, RunNote};
+use exact_plurality::baselines::UsdTable;
+use exact_plurality::engine::{
+    AdversarySpec, Checkpoint, ChurnProcess, ChurnSpec, RunNote, RunResult, TallyPaths,
+};
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
 
@@ -382,35 +385,6 @@ fn checkpoint_resume_reproduces_uninterrupted_churned_run_on_batch_engine() {
 }
 
 #[test]
-fn checkpoint_resume_reproduces_uninterrupted_churned_run_on_seq_engine() {
-    let init = vec![0u64, 700, 300];
-    let states = SeqTable::<ThreeState>::initial_states(&init);
-    let churn = ChurnProcess::new(ChurnSpec {
-        join: 0.005,
-        leave: 0.005,
-        ..ChurnSpec::default()
-    });
-    let opts = RunOptions {
-        max_interactions: u64::MAX,
-        check_every: 0,
-    };
-
-    let mut full = Simulation::new(SeqTable::new(ThreeState), states.clone(), 8);
-    let rf = full.run_churned(&opts, &churn, &states, 40.0);
-
-    let mut first = Simulation::new(SeqTable::new(ThreeState), states.clone(), 8);
-    let r1 = first.run_churned(&opts, &churn, &states, 20.0);
-    let ck = Checkpoint::of_seq(&first, &init, &r1.series);
-    let ck = Checkpoint::from_text(&ck.to_text()).expect("checkpoint parses");
-    let mut resumed = ck.restore_seq(ThreeState).expect("restore");
-    let r2 = resumed.run_churned(&opts, &churn, &states, 40.0);
-
-    assert_eq!(full.states(), resumed.states());
-    assert_eq!(rf.interactions, r2.interactions);
-    assert_eq!(rf.series.len(), ck.series.len() + r2.series.len());
-}
-
-#[test]
 fn churn_never_drains_the_population_below_two() {
     // A leave-heavy process must cap at the two-agent floor instead of
     // underflowing the engine's pair sampler.
@@ -480,6 +454,60 @@ fn weight_zero_starvation_saturates_with_a_note_on_all_engines() {
     let r = batch.run(&opts);
     assert_eq!(r.status, RunStatus::Exhausted);
     assert!(r.notes.contains(&RunNote::SchedulerSaturated), "{r:?}");
+}
+
+/// Run `f` on its own thread and fail the test, instead of hanging it,
+/// when `f` has not returned within `secs` seconds. A panic in `f`
+/// propagates.
+fn within<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let r = f();
+        let _ = tx.send(());
+        r
+    });
+    // A hung worker cannot be joined; it is left behind with the failure.
+    if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        panic!("no result within {secs} s");
+    }
+    worker
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// A run to 20 parallel-time units of one agent of opinion 2 against
+/// 1,000 agents of opinion 1 starved to `weight`, on its own thread with
+/// a 10-s bound. Every scheduled tally overdraws the lone weighted agent,
+/// and the per-pair fallback's weighted redraws of its responder keep
+/// landing on that agent too.
+fn starved_lone_initiator(weight: f64) -> (RunResult, TallyPaths) {
+    within(10, move || {
+        let mut sim = BatchSimulation::new(UsdTable::new(2), vec![0, 1_000, 1], 5);
+        sim.set_scheduler(SchedulerSpec::Starve { opinion: 1, weight });
+        let r = sim.run(&RunOptions {
+            max_interactions: 20_000,
+            check_every: 0,
+        });
+        assert_eq!(sim.counts().iter().sum::<u64>(), 1_001);
+        (r, sim.tally_paths())
+    })
+}
+
+#[test]
+fn weight_zero_fallback_draws_another_responder_and_saturates() {
+    // No other agent carries weight: the responder is drawn uniformly
+    // among them, and the run says the scheduler saturated.
+    let (r, paths) = starved_lone_initiator(0.0);
+    assert!(paths.pairwise > 0, "{paths:?}");
+    assert!(r.notes.contains(&RunNote::SchedulerSaturated), "{r:?}");
+}
+
+#[test]
+fn near_zero_weight_fallback_bounds_its_redraws() {
+    // The CLI-legal `starve:1:1e-12` leaves the others 10⁻⁹ of the mass.
+    let (_, paths) = starved_lone_initiator(1e-12);
+    assert!(paths.pairwise > 0, "{paths:?}");
 }
 
 #[test]

@@ -127,13 +127,11 @@ proptest! {
 /// A small well-formed `ppckpt v1` body for mutation testing.
 fn demo_checkpoint_text() -> String {
     let ck = Checkpoint {
-        engine: "batch".to_string(),
         interactions: 12_345,
         interactions_base: 1_000,
         time_base: 1.25,
         rng: [1, 2, 3, u64::MAX],
         counts: vec![0, 600, 400],
-        states: Vec::new(),
         initial: vec![0, 600, 400],
         series: vec![exact_plurality::engine::ChurnSample {
             t: 2.5,

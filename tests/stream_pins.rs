@@ -24,7 +24,7 @@
 //! with the large-mean binomial sampler.
 
 use exact_plurality::baselines::UsdTable;
-use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner};
+use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner, TallyPaths};
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
 
@@ -195,8 +195,13 @@ fn batch_digest<P: TableProtocol>(table: P, init: Vec<u64>, mode: Mode, budget: 
     let mut sim = BatchSimulation::new(table, init.clone(), SEED);
     let opts = RunOptions::with_parallel_time_budget(n as usize, budget);
     let r = drive!(sim, mode, opts, &init);
+    batch_hash(&r, &sim)
+}
+
+/// Fold a batched run's result, clock, RNG state and final counts.
+fn batch_hash<P: TableProtocol>(r: &RunResult, sim: &BatchSimulation<P>) -> u64 {
     let mut h = Fnv::new();
-    h.result(&r);
+    h.result(r);
     h.u64(sim.interactions());
     for w in sim.rng_state() {
         h.u64(w);
@@ -317,6 +322,32 @@ fn segment_checkpoint_bytes_are_pinned() {
     assert_pinned("segment checkpoints", &got, &CHECKPOINTS);
 }
 
+/// The per-pair fallback pins: a churned run of four or two agents to
+/// parallel time 2,000. With so few agents most batches can overdraw a
+/// state, and some draw eight infeasible tallies in a row and fall back
+/// to pair-by-pair application from the live configuration.
+const FALLBACK_STOP: f64 = 2_000.0;
+
+fn fallback_digest<P: TableProtocol>(table: P, init: Vec<u64>, churn: &str) -> (u64, TallyPaths) {
+    let churn = ChurnProcess::new(churn.parse().expect("churn parses"));
+    let mut sim = BatchSimulation::new(table, init.clone(), SEED);
+    let r = sim.run_churned(&RunOptions::default(), &churn, &init, FALLBACK_STOP);
+    (batch_hash(&r, &sim), sim.tally_paths())
+}
+
+#[test]
+fn batch_pairwise_fallback_streams_are_pinned() {
+    let runs = [
+        fallback_digest(ThreeState, vec![0, 2, 2], "churn:0.3"),
+        fallback_digest(UsdTable::new(2), vec![0, 1, 1], "churn:0.5"),
+    ];
+    for (i, (_, paths)) in runs.iter().enumerate() {
+        assert!(paths.pairwise > 0, "run #{i} never fell back: {paths:?}");
+    }
+    let got = runs.map(|(digest, _)| digest);
+    assert_pinned("batch per-pair fallback", &got, &BATCH_PAIRWISE_FALLBACK);
+}
+
 // Recorded digests, in `MODES` order.
 
 const SEQ: [u64; 9] = [
@@ -370,3 +401,7 @@ const BATCH_ADVERSARIAL_LARGE: [u64; 6] = [
 /// `ThreeState` on a 60/40 start, then `UsdTable::new(64)` on
 /// `bias_one(10⁸, 64)`.
 const BATCH_CLEAN_HUGE: [u64; 2] = [0x739a_35b2_d1de_32e0, 0x3690_82df_2ddd_e238];
+
+/// `ThreeState` on `[0, 2, 2]` under `churn:0.3`, then `UsdTable::new(2)`
+/// on `[0, 1, 1]` under `churn:0.5`.
+const BATCH_PAIRWISE_FALLBACK: [u64; 2] = [0x0b85_4c6b_2175_2989, 0x4897_8d12_90f3_3589];
