@@ -6,7 +6,11 @@
 //! opinion with substantial probability. Experiment X13 reproduces the
 //! paper's motivating contrast: USD's failure rate vs bias against the
 //! exact protocols' success at bias 1.
+//!
+//! USD exists once, as the transition table [`UsdTable`]: the batched
+//! engine runs it directly, and the sequential engine through
+//! [`pp_engine::SeqTable`].
 
 pub mod usd;
 
-pub use usd::{Usd, UsdTable};
+pub use usd::UsdTable;

@@ -6,65 +6,15 @@
 //! it next encounters. Consensus is reached quickly, but on close inputs the
 //! winner is essentially a (support-weighted) lottery — USD solves
 //! *approximate*, never *exact*, plurality.
+//!
+//! The dynamics are written once, as the transition table [`UsdTable`]: it
+//! runs on the batched engine as it is and on the sequential engine as
+//! `Simulation<SeqTable<UsdTable>>` (see [`pp_engine::SeqTable`]).
 
-use pp_engine::{Protocol, Replacement, SimRng};
+use pp_engine::SimRng;
 
-/// USD agent: 0 = undecided, `1..=k` = opinion.
-pub type UsdAgent = u16;
-
-/// The k-opinion undecided-state dynamics.
-#[derive(Debug, Clone, Default)]
-pub struct Usd;
-
-impl Usd {
-    /// Initial states straight from per-agent opinions (1-based).
-    pub fn initial_states(opinions: &[u16]) -> Vec<UsdAgent> {
-        assert!(opinions.iter().all(|&o| o >= 1), "opinions are 1-based");
-        opinions.to_vec()
-    }
-}
-
-impl Protocol for Usd {
-    type State = UsdAgent;
-
-    #[inline]
-    fn interact(&mut self, _t: u64, a: &mut u16, b: &mut u16, _rng: &mut SimRng) {
-        match (*a, *b) {
-            (0, 0) => {}
-            (x, 0) => *b = x,
-            (0, y) => *a = y,
-            (x, y) if x != y => *b = 0,
-            _ => {}
-        }
-    }
-
-    fn converged(&self, states: &[u16]) -> Option<u32> {
-        let first = states[0];
-        (first != 0 && states.iter().all(|&s| s == first)).then(|| u32::from(first))
-    }
-
-    fn encode(&self, state: &u16) -> u64 {
-        u64::from(*state)
-    }
-
-    fn fault_state(&self, replacement: &Replacement, _rng: &mut SimRng) -> Option<u16> {
-        match *replacement {
-            // `Usd` carries no opinion count, so a uniformly random state
-            // is not well-defined here; use `UsdTable` (which knows `k`)
-            // for corruption experiments.
-            Replacement::Random | Replacement::Rejoin => None,
-            Replacement::Opinion(o) => u16::try_from(o).ok(),
-        }
-    }
-
-    fn opinion_of(&self, state: &u16) -> Option<u32> {
-        (*state != 0).then(|| u32::from(*state))
-    }
-}
-
-/// USD over a fixed opinion count `k`, as a deterministic transition table
-/// for the batched configuration-space engine: state 0 is undecided,
-/// states `1..=k` are the opinions.
+/// USD over a fixed opinion count `k`, as a deterministic transition
+/// table: state 0 is undecided, states `1..=k` are the opinions.
 #[derive(Debug, Clone)]
 pub struct UsdTable {
     k: usize,
@@ -138,16 +88,21 @@ impl pp_engine::TableProtocol for UsdTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::{BatchSimulation, RunOptions, RunStatus, Simulation, TableProtocol};
+    use pp_engine::{BatchSimulation, RunOptions, RunStatus, SeqTable, Simulation, TableProtocol};
     use pp_workloads::Counts;
+
+    /// A sequential run from `counts`, agents contiguous by opinion.
+    fn sequential(counts: &Counts, seed: u64) -> Simulation<SeqTable<UsdTable>> {
+        let table = UsdTable::new(counts.k());
+        let states = SeqTable::<UsdTable>::initial_states(&table.initial_counts(counts.supports()));
+        Simulation::new(SeqTable::new(table), states, seed)
+    }
 
     #[test]
     fn overwhelming_plurality_wins() {
         let counts = Counts::from_supports(vec![3000, 500, 500]);
-        let a = counts.assignment();
-        let states = Usd::initial_states(a.opinions());
-        let mut sim = Simulation::new(Usd, states, 3);
-        let r = sim.run(&RunOptions::with_parallel_time_budget(a.n(), 10_000.0));
+        let mut sim = sequential(&counts, 3);
+        let r = sim.run(&RunOptions::with_parallel_time_budget(counts.n(), 10_000.0));
         assert_eq!(r.status, RunStatus::Converged);
         assert_eq!(r.output, Some(1));
     }
@@ -155,13 +110,11 @@ mod tests {
     #[test]
     fn consensus_is_fast() {
         let counts = Counts::from_supports(vec![6000, 1000, 1000]);
-        let a = counts.assignment();
-        let states = Usd::initial_states(a.opinions());
-        let mut sim = Simulation::new(Usd, states, 5);
-        let r = sim.run(&RunOptions::with_parallel_time_budget(a.n(), 10_000.0));
+        let mut sim = sequential(&counts, 5);
+        let r = sim.run(&RunOptions::with_parallel_time_budget(counts.n(), 10_000.0));
         assert_eq!(r.status, RunStatus::Converged);
         assert!(
-            r.parallel_time < 20.0 * (a.n() as f64).ln(),
+            r.parallel_time < 20.0 * (counts.n() as f64).ln(),
             "time {}",
             r.parallel_time
         );
@@ -173,12 +126,10 @@ mod tests {
         // plurality opinion loses a non-trivial fraction of runs.
         let n = 400;
         let counts = Counts::bias_one(n, 2);
-        let a = counts.assignment();
         let mut wrong = 0;
         let trials = 40;
         for seed in 0..trials {
-            let states = Usd::initial_states(a.opinions());
-            let mut sim = Simulation::new(Usd, states, seed);
+            let mut sim = sequential(&counts, seed);
             let r = sim.run(&RunOptions::with_parallel_time_budget(n, 50_000.0));
             if r.status == RunStatus::Converged && r.output != Some(1) {
                 wrong += 1;
@@ -188,25 +139,6 @@ mod tests {
             wrong > 5,
             "USD should fail regularly at bias 1, failed {wrong}/{trials}"
         );
-    }
-
-    #[test]
-    fn table_form_matches_agent_form() {
-        let mut p = Usd;
-        let t = UsdTable::new(4);
-        let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(9);
-        for a in 0u16..5 {
-            for b in 0u16..5 {
-                let (mut x, mut y) = (a, b);
-                p.interact(0, &mut x, &mut y, &mut rng);
-                let (tx, ty) = t.delta(usize::from(a), usize::from(b), &mut rng);
-                assert_eq!(
-                    (usize::from(x), usize::from(y)),
-                    (tx, ty),
-                    "mismatch at ({a},{b})"
-                );
-            }
-        }
     }
 
     #[test]
@@ -224,13 +156,9 @@ mod tests {
 
     #[test]
     fn undecided_agents_adopt() {
-        let mut p = Usd;
+        let t = UsdTable::new(4);
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(1);
-        let (mut a, mut b) = (0u16, 4u16);
-        p.interact(0, &mut a, &mut b, &mut rng);
-        assert_eq!((a, b), (4, 4));
-        let (mut a, mut b) = (2u16, 3u16);
-        p.interact(0, &mut a, &mut b, &mut rng);
-        assert_eq!((a, b), (2, 0));
+        assert_eq!(t.delta(0, 4, &mut rng), (4, 4));
+        assert_eq!(t.delta(2, 3, &mut rng), (2, 0));
     }
 }

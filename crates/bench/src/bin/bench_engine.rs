@@ -5,8 +5,9 @@
 //! median, min and max:
 //!
 //! * 3-state majority at `n ∈ {10⁴, 10⁶, 10⁸}` on both engines:
-//!   `sequential` (per-agent `Simulation::step`) and `batch_multinomial`
-//!   (`BatchSimulation`);
+//!   `sequential` (per-agent `Simulation::step` on
+//!   `SeqTable<ThreeState>`, the path `xp --engine seq` runs) and
+//!   `batch_multinomial` (`BatchSimulation`);
 //! * USD with `k ∈ {2, 64, 1024}` opinions on `bias_one(n, k)` at
 //!   `n ∈ {10⁴, 10⁶, 10⁸}` on `BatchSimulation`. These span the state
 //!   count `S = k + 1`, which decides between the lumped and the
@@ -26,9 +27,9 @@
 //!
 //! A fourth block rates the fault layer on 3-state majority at the same
 //! three sizes, again median, min and max of [`REPEATS`]: a clean `run()`,
-//! `run_faulted()` with an empty plan, `run_churned()` under symmetric
-//! `churn:0.005` and under `churn:0.005:0.005:plurality`, and `run()`
-//! against an `adaptive:0.05` adversary ([`FAULT_ROWS`]).
+//! `run_churned()` under symmetric `churn:0.005` and under
+//! `churn:0.005:0.005:plurality`, and `run()` against an `adaptive:0.05`
+//! adversary ([`FAULT_ROWS`]).
 //!
 //! Usage: `cargo run --release -p plurality-bench --bin bench_engine
 //! [-- path/to/BENCH_engine.json]`
@@ -38,7 +39,9 @@ use std::time::Instant;
 
 use pp_baselines::UsdTable;
 use pp_engine::batch::multinomial::binomial;
-use pp_engine::{BatchSimulation, ChurnProcess, RunOptions, SimRng, Simulation, TableProtocol};
+use pp_engine::{
+    BatchSimulation, ChurnProcess, RunOptions, SeqTable, SimRng, Simulation, TableProtocol,
+};
 use pp_majority::ThreeState;
 use pp_workloads::Counts;
 use rand::SeedableRng;
@@ -60,9 +63,8 @@ const SAMPLER_GRID: [(u64, f64); 5] = [
 ];
 
 /// The fault-layer rows, in JSON order.
-const FAULT_ROWS: [&str; 5] = [
+const FAULT_ROWS: [&str; 4] = [
     "clean_run",
-    "empty_plan",
     "active_churn",
     "adaptive_adversary",
     "targeted_churn",
@@ -160,7 +162,6 @@ fn fault_rate(row: &str, n: u64) -> f64 {
         }
         let t0 = Instant::now();
         match row {
-            "empty_plan" => sim.run_faulted(&opts, &[]),
             "active_churn" => sim.run_churned(&opts, &symmetric, &init, f64::MAX),
             "targeted_churn" => sim.run_churned(&opts, &targeted, &init, f64::MAX),
             _ => sim.run(&opts),
@@ -202,9 +203,8 @@ fn main() {
             let target = (5 * n).min(30_000_000);
             Spread::of(|| {
                 rate(target, || {
-                    let states =
-                        ThreeState::initial_states((n * 3 / 5) as usize, (n * 2 / 5) as usize);
-                    let mut sim = Simulation::new(ThreeState, states, 42);
+                    let states = SeqTable::<ThreeState>::initial_states(&majority(n));
+                    let mut sim = Simulation::new(SeqTable::new(ThreeState), states, 42);
                     let t0 = Instant::now();
                     for _ in 0..target {
                         sim.step();
@@ -317,7 +317,9 @@ fn main() {
         "  \"unit\": \"interactions/s, median/min/max of {REPEATS} repeats\",\n"
     ));
     json.push_str("  \"three_state_majority\": {\n");
-    json.push_str("    \"configuration\": \"60/40 opinion split, pre-convergence budget\",\n");
+    json.push_str(
+        "    \"configuration\": \"60/40 opinion split, pre-convergence budget; sequential: Simulation<SeqTable<ThreeState>>, batch_multinomial: BatchSimulation\",\n",
+    );
     let rows_json: Vec<String> = rows
         .iter()
         .map(|(name, rates)| format!("    \"{name}\": {}", grid_json(rates)))

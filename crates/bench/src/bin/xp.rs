@@ -12,9 +12,9 @@
 //! Shared flags are the common experiment flags (`--trials`, `--seed`,
 //! `--full`, `--out`, `--threads`, `--engine`). Every run writes its CSV
 //! tables plus a `<scenario>_manifest.json` under the output directory.
-//! A run flag a scenario does not honor (`--faults`, `--churn`, …) is
-//! refused before anything runs: `xp run` exits 2, and `xp all` skips
-//! that scenario with a note.
+//! A run flag a scenario does not honor (`--engine seq`, `--faults`,
+//! `--churn`, …) is refused before anything runs: `xp run` exits 2, and
+//! `xp all` skips that scenario with a note.
 
 use plurality_bench::harness::{self, parse_args, CliError};
 use plurality_bench::registry;

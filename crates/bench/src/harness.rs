@@ -81,8 +81,9 @@ Common experiment flags:
                              (checkpoint-capable scenarios only)
   --resume FILE              resume a checkpoint-capable scenario from FILE
   --help                     print this help
-A scenario that cannot honor --faults, --scheduler, --adversary, --churn,
---checkpoint-every or --resume refuses it by name before its first trial.";
+A scenario that cannot honor --engine seq, --faults, --scheduler, --adversary,
+--churn, --checkpoint-every or --resume refuses it by name before its first
+trial.";
 
 /// Options shared by all experiment binaries.
 #[derive(Debug, Clone)]

@@ -100,6 +100,10 @@ fn run_with(scenario: &Scenario, opts: &ExpOpts, verbose: bool) -> io::Result<Pa
     }
     let mut sink = Sink::new(scenario.name, opts);
     sink.verbose = verbose;
+    sink.engine = scenario
+        .flags
+        .contains(&RunFlag::Engine)
+        .then_some(opts.engine);
     {
         let mut ctx = Ctx {
             opts,
@@ -113,6 +117,7 @@ fn run_with(scenario: &Scenario, opts: &ExpOpts, verbose: bool) -> io::Result<Pa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Engine;
 
     #[test]
     fn registry_round_trip() {
@@ -143,15 +148,35 @@ mod tests {
     #[test]
     fn flags_a_scenario_does_not_honor_are_refused() {
         let opts = ExpOpts {
+            engine: Engine::Seq,
             faults: pp_engine::FaultSpec::parse_list("corrupt@5:0.5").expect("valid"),
             churn: Some("churn:0.05".parse().expect("valid")),
             ..ExpOpts::default()
         };
         let refused = |name| refused_flags(find(name).expect("registered"), &opts);
-        assert_eq!(refused("x02"), ["--faults", "--churn"]);
+        assert_eq!(refused("x02"), ["--engine", "--faults", "--churn"]);
         assert_eq!(refused("x13"), ["--churn"]);
-        assert_eq!(refused("x24"), ["--faults"]);
+        assert_eq!(refused("x24"), ["--engine", "--faults"]);
         assert!(refused_flags(find("x07").expect("registered"), &ExpOpts::default()).is_empty());
+
+        // `--engine` is taken by exactly the scenarios with a table arm;
+        // `--engine batch`, the default, counts as unset everywhere.
+        let takes_engine: Vec<&str> = scenarios()
+            .iter()
+            .filter(|s| s.flags.contains(&RunFlag::Engine))
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(
+            takes_engine,
+            ["x01", "x04", "x10", "x13", "x17", "x18", "x20", "x21", "x23", "x25"]
+        );
+        let batch = ExpOpts {
+            engine: Engine::Batch,
+            ..ExpOpts::default()
+        };
+        for s in scenarios() {
+            assert!(refused_flags(s, &batch).is_empty(), "{}", s.name);
+        }
     }
 
     #[test]

@@ -38,6 +38,9 @@ use crate::sink::Sink;
 /// records a flag its run ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunFlag {
+    /// `--engine seq`, the only non-default engine: a scenario that lists
+    /// it runs table arms, the only arms the engine choice switches.
+    Engine,
     /// `--faults`.
     Faults,
     /// `--scheduler`.
@@ -54,7 +57,8 @@ pub enum RunFlag {
 
 impl RunFlag {
     /// Every flag, in CLI order.
-    pub const ALL: [RunFlag; 6] = [
+    pub const ALL: [RunFlag; 7] = [
+        RunFlag::Engine,
         RunFlag::Faults,
         RunFlag::Scheduler,
         RunFlag::Adversary,
@@ -69,9 +73,19 @@ impl RunFlag {
     pub const TRIAL: &'static [RunFlag] =
         &[RunFlag::Faults, RunFlag::Scheduler, RunFlag::Adversary];
 
+    /// [`RunFlag::TRIAL`] plus `--engine`, for a scenario whose trials
+    /// include a table arm.
+    pub(crate) const TABLE_TRIAL: &'static [RunFlag] = &[
+        RunFlag::Engine,
+        RunFlag::Faults,
+        RunFlag::Scheduler,
+        RunFlag::Adversary,
+    ];
+
     /// The CLI spelling.
     pub fn name(self) -> &'static str {
         match self {
+            RunFlag::Engine => "--engine",
             RunFlag::Faults => "--faults",
             RunFlag::Scheduler => "--scheduler",
             RunFlag::Adversary => "--adversary",
@@ -84,6 +98,7 @@ impl RunFlag {
     /// Whether `opts` sets the flag.
     pub fn is_set(self, opts: &ExpOpts) -> bool {
         match self {
+            RunFlag::Engine => opts.engine == Engine::Seq,
             RunFlag::Faults => !opts.faults.is_empty(),
             RunFlag::Scheduler => opts.scheduler.is_some(),
             RunFlag::Adversary => opts.adversary.is_some(),

@@ -25,7 +25,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x01_simple_scaling",
     about: "Theorem 1(1): SimpleAlgorithm time = O(k·log n), with a USD baseline arm",
     outputs: &["x01_simple_scaling", "x01_simple_scaling_baseline"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

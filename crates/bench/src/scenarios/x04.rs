@@ -25,7 +25,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x04_unordered_scaling",
     about: "Theorem 1(2): UnorderedAlgorithm pays an additive O(log² n) for leader election",
     outputs: &["x04_unordered_scaling", "x04_unordered_scaling_baseline"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

@@ -21,7 +21,7 @@ use pp_workloads::{Counts, Workload};
 
 use crate::arm::{self, TrialSpec};
 use crate::protocols::TrialOutcome;
-use crate::scenario::{col, Ctx, GridPoint, Scenario, Study};
+use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
 pub const SCENARIO: Scenario = Scenario {
@@ -30,7 +30,7 @@ pub const SCENARIO: Scenario = Scenario {
     about: "Majority substrates: cancel/split vs 3-state vs 4-state, and the 3-state bias knee",
     outputs: &["x10a_majority_bias1", "x10b_three_state_bias"],
     // The cancel/split arm hands no fault, scheduler or adversary to its engine.
-    flags: &[],
+    flags: &[RunFlag::Engine],
     run,
 };
 

@@ -27,7 +27,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x13_usd_comparison",
     about: "USD vs SimpleAlgorithm across the bias range — fast lottery vs exact consensus",
     outputs: &["x13_usd_comparison"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

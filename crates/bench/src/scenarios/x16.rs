@@ -14,8 +14,8 @@ use std::io;
 
 use plurality_core::roles::Role;
 use plurality_core::{SimpleAlgorithm, Tuning};
-use pp_baselines::Usd;
-use pp_engine::{RunOptions, Simulation};
+use pp_baselines::UsdTable;
+use pp_engine::{RunOptions, SeqTable, Simulation};
 use pp_stats::Table;
 use pp_workloads::Counts;
 
@@ -43,8 +43,9 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         &["t", "op1", "op2", "op3", "undecided"],
     );
     {
-        let states = Usd::initial_states(assignment.opinions());
-        let mut sim = Simulation::new(Usd, states, ctx.opts.seed);
+        let table = UsdTable::new(k);
+        let states = SeqTable::<UsdTable>::initial_states(&table.initial_counts(counts.supports()));
+        let mut sim = Simulation::new(SeqTable::new(table), states, ctx.opts.seed);
         let mut next = 0u64;
         let _ = sim.run_observed(
             &RunOptions::with_parallel_time_budget(n, 200.0),
@@ -55,7 +56,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
                 next = t + n as u64 / 2;
                 let mut c = [0usize; 4];
                 for &s in states {
-                    c[usize::from(s).min(3)] += 1;
+                    c[s as usize] += 1;
                 }
                 ta.push(vec![
                     format!("{:.1}", t as f64 / n as f64),

@@ -25,7 +25,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x17_adversarial_init",
     about: "USD across adversarial input shapes (bias-1, one-large, Zipf, geometric tails)",
     outputs: &["x17_adversarial_init"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

@@ -31,7 +31,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x18_fault_recovery",
     about: "Recovery time and winner survival vs corrupted fraction (USD, 3-/4-state)",
     outputs: &["x18_fault_recovery"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

@@ -27,7 +27,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x20_repeated_corruption",
     about: "Reconvergence time vs n under repeated 20% corruption, with O(log n) fit",
     outputs: &["x20_repeated_corruption", "x20_fit"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

@@ -36,7 +36,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x21_byzantine_tolerance",
     about: "Survivable Byzantine lying fraction (USD, 3-/4-state, simple)",
     outputs: &["x21_byzantine_tolerance"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

@@ -36,7 +36,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x23_adaptive_tolerance",
     about: "Survivable adaptive lying fraction vs x21's fixed lies, per strategy",
     outputs: &["x23_adaptive_tolerance"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

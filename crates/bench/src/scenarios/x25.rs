@@ -34,7 +34,7 @@ pub const SCENARIO: Scenario = Scenario {
     slug: "x25_corruption_tolerance",
     about: "Measured corruption tolerance vs the √(n log n)/n additive-noise margin",
     outputs: &["x25_corruption_sweep", "x25_tolerance", "x25_fit"],
-    flags: RunFlag::TRIAL,
+    flags: RunFlag::TABLE_TRIAL,
     run,
 };
 

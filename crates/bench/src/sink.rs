@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use pp_stats::Table;
 
-use crate::harness::ExpOpts;
+use crate::harness::{Engine, ExpOpts};
 
 /// One emitted table, as recorded in the manifest.
 struct EmittedTable {
@@ -35,6 +35,9 @@ pub struct Sink {
     emitted: Vec<EmittedTable>,
     /// Print tables to stdout (off in tests).
     pub verbose: bool,
+    /// The engine the manifest records; `None`, written `null`, for a
+    /// scenario that takes no `--engine`.
+    pub(crate) engine: Option<Engine>,
 }
 
 impl Sink {
@@ -46,6 +49,7 @@ impl Sink {
             started: Instant::now(),
             emitted: Vec::new(),
             verbose: true,
+            engine: Some(opts.engine),
         }
     }
 
@@ -123,7 +127,10 @@ impl Sink {
         let _ = writeln!(out, "  \"seed\": {},", self.opts.seed);
         let _ = writeln!(out, "  \"trials\": {},", self.opts.trials);
         let _ = writeln!(out, "  \"full\": {},", self.opts.full);
-        let _ = writeln!(out, "  \"engine\": {},", json_str(self.opts.engine.name()));
+        let engine = self
+            .engine
+            .map_or_else(|| "null".to_string(), |e| json_str(e.name()));
+        let _ = writeln!(out, "  \"engine\": {engine},");
         let faults = self
             .opts
             .faults

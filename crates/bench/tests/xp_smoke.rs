@@ -365,3 +365,41 @@ fn flags_a_scenario_cannot_honor_are_refused_before_it_runs() {
     assert!(!out.join("x17_manifest.json").exists());
     fs::remove_dir_all(&out).ok();
 }
+
+#[test]
+fn engine_flag_is_refused_and_unrecorded_where_no_table_arm_runs() {
+    // x03 runs only the paper's protocols and x24 always runs the batch
+    // engine: neither takes `--engine seq`, and neither manifest records
+    // an engine.
+    let out = temp_out("engine");
+    let output = Command::new(env!("CARGO_BIN_EXE_xp"))
+        .args(["run", "x03", "--engine", "seq", "--out"])
+        .arg(&out)
+        .output()
+        .expect("xp runs");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("x03 does not honor --engine"), "{stderr}");
+    assert!(!out.exists(), "a refused run wrote {}", out.display());
+
+    let output = Command::new(env!("CARGO_BIN_EXE_xp"))
+        .args(["all", "--filter", "x24", "--engine", "seq", "--out"])
+        .arg(&out)
+        .output()
+        .expect("xp runs");
+    assert!(output.status.success());
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("skipping x24"), "{stderr}");
+    assert!(!out.join("x24_manifest.json").exists());
+
+    let opts = ExpOpts {
+        trials: 2,
+        out_dir: out.clone(),
+        ..ExpOpts::default()
+    };
+    let manifest =
+        registry::run_quiet(registry::find("x24").expect("registered"), &opts).expect("x24 runs");
+    let json = fs::read_to_string(&manifest).expect("manifest written");
+    assert!(json.contains("\"engine\": null"), "{json}");
+    fs::remove_dir_all(&out).ok();
+}

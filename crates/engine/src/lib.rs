@@ -51,8 +51,9 @@
 //! `0..S` for small `S`; (2) the transition is a function of the two
 //! states (plus randomness) only — no interaction-index or per-agent
 //! identity dependence; (3) convergence reads the counts vector. The
-//! constant-state baselines (USD, 3-/4-state majority, epidemics) all
-//! qualify; adapters live next to each protocol.
+//! constant-state baselines (USD, 3-/4-state majority) qualify and are
+//! written only as tables, each in its protocol's crate; [`SeqTable`] runs
+//! any table on the sequential engine.
 //!
 //! This crate provides the infrastructure shared by every protocol in the
 //! workspace:

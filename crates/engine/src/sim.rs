@@ -339,12 +339,6 @@ impl<P: Protocol> Simulation<P> {
         driver::run_churned(self, opts, churn, initial, stop_at)
     }
 
-    /// Consume the simulation and return the protocol (for milestone
-    /// extraction) together with the final configuration.
-    pub fn into_parts(self) -> (P, Vec<P::State>) {
-        (self.protocol, self.states)
-    }
-
     /// The convergence-check stride: `converged` is an `O(n)` scan, so the
     /// hot loop must never rescan mid-stride. The default stride is the
     /// population size, which churn changes, so it is resolved per stride:

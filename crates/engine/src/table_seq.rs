@@ -1,17 +1,20 @@
 //! Run a [`TableProtocol`] on the sequential per-agent engine.
 //!
-//! The batched configuration-space engines are the fast path for table
-//! protocols, but two situations still need the sequential scheduler:
+//! The batched configuration-space engine is the fast path for table
+//! protocols, but some runs still need the sequential scheduler:
 //!
 //! * **A/B validation** — the `--engine seq` flag of the experiment driver
 //!   re-runs every table-protocol arm per-agent so batched statistics can
-//!   be cross-checked on identical inputs;
+//!   be cross-checked on identical inputs, and the engine-equivalence
+//!   tests take their reference times from it;
 //! * **census collection** — distinct-state tracking
-//!   ([`crate::Simulation::run_with_census`]) needs per-agent states.
+//!   ([`crate::Simulation::run_with_census`]) needs per-agent states;
+//! * **trajectories** — observers that read every agent's state
+//!   ([`crate::Simulation::run_observed`]).
 //!
-//! [`SeqTable`] wraps any table so the engine-erased experiment arms can
-//! switch engines uniformly instead of keeping a hand-written per-agent
-//! twin of each table protocol.
+//! [`SeqTable`] is the only per-agent form of a table: the constant-state
+//! baselines (3- and 4-state majority, USD) are written once, as tables,
+//! and reach the sequential engine only as `Simulation<SeqTable<_>>`.
 
 use rand::Rng;
 
@@ -33,11 +36,6 @@ impl<P: TableProtocol> SeqTable<P> {
     /// Wrap `table` for the sequential engine.
     pub fn new(table: P) -> Self {
         Self { table }
-    }
-
-    /// The wrapped table.
-    pub fn table(&self) -> &P {
-        &self.table
     }
 
     /// Expand a configuration (`counts[s]` agents in state `s`) into the

@@ -10,124 +10,20 @@
 //! annihilation and the single-token conversion sweep cost `Θ(n)` parallel
 //! time — the baseline demonstrating why the paper accepts a small failure
 //! probability to get `O(log n)`-time building blocks (experiment X10).
+//!
+//! The protocol is written once, as a transition table: it runs on the
+//! batched engine as it is (up to `n = 10⁸` in the experiments) and on
+//! the sequential engine as `Simulation<SeqTable<FourState>>` (see
+//! [`pp_engine::SeqTable`]).
 
-use rand::Rng;
+use pp_engine::SimRng;
 
-use pp_engine::{Protocol, Replacement, SimRng};
-
-/// 4-state agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FourStateAgent {
-    /// Strong A (token holder).
-    StrongA,
-    /// Strong B (token holder).
-    StrongB,
-    /// Weak a.
-    WeakA,
-    /// Weak b.
-    WeakB,
-}
-
-/// The 4-state stable exact-majority protocol.
+/// The 4-state stable exact-majority protocol, as a deterministic
+/// transition table over states `0..4`: 0 = strong A, 1 = strong B (the
+/// token holders), 2 = weak a, 3 = weak b.
 #[derive(Debug, Clone, Default)]
 pub struct FourState;
 
-impl FourState {
-    /// Initial configuration with `a` strong-A and `b` strong-B agents.
-    pub fn initial_states(a: usize, b: usize) -> Vec<FourStateAgent> {
-        let mut v = Vec::with_capacity(a + b);
-        v.extend(std::iter::repeat_n(FourStateAgent::StrongA, a));
-        v.extend(std::iter::repeat_n(FourStateAgent::StrongB, b));
-        v
-    }
-}
-
-impl Protocol for FourState {
-    type State = FourStateAgent;
-
-    #[inline]
-    fn interact(
-        &mut self,
-        _t: u64,
-        a: &mut FourStateAgent,
-        b: &mut FourStateAgent,
-        _rng: &mut SimRng,
-    ) {
-        use FourStateAgent::*;
-        match (*a, *b) {
-            // Strong opposites annihilate into weak opinions.
-            (StrongA, StrongB) => {
-                *a = WeakA;
-                *b = WeakB;
-            }
-            (StrongB, StrongA) => {
-                *a = WeakB;
-                *b = WeakA;
-            }
-            // Strong agents convert weak opposites.
-            (StrongA, WeakB) => *b = WeakA,
-            (StrongB, WeakA) => *b = WeakB,
-            (WeakB, StrongA) => *a = WeakA,
-            (WeakA, StrongB) => *a = WeakB,
-            _ => {}
-        }
-    }
-
-    fn converged(&self, states: &[FourStateAgent]) -> Option<u32> {
-        use FourStateAgent::*;
-        let mut saw_a = false;
-        let mut saw_b = false;
-        for s in states {
-            match s {
-                StrongA | WeakA => saw_a = true,
-                StrongB | WeakB => saw_b = true,
-            }
-            if saw_a && saw_b {
-                return None;
-            }
-        }
-        Some(if saw_a { 1 } else { 2 })
-    }
-
-    fn encode(&self, state: &FourStateAgent) -> u64 {
-        use FourStateAgent::*;
-        match state {
-            StrongA => 0,
-            StrongB => 1,
-            WeakA => 2,
-            WeakB => 3,
-        }
-    }
-
-    fn fault_state(&self, replacement: &Replacement, rng: &mut SimRng) -> Option<FourStateAgent> {
-        use FourStateAgent::*;
-        match *replacement {
-            Replacement::Random => Some(match rng.gen_range(0..4u8) {
-                0 => StrongA,
-                1 => StrongB,
-                2 => WeakA,
-                _ => WeakB,
-            }),
-            // Injected agents enter strong (token-carrying) — a fresh vote.
-            Replacement::Opinion(1) => Some(StrongA),
-            Replacement::Opinion(2) => Some(StrongB),
-            Replacement::Opinion(_) | Replacement::Rejoin => None,
-        }
-    }
-
-    fn opinion_of(&self, state: &FourStateAgent) -> Option<u32> {
-        use FourStateAgent::*;
-        match state {
-            StrongA | WeakA => Some(1),
-            StrongB | WeakB => Some(2),
-        }
-    }
-}
-
-/// The same protocol as a transition table over states `0..4` (the
-/// [`Protocol::encode`] numbering: 0 = strong A, 1 = strong B, 2 = weak a,
-/// 3 = weak b), runnable on the batched configuration-space engines for
-/// `n ≥ 10⁸` experiments.
 impl pp_engine::TableProtocol for FourState {
     fn states(&self) -> usize {
         4
@@ -184,30 +80,25 @@ pub fn four_state_counts(a: u64, b: u64) -> Vec<u64> {
     vec![a, b, 0, 0]
 }
 
-/// Token difference `#StrongA − #StrongB`: invariant under all transitions.
-pub fn token_difference(states: &[FourStateAgent]) -> i64 {
-    states
-        .iter()
-        .map(|s| match s {
-            FourStateAgent::StrongA => 1,
-            FourStateAgent::StrongB => -1,
-            _ => 0,
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::{RunOptions, RunStatus, Simulation};
+    use pp_engine::{BatchSimulation, RunOptions, RunStatus, SeqTable, Simulation, TableProtocol};
+
+    /// A sequential run from `a` strong-A and `b` strong-B agents.
+    fn sequential(a: u64, b: u64, seed: u64) -> Simulation<SeqTable<FourState>> {
+        let states = SeqTable::<FourState>::initial_states(&four_state_counts(a, b));
+        Simulation::new(SeqTable::new(FourState), states, seed)
+    }
 
     #[test]
     fn exact_at_bias_one_always() {
         for seed in 0..10 {
             let n = 200;
-            let states = FourState::initial_states(n / 2 + 1, n / 2 - 1);
-            let mut sim = Simulation::new(FourState, states, seed);
-            let r = sim.run(&RunOptions::with_parallel_time_budget(n, 200_000.0));
+            let mut sim = sequential(n / 2 + 1, n / 2 - 1, seed);
+            let r = sim.run(&RunOptions::with_parallel_time_budget(
+                n as usize, 200_000.0,
+            ));
             assert_eq!(r.status, RunStatus::Converged, "seed {seed}");
             assert_eq!(r.output, Some(1), "seed {seed}");
         }
@@ -215,58 +106,27 @@ mod tests {
 
     #[test]
     fn minority_never_wins() {
-        let n = 500;
-        let states = FourState::initial_states(200, 300);
-        let mut sim = Simulation::new(FourState, states, 77);
-        let r = sim.run(&RunOptions::with_parallel_time_budget(n, 200_000.0));
+        let mut sim = sequential(200, 300, 77);
+        let r = sim.run(&RunOptions::with_parallel_time_budget(500, 200_000.0));
         assert_eq!(r.output, Some(2));
     }
 
     #[test]
     fn token_difference_is_invariant() {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut p = FourState;
-        let mut rng = SimRng::seed_from_u64(5);
-        let mut states = FourState::initial_states(33, 31);
-        let d0 = token_difference(&states);
-        for _ in 0..50_000 {
-            let i = rng.gen_range(0..states.len());
-            let mut j = rng.gen_range(0..states.len() - 1);
-            if j >= i {
-                j += 1;
-            }
-            let (lo, hi) = states.split_at_mut(i.max(j));
-            let (x, y) = if i < j {
-                (&mut lo[i], &mut hi[0])
-            } else {
-                (&mut hi[0], &mut lo[j])
-            };
-            p.interact(0, x, y, &mut rng);
-        }
-        assert_eq!(token_difference(&states), d0);
-    }
-
-    #[test]
-    fn table_form_matches_agent_form() {
-        use pp_engine::TableProtocol;
-        let mut p = FourState;
-        let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(6);
-        let decode = |s: usize| match s {
-            0 => FourStateAgent::StrongA,
-            1 => FourStateAgent::StrongB,
-            2 => FourStateAgent::WeakA,
-            _ => FourStateAgent::WeakB,
+        // #strong-A − #strong-B (states 0 and 1) survives every transition.
+        let token = |s: usize| match s {
+            0 => 1,
+            1 => -1,
+            _ => 0,
         };
-        for a in 0usize..4 {
-            for b in 0usize..4 {
-                let (mut x, mut y) = (decode(a), decode(b));
-                p.interact(0, &mut x, &mut y, &mut rng);
-                let (tx, ty) = TableProtocol::delta(&FourState, a, b, &mut rng);
+        let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(5);
+        for a in 0..4 {
+            for b in 0..4 {
+                let (x, y) = FourState.delta(a, b, &mut rng);
                 assert_eq!(
-                    (p.encode(&x), p.encode(&y)),
-                    (tx as u64, ty as u64),
-                    "mismatch at ({a},{b})"
+                    token(x) + token(y),
+                    token(a) + token(b),
+                    "({a},{b}) -> ({x},{y})"
                 );
             }
         }
@@ -274,17 +134,16 @@ mod tests {
 
     #[test]
     fn batched_four_state_is_exact_at_scale() {
-        use pp_engine::BatchSimulation;
         let n = 1_000_000u64;
         // Minority-heavy weak start is irrelevant for the table: strong
         // counts decide. Bias n/100 keeps runtime tame at this n.
         let counts = four_state_counts(n / 2 + n / 100, n / 2 - n / 100);
         let mut sim = BatchSimulation::new(FourState, counts, 19);
-        let r = sim.run(&pp_engine::RunOptions {
+        let r = sim.run(&RunOptions {
             max_interactions: 2000 * n,
             check_every: 0,
         });
-        assert_eq!(r.status, pp_engine::RunStatus::Converged);
+        assert_eq!(r.status, RunStatus::Converged);
         assert_eq!(r.output, Some(1));
     }
 
@@ -293,9 +152,11 @@ mod tests {
         // Θ(n) parallel time: at n = 512 expect hundreds of time units,
         // far above the O(log n) of cancel/split.
         let n = 512;
-        let states = FourState::initial_states(n / 2 + 1, n / 2 - 1);
-        let mut sim = Simulation::new(FourState, states, 3);
-        let r = sim.run(&RunOptions::with_parallel_time_budget(n, 1_000_000.0));
+        let mut sim = sequential(n / 2 + 1, n / 2 - 1, 3);
+        let r = sim.run(&RunOptions::with_parallel_time_budget(
+            n as usize,
+            1_000_000.0,
+        ));
         assert_eq!(r.status, RunStatus::Converged);
         assert!(
             r.parallel_time > 2.0 * (n as f64).ln(),

@@ -12,6 +12,10 @@
 //!   motivation baseline for why small state counts alone are not enough.
 //!
 //! Experiment X10 compares all three on the same inputs.
+//!
+//! The 3- and 4-state protocols exist once each, as transition tables
+//! ([`pp_engine::TableProtocol`]): the batched engine runs them directly,
+//! and the sequential engine through [`pp_engine::SeqTable`].
 
 pub mod cancel_split;
 pub mod four_state;

@@ -7,73 +7,25 @@
 //! canonical example of *approximate* (non-exact) majority, included as the
 //! baseline the paper's protocols are measured against (experiment X13
 //! flavour for k = 2).
+//!
+//! The protocol is written once, as a transition table: it runs on the
+//! batched engine as it is and on the sequential engine as
+//! `Simulation<SeqTable<ThreeState>>` (see [`pp_engine::SeqTable`]).
 
-use rand::Rng;
-
-use pp_engine::{Protocol, Replacement, SimRng};
-
-/// 3-state agent: 0 = blank, 1 = A, 2 = B.
-pub type ThreeStateAgent = u8;
+use pp_engine::SimRng;
 
 /// Blank (undecided) state.
-pub const BLANK: ThreeStateAgent = 0;
+pub const BLANK: usize = 0;
 /// Opinion A.
-pub const A: ThreeStateAgent = 1;
+pub const A: usize = 1;
 /// Opinion B.
-pub const B: ThreeStateAgent = 2;
+pub const B: usize = 2;
 
-/// The 3-state approximate-majority protocol.
+/// The 3-state approximate-majority protocol, as a deterministic
+/// transition table over [`BLANK`], [`A`] and [`B`].
 #[derive(Debug, Clone, Default)]
 pub struct ThreeState;
 
-impl ThreeState {
-    /// Initial configuration with `a` supporters of A, `b` of B.
-    pub fn initial_states(a: usize, b: usize) -> Vec<ThreeStateAgent> {
-        let mut v = Vec::with_capacity(a + b);
-        v.extend(std::iter::repeat_n(A, a));
-        v.extend(std::iter::repeat_n(B, b));
-        v
-    }
-}
-
-impl Protocol for ThreeState {
-    type State = ThreeStateAgent;
-
-    #[inline]
-    fn interact(&mut self, _t: u64, a: &mut u8, b: &mut u8, _rng: &mut SimRng) {
-        match (*a, *b) {
-            (A, B) | (B, A) => *b = BLANK,
-            (A, BLANK) => *b = A,
-            (B, BLANK) => *b = B,
-            _ => {}
-        }
-    }
-
-    fn converged(&self, states: &[u8]) -> Option<u32> {
-        let first = states[0];
-        (first != BLANK && states.iter().all(|&s| s == first)).then(|| u32::from(first))
-    }
-
-    fn encode(&self, state: &u8) -> u64 {
-        u64::from(*state)
-    }
-
-    fn fault_state(&self, replacement: &Replacement, rng: &mut SimRng) -> Option<u8> {
-        match *replacement {
-            Replacement::Random => Some(rng.gen_range(0..3u8)),
-            Replacement::Opinion(o @ (1 | 2)) => Some(o as u8),
-            Replacement::Opinion(_) | Replacement::Rejoin => None,
-        }
-    }
-
-    fn opinion_of(&self, state: &u8) -> Option<u32> {
-        (*state != BLANK).then(|| u32::from(*state))
-    }
-}
-
-/// The same protocol as a deterministic transition table, runnable on the
-/// batched configuration-space engine (`pp_engine::BatchSimulation`) for
-/// million-agent experiments.
 impl pp_engine::TableProtocol for ThreeState {
     fn states(&self) -> usize {
         3
@@ -84,28 +36,27 @@ impl pp_engine::TableProtocol for ThreeState {
     }
 
     fn delta(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
-        let (a8, b8) = (a as u8, b as u8);
-        match (a8, b8) {
-            (A, B) | (B, A) => (a, usize::from(BLANK)),
-            (A, BLANK) => (a, usize::from(A)),
-            (B, BLANK) => (a, usize::from(B)),
+        match (a, b) {
+            (A, B) | (B, A) => (a, BLANK),
+            (A, BLANK) => (a, A),
+            (B, BLANK) => (a, B),
             _ => (a, b),
         }
     }
 
     fn output(&self, counts: &[u64]) -> Option<u32> {
-        if counts[usize::from(BLANK)] != 0 {
+        if counts[BLANK] != 0 {
             return None;
         }
-        match (counts[usize::from(A)], counts[usize::from(B)]) {
-            (_, 0) => Some(u32::from(A)),
-            (0, _) => Some(u32::from(B)),
+        match (counts[A], counts[B]) {
+            (_, 0) => Some(A as u32),
+            (0, _) => Some(B as u32),
             _ => None,
         }
     }
 
     fn opinion(&self, s: usize) -> Option<u32> {
-        (s != usize::from(BLANK)).then_some(s as u32)
+        (s != BLANK).then_some(s as u32)
     }
 
     fn opinion_state(&self, opinion: u32) -> Option<usize> {
@@ -116,25 +67,29 @@ impl pp_engine::TableProtocol for ThreeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::{BatchSimulation, RunOptions, RunStatus, Simulation};
+    use pp_engine::{BatchSimulation, RunOptions, RunStatus, SeqTable, Simulation, TableProtocol};
+
+    /// A sequential run from `a` supporters of A and `b` of B.
+    fn sequential(a: u64, b: u64, seed: u64) -> Simulation<SeqTable<ThreeState>> {
+        let states = SeqTable::<ThreeState>::initial_states(&[0, a, b]);
+        Simulation::new(SeqTable::new(ThreeState), states, seed)
+    }
 
     #[test]
     fn large_bias_picks_the_majority() {
         let n = 4096;
         // bias n/4 >> sqrt(n log n) ≈ 185.
-        let states = ThreeState::initial_states(n / 2 + n / 8, n / 2 - n / 8);
-        let mut sim = Simulation::new(ThreeState, states, 31);
-        let r = sim.run(&RunOptions::with_parallel_time_budget(n, 2000.0));
+        let mut sim = sequential(n / 2 + n / 8, n / 2 - n / 8, 31);
+        let r = sim.run(&RunOptions::with_parallel_time_budget(n as usize, 2000.0));
         assert_eq!(r.status, RunStatus::Converged);
-        assert_eq!(r.output, Some(u32::from(A)));
+        assert_eq!(r.output, Some(A as u32));
     }
 
     #[test]
     fn convergence_is_fast() {
         let n = 8192;
-        let states = ThreeState::initial_states(n * 3 / 4, n / 4);
-        let mut sim = Simulation::new(ThreeState, states, 7);
-        let r = sim.run(&RunOptions::with_parallel_time_budget(n, 2000.0));
+        let mut sim = sequential(n * 3 / 4, n / 4, 7);
+        let r = sim.run(&RunOptions::with_parallel_time_budget(n as usize, 2000.0));
         assert_eq!(r.status, RunStatus::Converged);
         assert!(
             r.parallel_time < 15.0 * (n as f64).ln(),
@@ -151,10 +106,9 @@ mod tests {
         let mut wrong = 0;
         let trials = 40;
         for seed in 0..trials {
-            let states = ThreeState::initial_states(n / 2 + 1, n / 2 - 1);
-            let mut sim = Simulation::new(ThreeState, states, seed);
-            let r = sim.run(&RunOptions::with_parallel_time_budget(n, 5000.0));
-            if r.output == Some(u32::from(B)) {
+            let mut sim = sequential(n / 2 + 1, n / 2 - 1, seed);
+            let r = sim.run(&RunOptions::with_parallel_time_budget(n as usize, 5000.0));
+            if r.output == Some(B as u32) {
                 wrong += 1;
             }
         }
@@ -166,32 +120,8 @@ mod tests {
 
     #[test]
     fn transitions_never_resurrect_a_decided_population() {
-        let mut p = ThreeState;
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(3);
-        let mut a = A;
-        let mut b = A;
-        p.interact(0, &mut a, &mut b, &mut rng);
-        assert_eq!((a, b), (A, A));
-    }
-
-    #[test]
-    fn table_form_matches_agent_form() {
-        use pp_engine::TableProtocol;
-        let mut p = ThreeState;
-        let t = ThreeState;
-        let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(4);
-        for a in 0u8..3 {
-            for b in 0u8..3 {
-                let (mut x, mut y) = (a, b);
-                p.interact(0, &mut x, &mut y, &mut rng);
-                let (tx, ty) = t.delta(usize::from(a), usize::from(b), &mut rng);
-                assert_eq!(
-                    (usize::from(x), usize::from(y)),
-                    (tx, ty),
-                    "mismatch at ({a},{b})"
-                );
-            }
-        }
+        assert_eq!(ThreeState.delta(A, A, &mut rng), (A, A));
     }
 
     #[test]
@@ -203,7 +133,7 @@ mod tests {
             check_every: 0,
         });
         assert_eq!(r.status, RunStatus::Converged);
-        assert_eq!(r.output, Some(u32::from(A)));
+        assert_eq!(r.output, Some(A as u32));
         assert!(r.parallel_time < 15.0 * (n as f64).ln());
     }
 }

@@ -57,11 +57,6 @@ impl Summary {
         quantile_sorted(&sorted, q)
     }
 
-    /// Coefficient of variation (std / mean); `NaN` for zero mean.
-    pub fn cov(&self) -> f64 {
-        self.std / self.mean
-    }
-
     /// Half-width of an approximate 95% normal confidence interval on the
     /// mean.
     pub fn ci95(&self) -> f64 {

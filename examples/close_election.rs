@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example close_election`
 
-use exact_plurality::baselines::Usd;
+use exact_plurality::baselines::UsdTable;
 use exact_plurality::prelude::*;
 
 fn main() {
@@ -26,8 +26,9 @@ fn main() {
     let mut exact_correct = 0;
     for seed in 0..trials {
         // USD baseline.
-        let states = Usd::initial_states(assignment.opinions());
-        let mut sim = Simulation::new(Usd, states, seed);
+        let usd = UsdTable::new(assignment.k());
+        let states = SeqTable::<UsdTable>::initial_states(&usd.initial_counts(counts.supports()));
+        let mut sim = Simulation::new(SeqTable::new(usd), states, seed);
         let r = sim.run(&RunOptions::with_parallel_time_budget(
             assignment.n(),
             200_000.0,

@@ -29,9 +29,9 @@
 //! **Runtime:** about 20 s of the debug-build test suite on two cores,
 //! most of it the sequential engine simulating to the fault.
 
-use exact_plurality::baselines::{Usd, UsdTable};
+use exact_plurality::baselines::UsdTable;
 use exact_plurality::engine::{
-    BatchSimulation, FaultSpec, Protocol, RunOptions, RunStatus, Simulation,
+    BatchSimulation, FaultSpec, RunOptions, RunStatus, SeqTable, Simulation, TableProtocol,
 };
 use exact_plurality::majority::ThreeState;
 
@@ -145,21 +145,20 @@ fn spread_check_fails_a_collapsed_or_exploded_spread_around_one_median() {
     }
 }
 
-/// Times of the sequential engine on an agent-level protocol. A fine
-/// convergence-check stride (`n/16`) keeps detection latency below
-/// 1/16 of a parallel-time unit.
-fn seq_times<P: Protocol + Clone>(
-    protocol: &P,
-    states: &[P::State],
-    n: usize,
-    seed_base: u64,
-) -> Vec<f64> {
+/// Times of the sequential engine on `table` from the configuration
+/// `init`, expanded per agent by [`SeqTable::initial_states`]. A fine
+/// convergence-check stride (`n/16`) keeps detection latency below 1/16
+/// of a parallel-time unit.
+fn seq_times<P: TableProtocol + Clone>(table: &P, init: &[u64], seed_base: u64) -> Vec<f64> {
+    let states = SeqTable::<P>::initial_states(init);
+    let n = states.len() as u64;
     (0..TRIALS)
         .map(|i| {
-            let mut sim = Simulation::new(protocol.clone(), states.to_vec(), seed_base + i);
+            let mut sim =
+                Simulation::new(SeqTable::new(table.clone()), states.clone(), seed_base + i);
             let opts = RunOptions {
-                max_interactions: (n as u64) * 200_000,
-                check_every: (n as u64 / 16).max(1),
+                max_interactions: n * 200_000,
+                check_every: (n / 16).max(1),
             };
             let r = sim.run(&opts);
             assert_eq!(
@@ -183,8 +182,7 @@ fn usd_supports(n: usize) -> Vec<usize> {
 #[test]
 fn three_state_majority_engines_agree() {
     for n in [1_000u64, 20_000] {
-        let states = ThreeState::initial_states((n * 11 / 20) as usize, (n * 9 / 20) as usize);
-        let seq = seq_times(&ThreeState, &states, n as usize, 10);
+        let seq = seq_times(&ThreeState, &majority_counts(n), 10);
 
         let opts = RunOptions {
             max_interactions: n * 200_000,
@@ -223,14 +221,14 @@ fn fault_recovery_times_agree_across_engines() {
         f.recovery_time
     };
 
-    let states = ThreeState::initial_states((n * 11 / 20) as usize, (n * 9 / 20) as usize);
+    let states = SeqTable::<ThreeState>::initial_states(&majority_counts(n));
     let seq_opts = RunOptions {
         max_interactions: n * 200_000,
         check_every: (n / 16).max(1),
     };
     let seq: Vec<f64> = (0..TRIALS)
         .map(|i| {
-            let mut sim = Simulation::new(ThreeState, states.clone(), 6000 + i);
+            let mut sim = Simulation::new(SeqTable::new(ThreeState), states.clone(), 6000 + i);
             recovery(&sim.run_faulted(&seq_opts, &faults), "seq", i)
         })
         .collect();
@@ -252,24 +250,17 @@ fn fault_recovery_times_agree_across_engines() {
 #[test]
 fn usd_engines_agree() {
     for n in [1_000usize, 20_000] {
-        let supports = usd_supports(n);
-        let opinions: Vec<u16> = supports
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &s)| std::iter::repeat_n(i as u16 + 1, s))
-            .collect();
-        let states = Usd::initial_states(&opinions);
-        let seq = seq_times(&Usd, &states, n, 50);
+        let table = UsdTable::new(3);
+        let init = table.initial_counts(&usd_supports(n));
+        let seq = seq_times(&table, &init, 50);
 
-        let table = || UsdTable::new(3);
-        let init = table().initial_counts(&supports);
         let opts = RunOptions {
             max_interactions: (n as u64) * 200_000,
             check_every: 0,
         };
         let multinomial: Vec<f64> = (0..TRIALS)
             .map(|i| {
-                let mut sim = BatchSimulation::new(table(), init.clone(), 5000 + i);
+                let mut sim = BatchSimulation::new(table.clone(), init.clone(), 5000 + i);
                 let r = sim.run(&opts);
                 assert_eq!(r.status, RunStatus::Converged);
                 r.parallel_time

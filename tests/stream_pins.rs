@@ -10,12 +10,13 @@
 //! must be deliberate and stated, never re-recorded to make a refactor
 //! pass.
 //!
-//! Coverage: the sequential engine on `SeqTable<ThreeState>` at
-//! `n = 1,000`, the batched engine at `n = 10⁴` on `ThreeState` and on
-//! `UsdTable::new(4)` (which takes the lumped tally), each in a clean run,
-//! a faulted run, two churned runs, under two schedulers, under two
-//! adversaries and under a scheduler and an adversary on a faulted run;
-//! the `ppckpt` bytes a churned segment run writes; adversarial runs of
+//! Coverage: the sequential engine at `n = 1,000` on `SeqTable` over
+//! 3-state majority, 4-state majority and USD k = 3, and the batched
+//! engine at `n = 10⁴` on `ThreeState` and on `UsdTable::new(4)` (which
+//! takes the lumped tally), each in a clean run, a faulted run, two
+//! churned runs, under two schedulers, under two adversaries and under a
+//! scheduler and an adversary on a faulted run (sequential USD skips the
+//! two faulted runs); the `ppckpt` bytes a churned segment run writes; adversarial runs of
 //! `ThreeState` and `UsdTable::new(2)` at `n = 4·10⁶`, whose batches
 //! (`ℓ ≈ 1,250` interactions, against about 63 at `n = 10⁴`) split over
 //! initiators with many interactions per subtree; and clean runs of
@@ -25,7 +26,7 @@
 
 use exact_plurality::baselines::UsdTable;
 use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner, TallyPaths};
-use exact_plurality::majority::ThreeState;
+use exact_plurality::majority::{four_state_counts, FourState, ThreeState};
 use exact_plurality::prelude::*;
 
 // The engine entry points the pins drive.
@@ -171,11 +172,14 @@ macro_rules! drive {
     }};
 }
 
-fn seq_digest(mode: Mode) -> u64 {
-    let init = [0u64, 600, 400];
-    let states = SeqTable::<ThreeState>::initial_states(&init);
-    let mut sim = Simulation::new(SeqTable::new(ThreeState), states.clone(), SEED);
-    let opts = RunOptions::with_parallel_time_budget(1_000, BUDGET);
+/// Fold a sequential run of `table` from `init` (agents contiguous by
+/// state): its result, clock, RNG state and each agent's table-state
+/// index.
+fn seq_digest<P: TableProtocol>(table: P, init: &[u64], mode: Mode) -> u64 {
+    let n: u64 = init.iter().sum();
+    let states = SeqTable::<P>::initial_states(init);
+    let mut sim = Simulation::new(SeqTable::new(table), states.clone(), SEED);
+    let opts = RunOptions::with_parallel_time_budget(n as usize, BUDGET);
     let r = drive!(sim, mode, opts, &states);
     let mut h = Fnv::new();
     h.result(&r);
@@ -250,8 +254,35 @@ fn assert_pinned(label: &str, got: &[u64], want: &[u64]) {
 
 #[test]
 fn sequential_table_streams_are_pinned() {
-    let got: Vec<u64> = MODES.iter().map(|&m| seq_digest(m)).collect();
+    let got: Vec<u64> = MODES
+        .iter()
+        .map(|&m| seq_digest(ThreeState, &[0, 600, 400], m))
+        .collect();
     assert_pinned("seq three-state n=1e3", &got, &SEQ);
+}
+
+#[test]
+fn sequential_four_state_streams_are_pinned() {
+    let got: Vec<u64> = MODES
+        .iter()
+        .map(|&m| seq_digest(FourState, &four_state_counts(600, 400), m))
+        .collect();
+    assert_pinned("seq four-state n=1e3", &got, &SEQ_FOUR_STATE);
+}
+
+/// These digests were recorded on a per-agent USD that refused random
+/// replacement states, so the two modes with a `corrupt@` strike are left
+/// out.
+#[test]
+fn sequential_usd_streams_are_pinned() {
+    let usd = UsdTable::new(3);
+    let init = usd.initial_counts(Counts::bias_one(1_000, 3).supports());
+    let got: Vec<u64> = MODES
+        .iter()
+        .filter(|m| !matches!(m, Mode::Faulted | Mode::Hostile))
+        .map(|&m| seq_digest(usd.clone(), &init, m))
+        .collect();
+    assert_pinned("seq usd k=3 n=1e3", &got, &SEQ_USD);
 }
 
 #[test]
@@ -360,6 +391,31 @@ const SEQ: [u64; 9] = [
     0x71b1_71b6_e5da_be65,
     0x7e97_212e_faf8_163f,
     0xa19e_efdb_84c9_8022,
+];
+
+/// 4-state majority on a 60/40 start of strong tokens.
+const SEQ_FOUR_STATE: [u64; 9] = [
+    0xd593_b85d_bb4c_7a77,
+    0xab6c_83ed_dc48_0b2a,
+    0x6abf_69b6_6730_9844,
+    0x5f2d_f918_ca6e_1b54,
+    0x9a21_c0cb_1322_1aa1,
+    0x308c_4854_419a_1a44,
+    0x586c_e759_e130_cf6e,
+    0xaa23_45a3_c8cb_2366,
+    0x6e3f_1c72_949b_d6a1,
+];
+
+/// USD k = 3 on `bias_one(1000, 3)`, in `MODES` order without `Faulted`
+/// and `Hostile`.
+const SEQ_USD: [u64; 7] = [
+    0x6c4c_d3fc_596c_cdf4,
+    0x5f17_0960_6ee2_50c0,
+    0xb75c_c4d8_e1a8_4218,
+    0x108d_a1c6_0116_e534,
+    0x2465_1808_df03_045c,
+    0x266e_f3ef_c8f2_78d3,
+    0xc4dc_a48b_16ec_9771,
 ];
 
 const BATCH_THREE_STATE: [u64; 9] = [
