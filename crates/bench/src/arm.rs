@@ -9,15 +9,15 @@
 //! same way. This replaces the previously split `run_trial` /
 //! `run_usd_baseline` code paths.
 
-use plurality_core::Tuning;
+use plurality_core::{Algorithm, Tuning};
 use pp_engine::{
-    AdversarySpec, BatchSimulation, Census, FaultSpec, RunOptions, RunStatus, SchedulerSpec,
-    SeqTable, Simulation, TableProtocol,
+    AdversarySpec, BatchSimulation, FaultSpec, RunOptions, SchedulerSpec, SeqTable, Simulation,
+    TableProtocol,
 };
 use pp_workloads::Counts;
 
 use crate::harness::Engine;
-use crate::protocols::{run_trial, Algo, TrialOutcome};
+use crate::protocols::{run_sequential, run_trial, TrialOutcome};
 
 /// Largest population the sequential engine is allowed for table arms
 /// (per-agent state at 10⁸ agents is hundreds of megabytes per trial and
@@ -89,7 +89,7 @@ pub type Arm = Box<dyn ErasedArm>;
 
 struct ProtocolArm {
     label: String,
-    algo: Algo,
+    algorithm: Algorithm,
     /// Overrides the spec tuning when set (for tuning-comparison arms).
     tuning: Option<Tuning>,
 }
@@ -100,27 +100,32 @@ impl ErasedArm for ProtocolArm {
     }
 
     fn run(&self, spec: &TrialSpec, _engine: Engine, seed: u64) -> TrialOutcome {
-        run_trial(self.algo, spec, self.tuning.unwrap_or(spec.tuning), seed)
+        run_trial(
+            self.algorithm,
+            spec,
+            self.tuning.unwrap_or(spec.tuning),
+            seed,
+        )
     }
 }
 
 /// One of the paper's plurality protocols as an arm. Runs on the
 /// sequential engine (the `Θ(k + log n)`-state machines are not table
 /// protocols).
-pub fn protocol(algo: Algo) -> Arm {
+pub fn protocol(algorithm: Algorithm) -> Arm {
     Box::new(ProtocolArm {
-        label: algo.name().to_string(),
-        algo,
+        label: algorithm.name().to_string(),
+        algorithm,
         tuning: None,
     })
 }
 
 /// A paper protocol with a fixed tuning and its own label, for arms that
 /// compare tuning variants side by side.
-pub fn protocol_tuned(label: impl Into<String>, algo: Algo, tuning: Tuning) -> Arm {
+pub fn protocol_tuned(label: impl Into<String>, algorithm: Algorithm, tuning: Tuning) -> Arm {
     Box::new(ProtocolArm {
         label: label.into(),
-        algo,
+        algorithm,
         tuning: Some(tuning),
     })
 }
@@ -153,11 +158,11 @@ where
 
     fn run(&self, spec: &TrialSpec, engine: Engine, seed: u64) -> TrialOutcome {
         let (table, init) = (self.factory)(spec.counts);
-        let n: u64 = init.iter().sum();
         let expected = u32::from(spec.counts.plurality());
-        let opts = RunOptions::with_parallel_time_budget(n as usize, spec.budget);
         let (result, census) = match engine {
             Engine::Batch => {
+                let n = init.iter().sum::<u64>() as usize;
+                let opts = RunOptions::with_parallel_time_budget(n, spec.budget);
                 let mut sim = BatchSimulation::new(table, init, seed);
                 if let Some(sched) = spec.scheduler {
                     sim.set_scheduler(sched);
@@ -170,30 +175,10 @@ where
             Engine::Seq => {
                 let states = SeqTable::<P>::initial_states(&init);
                 let mut sim = Simulation::new(SeqTable::new(table), states, seed);
-                if let Some(sched) = spec.scheduler {
-                    sim.set_scheduler(sched);
-                }
-                if let Some(adv) = spec.adversary {
-                    sim.set_adversary(adv);
-                }
-                if spec.census {
-                    let mut c = Census::new();
-                    let r = sim.run_with_census(&opts, &mut c);
-                    (r, Some(c.len()))
-                } else {
-                    (sim.run_faulted(&opts, &spec.faults), None)
-                }
+                run_sequential(&mut sim, spec)
             }
         };
-        TrialOutcome {
-            converged: result.status == RunStatus::Converged,
-            correct: result.is_correct(expected),
-            parallel_time: result.parallel_time,
-            init_end: None,
-            le_done: None,
-            census,
-            faults: result.faults,
-        }
+        TrialOutcome::of(result, expected, census)
     }
 }
 
@@ -249,7 +234,7 @@ where
 }
 
 /// A bespoke sequential arm from a closure, for protocols outside both the
-/// `Algo` set and the table interface (e.g. the cancel/split majority).
+/// [`Algorithm`] set and the table interface (e.g. the cancel/split majority).
 pub fn from_fn<F>(label: impl Into<String>, f: F) -> Arm
 where
     F: Fn(&TrialSpec, u64) -> TrialOutcome + Send + Sync + 'static,
@@ -282,7 +267,7 @@ mod tests {
     fn protocol_arm_runs_and_ignores_engine() {
         let counts = Counts::bias_one(401, 3);
         let spec = TrialSpec::new(&counts, 5.0e5);
-        let arm = protocol(Algo::Simple);
+        let arm = protocol(Algorithm::Simple);
         assert!(!arm.engine_aware());
         let out = arm.run(&spec, Engine::Batch, 7);
         assert!(out.converged);

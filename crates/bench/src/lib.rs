@@ -50,6 +50,6 @@ pub mod sink;
 
 pub use arm::{Arm, ErasedArm, TrialSpec};
 pub use harness::{parse_args, CliError, Engine, ExpOpts, USAGE};
-pub use protocols::{median_parallel_time, run_trial, Algo, TrialOutcome};
+pub use protocols::{median_parallel_time, run_trial, TrialOutcome};
 pub use scenario::{col, Ctx, GridPoint, PointRun, Scenario, Study};
 pub use sink::Sink;

@@ -2,32 +2,10 @@
 //! bookkeeping). Engine-erased arms — including the USD baseline — live
 //! in [`crate::arm`].
 
-use plurality_core::{ImprovedAlgorithm, SimpleAlgorithm, Tuning, UnorderedAlgorithm};
-use pp_engine::{Census, FaultRecord, RunOptions, RunStatus, Simulation};
+use plurality_core::{Algorithm, Machine, Tuning};
+use pp_engine::{Census, FaultRecord, Protocol, RunOptions, RunResult, RunStatus, Simulation};
 
 use crate::arm::TrialSpec;
-
-/// Which protocol to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algo {
-    /// `SimpleAlgorithm` (ordered opinions).
-    Simple,
-    /// The Appendix B unordered variant.
-    Unordered,
-    /// `ImprovedAlgorithm` (pruning).
-    Improved,
-}
-
-impl Algo {
-    /// Display label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::Simple => "simple",
-            Algo::Unordered => "unordered",
-            Algo::Improved => "improved",
-        }
-    }
-}
 
 /// Outcome of a single trial.
 #[derive(Debug, Clone)]
@@ -48,6 +26,22 @@ pub struct TrialOutcome {
     pub faults: Vec<FaultRecord>,
 }
 
+impl TrialOutcome {
+    /// The outcome of `result` against the planted plurality `expected`,
+    /// with no milestones recorded.
+    pub(crate) fn of(result: RunResult, expected: u32, census: Option<usize>) -> Self {
+        Self {
+            converged: result.status == RunStatus::Converged,
+            correct: result.is_correct(expected),
+            parallel_time: result.parallel_time,
+            init_end: None,
+            le_done: None,
+            census,
+            faults: result.faults,
+        }
+    }
+}
+
 /// Upper median of the parallel times over *all* trials (budget-capped
 /// included) — the convention the experiment tables use for mixed
 /// converged/exhausted samples.
@@ -61,50 +55,49 @@ pub fn median_parallel_time(outcomes: &[TrialOutcome]) -> f64 {
     t[t.len() / 2]
 }
 
-/// Run one trial of `algo` on the spec's counts with the given seed and
-/// tuning. Honors the spec's fault plan, scheduler and adversary; census
-/// collection (slower) takes precedence over fault injection when both
-/// are requested.
-pub fn run_trial(algo: Algo, spec: &TrialSpec, tuning: Tuning, seed: u64) -> TrialOutcome {
+/// Run one trial of `algorithm` on the spec's counts with the given seed
+/// and tuning. Honors the spec's fault plan, scheduler and adversary;
+/// census collection (slower) takes precedence over fault injection when
+/// both are requested.
+pub fn run_trial(
+    algorithm: Algorithm,
+    spec: &TrialSpec,
+    tuning: Tuning,
+    seed: u64,
+) -> TrialOutcome {
     let assignment = spec.counts.assignment();
-    let n = assignment.n();
-    let expected = assignment.plurality();
-    let opts = RunOptions::with_parallel_time_budget(n, spec.budget);
-
-    macro_rules! drive {
-        ($ctor:path) => {{
-            let (proto, states) = $ctor(&assignment, tuning);
-            let mut sim = Simulation::new(proto, states, seed);
-            if let Some(sched) = spec.scheduler {
-                sim.set_scheduler(sched);
-            }
-            if let Some(adv) = spec.adversary {
-                sim.set_adversary(adv);
-            }
-            let (result, census_len) = if spec.census {
-                let mut c = Census::new();
-                let r = sim.run_with_census(&opts, &mut c);
-                (r, Some(c.len()))
-            } else {
-                (sim.run_faulted(&opts, &spec.faults), None)
-            };
-            let ms = *sim.protocol().milestones();
-            TrialOutcome {
-                converged: result.status == RunStatus::Converged,
-                correct: result.is_correct(expected),
-                parallel_time: result.parallel_time,
-                init_end: ms.init_end,
-                le_done: ms.le_done,
-                census: census_len,
-                faults: result.faults,
-            }
-        }};
+    let (machine, states) = Machine::start(algorithm, &assignment, tuning);
+    let mut sim = Simulation::new(machine, states, seed);
+    let (result, census) = run_sequential(&mut sim, spec);
+    let ms = sim.protocol().milestones;
+    TrialOutcome {
+        init_end: ms.init_end,
+        le_done: ms.le_done,
+        ..TrialOutcome::of(result, assignment.plurality(), census)
     }
+}
 
-    match algo {
-        Algo::Simple => drive!(SimpleAlgorithm::new),
-        Algo::Unordered => drive!(UnorderedAlgorithm::new),
-        Algo::Improved => drive!(ImprovedAlgorithm::new),
+/// Run a sequential trial under the spec's budget, scheduler and
+/// adversary: with a census when the spec asks for one (census collection,
+/// which is slower, takes precedence over fault injection), else under the
+/// spec's fault plan. Returns the result and the census size.
+pub(crate) fn run_sequential<P: Protocol>(
+    sim: &mut Simulation<P>,
+    spec: &TrialSpec,
+) -> (RunResult, Option<usize>) {
+    let opts = RunOptions::with_parallel_time_budget(sim.n(), spec.budget);
+    if let Some(sched) = spec.scheduler {
+        sim.set_scheduler(sched);
+    }
+    if let Some(adv) = spec.adversary {
+        sim.set_adversary(adv);
+    }
+    if spec.census {
+        let mut c = Census::new();
+        let r = sim.run_with_census(&opts, &mut c);
+        (r, Some(c.len()))
+    } else {
+        (sim.run_faulted(&opts, &spec.faults), None)
     }
 }
 
@@ -117,9 +110,9 @@ mod tests {
     fn all_three_protocols_drive() {
         let counts = Counts::bias_one(401, 3);
         let spec = TrialSpec::new(&counts, 500_000.0);
-        for algo in [Algo::Simple, Algo::Unordered, Algo::Improved] {
-            let out = run_trial(algo, &spec, Tuning::default(), 7);
-            assert!(out.converged, "{} did not converge", algo.name());
+        for algorithm in [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved] {
+            let out = run_trial(algorithm, &spec, Tuning::default(), 7);
+            assert!(out.converged, "{} did not converge", algorithm.name());
             assert!(out.faults.is_empty(), "no plan, no fault records");
         }
     }
@@ -129,7 +122,7 @@ mod tests {
         let counts = Counts::bias_one(401, 3);
         let mut spec = TrialSpec::new(&counts, 500_000.0);
         spec.census = true;
-        let out = run_trial(Algo::Simple, &spec, Tuning::default(), 3);
+        let out = run_trial(Algorithm::Simple, &spec, Tuning::default(), 3);
         let states = out.census.expect("census requested");
         assert!(states > 10, "suspiciously few states: {states}");
     }

@@ -10,10 +10,10 @@
 
 use std::io;
 
+use plurality_core::Algorithm;
 use pp_workloads::Workload;
 
 use crate::arm;
-use crate::protocols::Algo;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
@@ -61,8 +61,8 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     .points(n_grid.iter().map(|&n| {
         GridPoint::new(Workload::BiasOne { n, k: fixed_k }, budget(fixed_k)).sweep("n-sweep")
     }))
-    .arm(arm::protocol(Algo::Simple))
-    .arm(arm::protocol(Algo::Improved))
+    .arm(arm::protocol(Algorithm::Simple))
+    .arm(arm::protocol(Algorithm::Improved))
     .cols(vec![
         col::arm("algo"),
         col::sweep(),

@@ -10,11 +10,11 @@
 
 use std::io;
 
+use plurality_core::Algorithm;
 use pp_stats::wilson_interval;
 use pp_workloads::Workload;
 
 use crate::arm;
-use crate::protocols::Algo;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
@@ -51,9 +51,9 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         grid.into_iter()
             .map(|(n, k)| GridPoint::new(Workload::BiasOne { n, k }, 4.0e3 * k as f64 + 4.0e4)),
     )
-    .arm(arm::protocol(Algo::Simple))
-    .arm(arm::protocol(Algo::Unordered))
-    .arm(arm::protocol(Algo::Improved))
+    .arm(arm::protocol(Algorithm::Simple))
+    .arm(arm::protocol(Algorithm::Unordered))
+    .arm(arm::protocol(Algorithm::Improved))
     .cols(vec![
         col::arm("algo"),
         col::n(),

@@ -12,11 +12,11 @@
 
 use std::io;
 
+use plurality_core::Algorithm;
 use pp_stats::{fit_affine, Summary};
 use pp_workloads::Workload;
 
 use crate::arm;
-use crate::protocols::Algo;
 use crate::scenario::{col, Ctx, GridPoint, PointRun, RunFlag, Scenario, Study};
 
 /// The registered scenario.
@@ -64,7 +64,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         .points(k_grid.iter().map(|&k| {
             GridPoint::new(Workload::BiasOne { n: fixed_n, k }, budget(k)).sweep("k-sweep")
         }))
-        .arm(arm::protocol(Algo::Unordered))
+        .arm(arm::protocol(Algorithm::Unordered))
         .cols(vec![
             col::sweep(),
             col::n(),

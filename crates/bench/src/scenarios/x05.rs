@@ -10,11 +10,11 @@
 
 use std::io;
 
+use plurality_core::Algorithm;
 use pp_stats::{Summary, Table};
 use pp_workloads::Counts;
 
 use crate::arm::{self, TrialSpec};
-use crate::protocols::Algo;
 use crate::scenario::{Ctx, RunFlag, Scenario};
 
 /// The registered scenario.
@@ -34,8 +34,8 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         (2000, 13, vec![500, 800, 1200])
     };
     let arms = [
-        arm::protocol(Algo::Unordered),
-        arm::protocol(Algo::Improved),
+        arm::protocol(Algorithm::Unordered),
+        arm::protocol(Algorithm::Improved),
     ];
 
     let mut table = Table::new(

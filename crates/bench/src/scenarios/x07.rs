@@ -7,7 +7,7 @@
 use std::io;
 
 use plurality_core::roles::Role;
-use plurality_core::{SimpleAlgorithm, Tuning};
+use plurality_core::{Algorithm, Machine, Tuning};
 use pp_engine::{RunOptions, Simulation};
 use pp_stats::{Summary, Table};
 use pp_workloads::Counts;
@@ -55,7 +55,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         let counts = Counts::bias_one(n, k);
         let results = ctx.run_trials(i as u64, |seed| {
             let assignment = counts.assignment();
-            let (proto, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
+            let (proto, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
             let mut sim = Simulation::new(proto, states, seed);
             // Observe until the first agent reaches phase 0, then snapshot.
             let mut snapshot: Option<(f64, f64, bool)> = None;

@@ -13,7 +13,7 @@
 use std::io;
 
 use plurality_core::roles::Role;
-use plurality_core::{ImprovedAlgorithm, Tuning};
+use plurality_core::{Algorithm, Machine, Tuning};
 use pp_engine::{RunOptions, Simulation};
 use pp_stats::Table;
 use pp_workloads::Counts;
@@ -71,7 +71,8 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         let supports = counts.supports().to_vec();
         let results = ctx.run_trials(i as u64, |seed| {
             let assignment = counts.assignment();
-            let (proto, states) = ImprovedAlgorithm::new(&assignment, Tuning::default());
+            let (proto, states) =
+                Machine::start(Algorithm::Improved, &assignment, Tuning::default());
             let mut sim = Simulation::new(proto, states, seed);
             let mut stats: Option<PruneStats> = None;
             let _ = sim.run_observed(

@@ -13,12 +13,13 @@
 
 use std::io;
 
+use plurality_core::Algorithm;
 use pp_stats::Table;
 use pp_workloads::Counts;
 
 use crate::arm::{self, TrialSpec};
 use crate::harness::Engine;
-use crate::protocols::{median_parallel_time, Algo};
+use crate::protocols::median_parallel_time;
 use crate::scenario::{Ctx, RunFlag, Scenario};
 
 /// The registered scenario.
@@ -39,7 +40,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         .map(|b| (b as usize).max(1))
         .collect();
     let usd = arm::usd();
-    let simple = arm::protocol(Algo::Simple);
+    let simple = arm::protocol(Algorithm::Simple);
 
     let mut table = Table::new(
         "X13: USD vs SimpleAlgorithm across the bias range",

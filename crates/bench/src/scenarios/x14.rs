@@ -10,11 +10,10 @@
 
 use std::io;
 
-use plurality_core::Tuning;
+use plurality_core::{Algorithm, Tuning};
 use pp_workloads::Workload;
 
 use crate::arm;
-use crate::protocols::Algo;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
@@ -43,7 +42,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
             .tag(format!("{f:.2}"))
             .tuning(Tuning::default().scaled(f))
     }))
-    .arm(arm::protocol(Algo::Simple))
+    .arm(arm::protocol(Algorithm::Simple))
     .cols(vec![
         col::tag("f"),
         col::ok_count(),
@@ -67,7 +66,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
                 ..Tuning::default()
             })
     }))
-    .arm(arm::protocol(Algo::Simple))
+    .arm(arm::protocol(Algorithm::Simple))
     .cols(vec![
         col::tag("window"),
         col::ok_count(),
@@ -90,7 +89,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
                 ..Tuning::default()
             })
     }))
-    .arm(arm::protocol(Algo::Simple))
+    .arm(arm::protocol(Algorithm::Simple))
     .cols(vec![
         col::tag("cap"),
         col::ok_count(),

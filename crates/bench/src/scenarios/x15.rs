@@ -12,11 +12,10 @@
 
 use std::io;
 
-use plurality_core::Tuning;
+use plurality_core::{Algorithm, Tuning};
 use pp_workloads::Workload;
 
 use crate::arm;
-use crate::protocols::Algo;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
@@ -45,10 +44,14 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         ks.into_iter()
             .map(|k| GridPoint::new(Workload::BiasOne { n, k }, 2.0e3 * k as f64 + 5.0e4)),
     )
-    .arm(arm::protocol_tuned("base", Algo::Simple, Tuning::default()))
+    .arm(arm::protocol_tuned(
+        "base",
+        Algorithm::Simple,
+        Tuning::default(),
+    ))
     .arm(arm::protocol_tuned(
         "large_k",
-        Algo::Simple,
+        Algorithm::Simple,
         Tuning::large_k(),
     ))
     .cols(vec![

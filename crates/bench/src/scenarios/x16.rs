@@ -13,7 +13,7 @@
 use std::io;
 
 use plurality_core::roles::Role;
-use plurality_core::{SimpleAlgorithm, Tuning};
+use plurality_core::{Algorithm, Machine, Tuning};
 use pp_baselines::UsdTable;
 use pp_engine::{RunOptions, SeqTable, Simulation};
 use pp_stats::Table;
@@ -77,7 +77,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         &["t", "phase_mode", "def1", "def2", "def3", "winners"],
     );
     {
-        let (proto, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
+        let (proto, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
         let mut sim = Simulation::new(proto, states, ctx.opts.seed);
         let mut next = 0u64;
         let r = sim.run_observed(

@@ -19,11 +19,11 @@
 
 use std::io;
 
+use plurality_core::Algorithm;
 use pp_engine::{FaultSpec, SchedulerSpec};
 use pp_workloads::Workload;
 
 use crate::arm;
-use crate::protocols::Algo;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
@@ -63,8 +63,8 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         "x19_adversarial_execution",
     )
     .points(points)
-    .arm(arm::protocol(Algo::Simple))
-    .arm(arm::protocol(Algo::Unordered))
+    .arm(arm::protocol(Algorithm::Simple))
+    .arm(arm::protocol(Algorithm::Unordered))
     .cols(vec![
         col::tag("regime"),
         col::arm("algo"),

@@ -22,12 +22,12 @@
 
 use std::io;
 
+use plurality_core::Algorithm;
 use pp_engine::AdversarySpec;
 use pp_majority::{four_state_counts, FourState, ThreeState};
 use pp_workloads::{Counts, Workload};
 
 use crate::arm;
-use crate::protocols::Algo;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
 
 /// The registered scenario.
@@ -80,7 +80,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         )
     }))
     // The paper's tournament needs its usual Θ(log n · log n) headroom.
-    .arm_with(arm::protocol(Algo::Simple), Some(500_000.0), None)
+    .arm_with(arm::protocol(Algorithm::Simple), Some(500_000.0), None)
     .cols(vec![
         col::tag("frac"),
         col::arm("protocol"),

@@ -15,6 +15,7 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use pp_serve::json::escape;
 use pp_stats::Table;
 
 use crate::harness::{Engine, ExpOpts};
@@ -123,54 +124,55 @@ impl Sink {
     fn manifest_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"scenario\": {},", json_str(&self.scenario));
+        let _ = writeln!(out, "  \"scenario\": {},", escape(&self.scenario));
         let _ = writeln!(out, "  \"seed\": {},", self.opts.seed);
         let _ = writeln!(out, "  \"trials\": {},", self.opts.trials);
         let _ = writeln!(out, "  \"full\": {},", self.opts.full);
         let engine = self
             .engine
-            .map_or_else(|| "null".to_string(), |e| json_str(e.name()));
+            .map_or_else(|| "null".to_string(), |e| escape(e.name()));
         let _ = writeln!(out, "  \"engine\": {engine},");
         let faults = self
             .opts
             .faults
             .iter()
-            .map(|f| json_str(&f.to_string()))
+            .map(|f| escape(&f.to_string()))
             .collect::<Vec<_>>()
             .join(", ");
         let _ = writeln!(out, "  \"faults\": [{faults}],");
         let scheduler = self
             .opts
             .scheduler
-            .map_or_else(|| "null".to_string(), |s| json_str(&s.to_string()));
+            .map_or_else(|| "null".to_string(), |s| escape(&s.to_string()));
         let _ = writeln!(out, "  \"scheduler\": {scheduler},");
         let adversary = self
             .opts
             .adversary
-            .map_or_else(|| "null".to_string(), |a| json_str(&a.to_string()));
+            .map_or_else(|| "null".to_string(), |a| escape(&a.to_string()));
         let _ = writeln!(out, "  \"adversary\": {adversary},");
         let churn = self
             .opts
             .churn
-            .map_or_else(|| "null".to_string(), |c| json_str(&c.to_string()));
+            .map_or_else(|| "null".to_string(), |c| escape(&c.to_string()));
         let _ = writeln!(out, "  \"churn\": {churn},");
         let checkpoint_every = self
             .opts
             .checkpoint_every
             .map_or_else(|| "null".to_string(), |t| t.to_string());
         let _ = writeln!(out, "  \"checkpoint_every\": {checkpoint_every},");
-        let resume = self.opts.resume.as_ref().map_or_else(
-            || "null".to_string(),
-            |p| json_str(&p.display().to_string()),
-        );
+        let resume = self
+            .opts
+            .resume
+            .as_ref()
+            .map_or_else(|| "null".to_string(), |p| escape(&p.display().to_string()));
         let _ = writeln!(out, "  \"resume\": {resume},");
         let _ = writeln!(out, "  \"threads\": {},", self.opts.threads);
         let _ = writeln!(
             out,
             "  \"out_dir\": {},",
-            json_str(&self.opts.out_dir.display().to_string())
+            escape(&self.opts.out_dir.display().to_string())
         );
-        let _ = writeln!(out, "  \"git_rev\": {},", json_str(&git_rev()));
+        let _ = writeln!(out, "  \"git_rev\": {},", escape(&git_rev()));
         let _ = writeln!(
             out,
             "  \"wall_s\": {:.3},",
@@ -181,14 +183,14 @@ impl Sink {
             let cols = t
                 .columns
                 .iter()
-                .map(|c| json_str(c))
+                .map(|c| escape(c))
                 .collect::<Vec<_>>()
                 .join(", ");
             let _ = write!(
                 out,
                 "    {{\"csv\": {}, \"title\": {}, \"columns\": [{}], \"rows\": {}}}",
-                json_str(&t.csv),
-                json_str(&t.title),
+                escape(&t.csv),
+                escape(&t.title),
                 cols,
                 t.rows
             );
@@ -198,26 +200,6 @@ impl Sink {
         let _ = writeln!(out, "}}");
         out
     }
-}
-
-/// JSON string literal with the escapes CSV titles can actually contain.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The current git revision, or "unknown" outside a repository.
@@ -319,10 +301,5 @@ mod tests {
         sink.emit("x98_only", &t).expect("emit");
         assert!(sink.finish(&["x98_only", "x98_missing"]).is_err());
         fs::remove_dir_all(&opts.out_dir).ok();
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

@@ -12,7 +12,7 @@
 /// experiment x03 runs the defaults on bias-1 inputs up to `n = 1,800`,
 /// `k = 6` in its default grid and up to `n = 8,000`, `k = 8` under
 /// `--full`. The defaults do not always hold at bias 1: on the sequential engine with x03's budget,
-/// `SimpleAlgorithm` answered wrong on 3 of 40 runs at `n = 4,000`,
+/// [`Algorithm::Simple`](crate::Algorithm::Simple) answered wrong on 3 of 40 runs at `n = 4,000`,
 /// `k = 8`, and on 8 of 20 at `n = 20,000`, `k = 4`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tuning {
@@ -24,7 +24,7 @@ pub struct Tuning {
     /// per collector meeting (implemented as one decrement every c-th such
     /// meeting). `1` is the base Algorithm 1; larger values let a clock
     /// agent finish the initialization even when collectors stay a large
-    /// constant fraction of the population, extending `SimpleAlgorithm` to
+    /// constant fraction of the population, extending [`Algorithm::Simple`](crate::Algorithm::Simple) to
     /// `k ≤ (1 − ε)·n`.
     pub init_decrement_period: u8,
     /// Counter units (× ln n) per tournament phase 0..9 (even = work,

@@ -78,7 +78,7 @@ pub enum SlotKind {
     Chal,
 }
 
-/// A tracker agent. In the ordered `SimpleAlgorithm` it counts tournaments
+/// A tracker agent. In the ordered [`Algorithm::Simple`](crate::Algorithm::Simple) it counts tournaments
 /// (`tcnt`); in the unordered variants it amplifies candidate opinions,
 /// relays the leader's directives, and participates in the leader lottery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

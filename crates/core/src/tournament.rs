@@ -1,4 +1,5 @@
-//! The shared tournament machine behind all three protocols.
+//! The tournament machine: the paper's three protocols as one
+//! [`Protocol`].
 //!
 //! One [`Machine`] implements:
 //!
@@ -13,28 +14,66 @@
 //!   selection, finished-detection),
 //! * §3.4 (final winner broadcast).
 //!
-//! `SimpleAlgorithm`, `UnorderedAlgorithm` and `ImprovedAlgorithm` are thin
-//! wrappers choosing [`Mode`] and the init style.
+//! [`Machine::start`] builds it and its initial configuration for one
+//! [`Algorithm`], which picks how challengers are chosen and which
+//! initialization runs.
 
 use pp_clocks::{FormJunta, JuntaClock, LeaderlessClock, PhaseSchedule};
 use pp_dynamics::balance;
-use pp_engine::{Replacement, SimRng};
+use pp_engine::{Protocol, Replacement, SimRng};
 use pp_leader::Lottery;
 use pp_majority::{CancelSplit, Verdict};
+use pp_workloads::OpinionAssignment;
 use rand::Rng;
 
 use crate::config::Tuning;
 use crate::roles::{Agent, Clock, Collector, Player, Role, SlotKind, Tracker};
 
-/// How the next challenger is determined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Opinions are numbered; tournament `i` pits the defender against
-    /// opinion `i + 1` via the trackers' `tcnt` (Theorem 1(1)).
-    Ordered,
-    /// A leader elected among the trackers samples each challenger
-    /// (Theorem 1(2) / Theorem 2).
+/// The paper's three plurality-consensus protocols.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Algorithm {
+    /// `SimpleAlgorithm` (Theorem 1(1)). Opinions are numbered `1..=k`;
+    /// opinion 1 starts as the defender, and tournament `i` pits the
+    /// defender against opinion `i + 1`, named by the trackers' `tcnt`.
+    /// After `k − 1` tournaments the defender is broadcast. W.h.p. correct
+    /// for any bias ≥ 1 in `O(k·log n)` parallel time with `O(k + log n)`
+    /// states.
+    Simple,
+    /// The unordered variant (Theorem 1(2), Appendix B). No numbering of
+    /// opinions is assumed: the trackers elect a leader (w.h.p. unique)
+    /// via the junta-clock coin lottery, which samples the initial
+    /// defender and one fresh challenger per tournament, and declares the
+    /// tournaments finished when no candidate opinion remains. The leader
+    /// election adds `O(log² n)` parallel time.
     Unordered,
+    /// `ImprovedAlgorithm` (Theorem 2). Before any tournament, every
+    /// opinion's subpopulation runs its own junta-driven phase clock on
+    /// same-opinion interactions (Algorithm 5). The plurality's clock
+    /// finishes first, and the phase-0 broadcast prunes every agent whose
+    /// clock never ticked, w.h.p. exactly the insignificant opinions
+    /// (`x_j ≤ x_max/c_s`). The surviving `O(n/x_max)` opinions then run
+    /// the unordered tournaments, for `O(n/x_max·log n + log² n)` parallel
+    /// time with `O(k·loglog n + log n)` states when
+    /// `x_max > n^(1/2+ε)`. Off that regime, pruning may remove nothing
+    /// or too much (measured in x09).
+    Improved,
+}
+
+impl Algorithm {
+    /// The label experiment tables print.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::Simple => "simple",
+            Algorithm::Unordered => "unordered",
+            Algorithm::Improved => "improved",
+        }
+    }
+
+    /// Whether challengers follow the opinions' numbering (no leader
+    /// election).
+    fn ordered(self) -> bool {
+        self == Algorithm::Simple
+    }
 }
 
 /// Interaction indices of notable global events, for experiments.
@@ -53,9 +92,7 @@ pub struct Milestones {
 /// The tournament machine: all static configuration plus run milestones.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    mode: Mode,
-    improved_init: bool,
-    n: usize,
+    algorithm: Algorithm,
     k: u16,
     tuning: Tuning,
     schedule: PhaseSchedule,
@@ -71,8 +108,49 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Build the machine for a population of `n` agents and `k` opinions.
-    pub fn new(mode: Mode, improved_init: bool, n: usize, k: u16, tuning: Tuning) -> Self {
+    /// Build `algorithm` and its initial configuration for an opinion
+    /// assignment: every agent a [`fresh_collector`](Self::fresh_collector)
+    /// of its opinion, and under [`Algorithm::Simple`] opinion 1 the first
+    /// defender. Construction draws no randomness.
+    ///
+    /// The paper's Theorem 1 assumes `k ≤ n/40`; the protocols run (with
+    /// weaker guarantees, cf. Appendix C) for any `k < n`, so only room
+    /// for the role split is required.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2k` or `n < 40`.
+    pub fn start(
+        algorithm: Algorithm,
+        assignment: &OpinionAssignment,
+        tuning: Tuning,
+    ) -> (Self, Vec<Agent>) {
+        let n = assignment.n();
+        let k = assignment.k() as u16;
+        assert!(n >= 40, "population too small to split into roles");
+        assert!(n >= 2 * usize::from(k), "need n >= 2k");
+        let machine = Self::new(algorithm, n, k, tuning);
+        let states = assignment
+            .opinions()
+            .iter()
+            .map(|&op| {
+                let mut agent = machine.fresh_collector(op);
+                // Lemma 3(3): opinion 1 starts as the first defender. The
+                // paper sets the bit at each agent's first interaction; we
+                // set it at time 0 (outcome-equivalent).
+                if algorithm.ordered() && op == 1 {
+                    if let Role::Collector(c) = &mut agent.role {
+                        c.defender = true;
+                    }
+                }
+                agent
+            })
+            .collect();
+        (machine, states)
+    }
+
+    /// The machine for a population of `n` agents and `k` opinions.
+    fn new(algorithm: Algorithm, n: usize, k: u16, tuning: Tuning) -> Self {
         assert!(n >= 4, "population too small for the role split");
         assert!(k >= 1);
         assert!(
@@ -88,9 +166,7 @@ impl Machine {
         let schedule = PhaseSchedule::from_lengths(&lengths);
         let clock = LeaderlessClock::new(schedule.period());
         Self {
-            mode,
-            improved_init,
-            n,
+            algorithm,
             k,
             tuning,
             schedule,
@@ -113,35 +189,10 @@ impl Machine {
         }
     }
 
-    /// Challenger-selection mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Population size this machine was built for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of opinions.
-    pub fn k(&self) -> u16 {
-        self.k
-    }
-
-    /// The phase schedule in use.
-    pub fn schedule(&self) -> &PhaseSchedule {
-        &self.schedule
-    }
-
-    /// The embedded match-majority configuration.
-    pub fn majority(&self) -> &CancelSplit {
-        &self.maj
-    }
-
     /// Initial phase for agents of this machine (−1, or −c for the
     /// improved init).
     pub fn initial_phase(&self) -> i8 {
-        if self.improved_init {
+        if self.algorithm == Algorithm::Improved {
             -(self.tuning.improved_init_hours as i8)
         } else {
             -1
@@ -149,69 +200,11 @@ impl Machine {
     }
 
     /// A fresh collector as it would enter the initial configuration of
-    /// this machine: one token, initial phase, `le_done` preset in the
-    /// ordered mode (where no leader election runs). The state a
+    /// this machine: one token, initial phase, `le_done` preset under
+    /// [`Algorithm::Simple`] (where no leader election runs). The state a
     /// fault-injected or rejoining agent adopts.
     pub fn fresh_collector(&self, opinion: u16) -> Agent {
-        Agent::collector(
-            opinion,
-            self.initial_phase(),
-            matches!(self.mode, Mode::Ordered),
-        )
-    }
-
-    /// The state a fault-struck agent adopts, shared by the three
-    /// algorithm wrappers' `Protocol::fault_state`. Corruption and
-    /// injection both produce a [`fresh_collector`](Self::fresh_collector)
-    /// — with a random or the given opinion respectively — modelling an
-    /// agent that loses all protocol progress and restarts with a vote.
-    /// Rejoin is handled by the engine (initial-state restore): `None`.
-    pub fn fault_state(&self, replacement: &Replacement, rng: &mut SimRng) -> Option<Agent> {
-        match *replacement {
-            Replacement::Random => Some(self.fresh_collector(rng.gen_range(1..=self.k))),
-            Replacement::Opinion(o) => u16::try_from(o)
-                .ok()
-                .filter(|op| (1..=self.k).contains(op))
-                .map(|op| self.fresh_collector(op)),
-            Replacement::Rejoin => None,
-        }
-    }
-
-    /// One interaction of the full protocol (`a` initiates).
-    pub fn interact(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
-        // §3.4 final broadcast dominates everything.
-        if a.is_winner() || b.is_winner() {
-            self.spread_winner(a, b);
-            return;
-        }
-        // Broadcast flags travel on every interaction.
-        if a.le_done || b.le_done {
-            a.le_done = true;
-            b.le_done = true;
-        }
-        if a.fin || b.fin {
-            a.fin = true;
-            b.fin = true;
-            // The final broadcast starts at the defenders.
-            for x in [&mut *a, &mut *b] {
-                if let Role::Collector(c) = &mut x.role {
-                    if c.defender && !c.winner {
-                        c.winner = true;
-                        self.milestones.first_winner.get_or_insert(t);
-                    }
-                }
-            }
-        }
-
-        if a.phase < 0 || b.phase < 0 {
-            if self.improved_init {
-                self.improved_init_step(t, a, b, rng);
-            } else {
-                self.standard_init_step(t, a, b, rng);
-            }
-            return;
-        }
-        self.tournament_step(t, a, b, rng);
+        Agent::collector(opinion, self.initial_phase(), self.algorithm.ordered())
     }
 
     // ------------------------------------------------------------------
@@ -376,7 +369,7 @@ impl Machine {
         }
 
         // §3.4: the ordered final broadcast triggers once `tcnt = k + 1`.
-        if self.mode == Mode::Ordered {
+        if self.algorithm.ordered() {
             let final_tcnt = self.k + 1;
             let tournaments_over =
                 |x: &Agent| matches!(&x.role, Role::Tracker(tr) if tr.tcnt == final_tcnt);
@@ -397,7 +390,7 @@ impl Machine {
     }
 
     /// Clock agents run the leaderless clock ([1]); the counter is gated on
-    /// `le_done` (constant `true` in the ordered mode) so the unordered
+    /// `le_done` (constant `true` under [`Algorithm::Simple`]) so the unordered
     /// variants can hold phase 0 until the leader has set up the first
     /// tournament.
     fn advance_clocks(&mut self, a: &mut Agent, b: &mut Agent) {
@@ -456,7 +449,7 @@ impl Machine {
         match phase {
             0 => match &mut x.role {
                 Role::Tracker(tr) => {
-                    if self.mode == Mode::Ordered {
+                    if self.algorithm.ordered() {
                         tr.tcnt = (tr.tcnt + 1).min(self.k + 1);
                     } else {
                         tr.slot_op = 0;
@@ -484,13 +477,12 @@ impl Machine {
 
     /// Phase 0: challenger/defender determination plus `ℓ` initialization.
     fn setup_phase(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
-        match self.mode {
-            Mode::Ordered => {
-                // Algorithm 4 lines 2–3 (both orientations).
-                self.ordered_challenger_bit(a, b);
-                self.ordered_challenger_bit(b, a);
-            }
-            Mode::Unordered => self.unordered_setup(t, a, b, rng),
+        if self.algorithm.ordered() {
+            // Algorithm 4 lines 2–3 (both orientations).
+            self.ordered_challenger_bit(a, b);
+            self.ordered_challenger_bit(b, a);
+        } else {
+            self.unordered_setup(t, a, b, rng);
         }
         // Algorithm 4 lines 4–5, recomputed idempotently on every phase-0
         // interaction so late challenger bits still load their tokens.
@@ -719,13 +711,50 @@ impl Machine {
             }
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Output & census.
-    // ------------------------------------------------------------------
+impl Protocol for Machine {
+    type State = Agent;
+
+    /// One interaction of the full protocol (`a` initiates).
+    fn interact(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
+        // §3.4 final broadcast dominates everything.
+        if a.is_winner() || b.is_winner() {
+            self.spread_winner(a, b);
+            return;
+        }
+        // Broadcast flags travel on every interaction.
+        if a.le_done || b.le_done {
+            a.le_done = true;
+            b.le_done = true;
+        }
+        if a.fin || b.fin {
+            a.fin = true;
+            b.fin = true;
+            // The final broadcast starts at the defenders.
+            for x in [&mut *a, &mut *b] {
+                if let Role::Collector(c) = &mut x.role {
+                    if c.defender && !c.winner {
+                        c.winner = true;
+                        self.milestones.first_winner.get_or_insert(t);
+                    }
+                }
+            }
+        }
+
+        if a.phase < 0 || b.phase < 0 {
+            if self.algorithm == Algorithm::Improved {
+                self.improved_init_step(t, a, b, rng);
+            } else {
+                self.standard_init_step(t, a, b, rng);
+            }
+            return;
+        }
+        self.tournament_step(t, a, b, rng);
+    }
 
     /// All agents are winner-collectors of the same opinion.
-    pub fn converged(&self, states: &[Agent]) -> Option<u32> {
+    fn converged(&self, states: &[Agent]) -> Option<u32> {
         let mut opinion = None;
         for x in states {
             match x.as_collector() {
@@ -744,7 +773,7 @@ impl Machine {
     /// only during the improved protocol's initialization (`phase < 0`),
     /// modulo the clock's `64·m` window
     /// ([`JuntaClock::encode_counter`](pp_clocks::JuntaClock::encode_counter)).
-    pub fn encode(&self, x: &Agent) -> u64 {
+    fn encode(&self, x: &Agent) -> u64 {
         let shared = ((x.phase + 16) as u64)
             | u64::from(x.done_once) << 5
             | u64::from(x.le_done) << 6
@@ -759,7 +788,7 @@ impl Machine {
                     | u64::from(c.tokens) << 16
                     | bits << 22
                     | ((i16::from(c.ell) + 64) as u64) << 26;
-                if self.improved_init && x.phase < 0 {
+                if self.algorithm == Algorithm::Improved && x.phase < 0 {
                     let j = u64::from(c.junta.level) << 1 | u64::from(c.junta.active);
                     p |= j << 34 | self.sub_clock.encode_counter(c.jc) << 40;
                 }
@@ -767,24 +796,23 @@ impl Machine {
             }
             Role::Clock(cl) => (1, u64::from(cl.g) | u64::from(cl.sub) << 24),
             Role::Tracker(tr) => {
-                let p = match self.mode {
-                    Mode::Ordered => u64::from(tr.tcnt),
-                    Mode::Unordered => {
-                        let lot = &tr.lot;
-                        let flags = u64::from(lot.candidate)
-                            | u64::from(lot.coin) << 1
-                            | u64::from(lot.best_coin) << 2
-                            | u64::from(lot.leader) << 3
-                            | u64::from(lot.done) << 4;
-                        let j = u64::from(lot.junta.level) << 1 | u64::from(lot.junta.active);
-                        u64::from(tr.slot_op)
-                            | (tr.slot_kind as u64) << 16
-                            | flags << 18
-                            | (lot.best_hour % 64) << 23
-                            | j << 29
-                            | (lot.p % 256) << 33
-                            | u64::from(tr.leader_ctr.min(8191)) << 41
-                    }
+                let p = if self.algorithm.ordered() {
+                    u64::from(tr.tcnt)
+                } else {
+                    let lot = &tr.lot;
+                    let flags = u64::from(lot.candidate)
+                        | u64::from(lot.coin) << 1
+                        | u64::from(lot.best_coin) << 2
+                        | u64::from(lot.leader) << 3
+                        | u64::from(lot.done) << 4;
+                    let j = u64::from(lot.junta.level) << 1 | u64::from(lot.junta.active);
+                    u64::from(tr.slot_op)
+                        | (tr.slot_kind as u64) << 16
+                        | flags << 18
+                        | (lot.best_hour % 64) << 23
+                        | j << 29
+                        | (lot.p % 256) << 33
+                        | u64::from(tr.leader_ctr.min(8191)) << 41
                 };
                 (2, p)
             }
@@ -800,20 +828,42 @@ impl Machine {
         };
         shared | tag << 8 | payload << 10
     }
+
+    /// Corruption and injection both produce a
+    /// [`fresh_collector`](Machine::fresh_collector) — with a random or the
+    /// given opinion respectively — modelling an agent that loses all
+    /// protocol progress and restarts with a vote. Rejoin is handled by
+    /// the engine (initial-state restore): `None`.
+    fn fault_state(&self, replacement: &Replacement, rng: &mut SimRng) -> Option<Agent> {
+        match *replacement {
+            Replacement::Random => Some(self.fresh_collector(rng.gen_range(1..=self.k))),
+            Replacement::Opinion(o) => u16::try_from(o)
+                .ok()
+                .filter(|op| (1..=self.k).contains(op))
+                .map(|op| self.fresh_collector(op)),
+            Replacement::Rejoin => None,
+        }
+    }
+
+    fn opinion_of(&self, state: &Agent) -> Option<u32> {
+        state.as_collector().map(|c| u32::from(c.opinion))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_engine::{RunOptions, RunResult, RunStatus, Simulation};
+    use pp_workloads::Counts;
 
-    fn machine(mode: Mode) -> Machine {
-        Machine::new(mode, false, 1000, 4, Tuning::default())
+    fn machine() -> Machine {
+        Machine::new(Algorithm::Simple, 1000, 4, Tuning::default())
     }
 
     #[test]
     fn initial_phase_depends_on_init_style() {
-        assert_eq!(machine(Mode::Ordered).initial_phase(), -1);
-        let m = Machine::new(Mode::Unordered, true, 1000, 4, Tuning::default());
+        assert_eq!(machine().initial_phase(), -1);
+        let m = Machine::new(Algorithm::Improved, 1000, 4, Tuning::default());
         assert_eq!(
             m.initial_phase(),
             -(Tuning::default().improved_init_hours as i8)
@@ -822,7 +872,7 @@ mod tests {
 
     #[test]
     fn phase_entry_resets_scratch_and_advances_tracker() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut x = Agent::collector(1, 0, true);
         x.role = Role::Tracker(Tracker {
             tcnt: 1,
@@ -854,7 +904,7 @@ mod tests {
 
     #[test]
     fn winner_converts_partner() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(2);
         let mut w = Agent::collector(3, 5, true);
         if let Role::Collector(c) = &mut w.role {
@@ -868,7 +918,7 @@ mod tests {
 
     #[test]
     fn converged_requires_unanimous_winners() {
-        let m = machine(Mode::Ordered);
+        let m = machine();
         let mut w1 = Agent::collector(3, 5, true);
         if let Role::Collector(c) = &mut w1.role {
             c.winner = true;
@@ -886,7 +936,7 @@ mod tests {
 
     #[test]
     fn merge_respects_cap_and_reroles_initiator() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(3);
         let mut a = Agent::collector(1, -1, true);
         let mut b = Agent::collector(1, -1, true);
@@ -912,7 +962,7 @@ mod tests {
 
     #[test]
     fn different_opinions_do_not_merge() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(4);
         let mut a = Agent::collector(1, -1, true);
         let mut b = Agent::collector(2, -1, true);
@@ -923,7 +973,7 @@ mod tests {
 
     #[test]
     fn phase_propagation_steps_through_hooks() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut behind = Agent::collector(1, 8, true);
         if let Role::Collector(c) = &mut behind.role {
             c.ell = 7; // stale ℓ that must be cleared by the phase-0 hook
@@ -940,7 +990,7 @@ mod tests {
 
     #[test]
     fn encode_distinguishes_roles_and_phases() {
-        let m = machine(Mode::Ordered);
+        let m = machine();
         let a = Agent::collector(1, -1, true);
         let b = Agent::collector(2, -1, true);
         let mut c = Agent::collector(1, 0, true);
@@ -950,7 +1000,7 @@ mod tests {
         assert_eq!(set.len(), 3);
     }
 
-    fn tracker_agent(m: &Machine, tcnt: u16, phase: i8) -> Agent {
+    fn tracker_agent(tcnt: u16, phase: i8) -> Agent {
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(1);
         let mut x = Agent::collector(1, phase, true);
         x.role = Role::Tracker(Tracker {
@@ -958,7 +1008,7 @@ mod tests {
             slot_op: 0,
             slot_kind: SlotKind::Empty,
             lot: {
-                let lottery = Lottery::new(m.n(), 4);
+                let lottery = Lottery::new(1000, 4);
                 lottery.init_state(&mut rng)
             },
             leader_ctr: 0,
@@ -975,7 +1025,7 @@ mod tests {
 
     #[test]
     fn ordered_setup_sets_challenger_from_tcnt() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(2);
         // Tracker at tcnt = 3 names opinion 3 the challenger; its collectors
         // load ℓ = −tokens in the same interaction.
@@ -983,7 +1033,7 @@ mod tests {
         if let Role::Collector(cc) = &mut c.role {
             cc.tokens = 4;
         }
-        let mut t = tracker_agent(&m, 3, 0);
+        let mut t = tracker_agent(3, 0);
         m.interact(0, &mut c, &mut t, &mut rng);
         let cc = c.as_collector().expect("collector");
         assert!(cc.challenger);
@@ -998,7 +1048,7 @@ mod tests {
 
     #[test]
     fn cancellation_phase_averages_loads() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(3);
         let mut a = Agent::collector(1, 2, true);
         let mut b = Agent::collector(2, 2, true);
@@ -1019,7 +1069,7 @@ mod tests {
 
     #[test]
     fn lineup_recruits_undecided_players() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(4);
         let mut c = Agent::collector(1, 4, true);
         if let Role::Collector(cc) = &mut c.role {
@@ -1043,9 +1093,9 @@ mod tests {
 
     #[test]
     fn conclusion_transfers_defender_on_b_verdict_once() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(5);
-        let thr = m.majority().declare_threshold();
+        let thr = m.maj.declare_threshold();
         let mut chall = Agent::collector(2, 8, true);
         if let Role::Collector(c) = &mut chall.role {
             c.challenger = true;
@@ -1075,7 +1125,7 @@ mod tests {
 
     #[test]
     fn conclusion_ignores_unfinished_players() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(6);
         let mut chall = Agent::collector(2, 8, true);
         if let Role::Collector(c) = &mut chall.role {
@@ -1096,7 +1146,7 @@ mod tests {
 
     #[test]
     fn split_defenders_heal_outside_conclusion() {
-        let mut m = machine(Mode::Ordered);
+        let mut m = machine();
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(7);
         let mut d1 = Agent::collector(1, 2, true);
         let mut d2 = Agent::collector(2, 2, true);
@@ -1127,7 +1177,7 @@ mod tests {
 
     #[test]
     fn improved_entry_prunes_tokenless_and_unticked() {
-        let mut m = Machine::new(Mode::Unordered, true, 1000, 4, Tuning::default());
+        let mut m = Machine::new(Algorithm::Improved, 1000, 4, Tuning::default());
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(8);
         // An agent whose clock never ticked (phase −c) is re-rolled even
         // with tokens.
@@ -1152,7 +1202,7 @@ mod tests {
             init_decrement_period: 3,
             ..Tuning::default()
         };
-        let mut m = Machine::new(Mode::Ordered, false, 1000, 4, tuning);
+        let mut m = Machine::new(Algorithm::Simple, 1000, 4, tuning);
         let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(9);
         let mut clock = Agent::collector(1, -1, true);
         clock.role = Role::Clock(Clock { g: 5, sub: 0 });
@@ -1165,5 +1215,194 @@ mod tests {
             Role::Clock(cl) => assert_eq!(cl.g, 4),
             _ => unreachable!(),
         }
+    }
+
+    // ------------------------------------------------------------------
+    // End-to-end runs of the three algorithms.
+    // ------------------------------------------------------------------
+
+    /// Run `algorithm` with default tuning on `counts` for at most
+    /// `budget` parallel time. Returns the finished simulation, its
+    /// result and the planted plurality.
+    fn run(
+        algorithm: Algorithm,
+        counts: &Counts,
+        seed: u64,
+        budget: f64,
+    ) -> (Simulation<Machine>, RunResult, u32) {
+        let assignment = counts.assignment();
+        let (machine, states) = Machine::start(algorithm, &assignment, Tuning::default());
+        let mut sim = Simulation::new(machine, states, seed);
+        let r = sim.run(&RunOptions::with_parallel_time_budget(
+            assignment.n(),
+            budget,
+        ));
+        (sim, r, assignment.plurality())
+    }
+
+    fn assert_exact(algorithm: Algorithm, counts: Counts, seed: u64, budget: f64) {
+        let (_, r, expected) = run(algorithm, &counts, seed, budget);
+        assert_eq!(r.status, RunStatus::Converged);
+        assert_eq!(r.output, Some(expected));
+    }
+
+    #[test]
+    fn start_builds_each_algorithms_initial_configuration() {
+        let assignment = Counts::from_supports(vec![30, 20, 10]).assignment();
+        for algorithm in [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved] {
+            let (m, states) = Machine::start(algorithm, &assignment, Tuning::default());
+            assert_eq!(states.len(), 60);
+            for (x, &op) in states.iter().zip(assignment.opinions()) {
+                let mut want = m.fresh_collector(op);
+                if let Role::Collector(c) = &mut want.role {
+                    c.defender = algorithm == Algorithm::Simple && op == 1;
+                }
+                assert_eq!(*x, want, "{}", algorithm.name());
+            }
+        }
+    }
+
+    #[test]
+    fn simple_two_opinions_bias_one() {
+        // Odd n so a true bias of 1 is feasible with k = 2.
+        assert_exact(Algorithm::Simple, Counts::bias_one(601, 2), 11, 100_000.0);
+    }
+
+    #[test]
+    fn simple_four_opinions_bias_one() {
+        assert_exact(Algorithm::Simple, Counts::bias_one(800, 4), 5, 300_000.0);
+    }
+
+    #[test]
+    fn simple_plurality_not_first_opinion() {
+        // Opinion 3 dominates: the defender bit must migrate through the
+        // tournaments.
+        let counts = Counts::from_supports(vec![100, 100, 260, 140]);
+        assert_eq!(counts.assignment().plurality(), 3);
+        assert_exact(Algorithm::Simple, counts, 9, 300_000.0);
+    }
+
+    #[test]
+    fn simple_single_opinion_trivially_wins() {
+        assert_exact(
+            Algorithm::Simple,
+            Counts::from_supports(vec![500]),
+            3,
+            100_000.0,
+        );
+    }
+
+    #[test]
+    fn simple_skimpy_tuning_fails_gracefully() {
+        // Deliberately under-provisioned constants: the run may finish with
+        // the wrong opinion or exhaust its budget, but it must not panic.
+        let assignment = Counts::bias_one(400, 3).assignment();
+        let (machine, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::skimpy());
+        let mut sim = Simulation::new(machine, states, 1);
+        let _ = sim.run(&RunOptions::with_parallel_time_budget(
+            assignment.n(),
+            20_000.0,
+        ));
+    }
+
+    #[test]
+    fn simple_milestones_are_recorded() {
+        let (sim, r, _) = run(Algorithm::Simple, &Counts::bias_one(601, 2), 2, 100_000.0);
+        assert_eq!(r.status, RunStatus::Converged);
+        let ms = sim.protocol().milestones;
+        let init_end = ms.init_end.expect("init end recorded");
+        let first_winner = ms.first_winner.expect("winner recorded");
+        assert!(init_end < first_winner);
+    }
+
+    #[test]
+    fn unordered_two_opinions_bias_one() {
+        assert_exact(
+            Algorithm::Unordered,
+            Counts::bias_one(601, 2),
+            21,
+            400_000.0,
+        );
+    }
+
+    #[test]
+    fn unordered_three_opinions_plurality_in_the_middle() {
+        let counts = Counts::from_supports(vec![150, 301, 149]);
+        assert_eq!(counts.assignment().plurality(), 2);
+        assert_exact(Algorithm::Unordered, counts, 8, 400_000.0);
+    }
+
+    #[test]
+    fn unordered_milestones_order_is_sane() {
+        let (sim, r, _) = run(
+            Algorithm::Unordered,
+            &Counts::bias_one(600, 3),
+            4,
+            500_000.0,
+        );
+        assert_eq!(r.status, RunStatus::Converged);
+        let ms = sim.protocol().milestones;
+        let init_end = ms.init_end.expect("init end");
+        let le_done = ms.le_done.expect("leader + defender selection");
+        let fin = ms.fin.expect("finish declaration");
+        assert!(init_end < le_done, "leader election follows init");
+        assert!(le_done < fin, "tournaments follow the leader release");
+    }
+
+    #[test]
+    fn improved_dominant_plurality_with_many_small_opinions() {
+        // x_max = 400 ≈ n^0.87, 8 tiny opinions: the Theorem 2 regime.
+        assert_exact(
+            Algorithm::Improved,
+            Counts::one_large(1000, 9, 400),
+            3,
+            400_000.0,
+        );
+    }
+
+    #[test]
+    fn improved_two_large_one_small() {
+        let counts = Counts::from_supports(vec![320, 300, 30]);
+        assert_exact(Algorithm::Improved, counts, 13, 400_000.0);
+    }
+
+    #[test]
+    fn improved_pruning_run_is_exact() {
+        assert_exact(
+            Algorithm::Improved,
+            Counts::one_large(2000, 11, 800),
+            7,
+            400_000.0,
+        );
+    }
+
+    #[test]
+    fn improved_tokens_of_plurality_survive_the_init() {
+        // Lemma 10(2): count plurality tokens among collectors the moment
+        // all agents reached phase 0.
+        let assignment = Counts::one_large(2000, 11, 800).assignment();
+        let (machine, states) = Machine::start(Algorithm::Improved, &assignment, Tuning::default());
+        let mut sim = Simulation::new(machine, states, 19);
+        let mut plurality_tokens_at_start: Option<usize> = None;
+        let _ = sim.run_observed(
+            &RunOptions::with_parallel_time_budget(assignment.n(), 400_000.0),
+            |_, states| {
+                if plurality_tokens_at_start.is_none() && states.iter().all(|s| s.phase >= 0) {
+                    let tokens: usize = states
+                        .iter()
+                        .filter_map(|s| match &s.role {
+                            Role::Collector(c) if c.opinion == 1 => Some(usize::from(c.tokens)),
+                            _ => None,
+                        })
+                        .sum();
+                    plurality_tokens_at_start = Some(tokens);
+                }
+            },
+        );
+        assert_eq!(
+            plurality_tokens_at_start.expect("init completed"),
+            assignment.x_max(),
+            "plurality tokens must be conserved through the pruning init"
+        );
     }
 }

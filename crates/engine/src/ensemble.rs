@@ -19,55 +19,43 @@ pub fn default_threads() -> usize {
 /// `threads` worker threads and return the results in trial order.
 ///
 /// Work is distributed dynamically (atomic work-stealing counter), so uneven
-/// trial durations do not idle workers.
+/// trial durations do not idle workers. Each worker returns its
+/// `(trial, result)` pairs through its join handle; the results are put in
+/// trial order after the join.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any trial.
+/// Re-raises the panic of any trial.
 pub fn run_trials<R, F>(trials: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let threads = threads.max(1).min(trials.max(1));
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(trials);
-    slots.resize_with(trials, || None);
-    if trials == 0 {
-        return Vec::new();
-    }
     let next = AtomicUsize::new(0);
-    let slots_ptr = SendSlots(slots.as_mut_ptr());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let f = &f;
-            let slots_ptr = &slots_ptr;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= trials {
-                    break;
-                }
-                let r = f(i);
-                // SAFETY: each index is claimed exactly once via the atomic
-                // counter, so no two threads write the same slot, and the
-                // Vec outlives the scope.
-                unsafe { *slots_ptr.0.add(i) = Some(r) };
-            });
-        }
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= trials {
+                            return mine;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("trial slot filled"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
-
-/// Wrapper making the raw slot pointer `Sync`; safety argument at the write
-/// site.
-struct SendSlots<R>(*mut Option<R>);
-unsafe impl<R: Send> Sync for SendSlots<R> {}
-unsafe impl<R: Send> Send for SendSlots<R> {}
 
 #[cfg(test)]
 mod tests {
@@ -105,5 +93,19 @@ mod tests {
         for (i, (idx, _)) in out.iter().enumerate() {
             assert_eq!(i, *idx);
         }
+    }
+
+    #[test]
+    fn a_trial_panic_is_re_raised_with_its_own_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            run_trials(8, 2, |i| {
+                if i == 5 {
+                    panic!("trial 5 failed");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the trial panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"trial 5 failed"));
     }
 }

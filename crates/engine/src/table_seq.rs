@@ -24,7 +24,8 @@ use crate::protocol::{Protocol, SimRng};
 
 /// Adapter running a [`TableProtocol`] under [`crate::Simulation`].
 ///
-/// Agent states are the table's state indices. The convergence predicate
+/// Agent states are the table's state indices, stored as `u16` so the
+/// constant-state baselines move two bytes per agent. The convergence predicate
 /// tallies the configuration and defers to [`TableProtocol::output`], so
 /// the decision matches the batched engines exactly.
 #[derive(Debug, Clone)]
@@ -34,7 +35,17 @@ pub struct SeqTable<P: TableProtocol> {
 
 impl<P: TableProtocol> SeqTable<P> {
     /// Wrap `table` for the sequential engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has more than 65,536 states, which a `u16`
+    /// agent state cannot index.
     pub fn new(table: P) -> Self {
+        assert!(
+            table.states() <= 1 << 16,
+            "SeqTable holds u16 states: a table of {} states does not fit",
+            table.states()
+        );
         Self { table }
     }
 
@@ -42,48 +53,48 @@ impl<P: TableProtocol> SeqTable<P> {
     /// per-agent state vector the sequential engine needs. Agents of equal
     /// state are contiguous; the uniform scheduler makes ordering
     /// irrelevant.
-    pub fn initial_states(counts: &[u64]) -> Vec<u32> {
+    pub fn initial_states(counts: &[u64]) -> Vec<u16> {
         let mut states = Vec::with_capacity(counts.iter().sum::<u64>() as usize);
         for (s, &c) in counts.iter().enumerate() {
-            states.extend(std::iter::repeat_n(s as u32, c as usize));
+            states.extend(std::iter::repeat_n(s as u16, c as usize));
         }
         states
     }
 }
 
 impl<P: TableProtocol> Protocol for SeqTable<P> {
-    type State = u32;
+    type State = u16;
 
     #[inline]
-    fn interact(&mut self, _t: u64, a: &mut u32, b: &mut u32, rng: &mut SimRng) {
-        let (x, y) = self.table.delta(*a as usize, *b as usize, rng);
-        *a = x as u32;
-        *b = y as u32;
+    fn interact(&mut self, _t: u64, a: &mut u16, b: &mut u16, rng: &mut SimRng) {
+        let (x, y) = self.table.delta(usize::from(*a), usize::from(*b), rng);
+        *a = x as u16;
+        *b = y as u16;
     }
 
-    fn converged(&self, states: &[u32]) -> Option<u32> {
+    fn converged(&self, states: &[u16]) -> Option<u32> {
         let mut counts = vec![0u64; self.table.states()];
         for &s in states {
-            counts[s as usize] += 1;
+            counts[usize::from(s)] += 1;
         }
         self.table.output(&counts)
     }
 
-    fn encode(&self, state: &u32) -> u64 {
+    fn encode(&self, state: &u16) -> u64 {
         u64::from(*state)
     }
 
-    fn fault_state(&self, replacement: &Replacement, rng: &mut SimRng) -> Option<u32> {
+    fn fault_state(&self, replacement: &Replacement, rng: &mut SimRng) -> Option<u16> {
         match *replacement {
-            Replacement::Random => Some(rng.gen_range(0..self.table.states()) as u32),
-            Replacement::Opinion(o) => self.table.opinion_state(o).map(|s| s as u32),
+            Replacement::Random => Some(rng.gen_range(0..self.table.states()) as u16),
+            Replacement::Opinion(o) => self.table.opinion_state(o).map(|s| s as u16),
             // The engine restores the victim's initial state itself.
             Replacement::Rejoin => None,
         }
     }
 
-    fn opinion_of(&self, state: &u32) -> Option<u32> {
-        self.table.opinion(*state as usize)
+    fn opinion_of(&self, state: &u16) -> Option<u32> {
+        self.table.opinion(usize::from(*state))
     }
 }
 
@@ -140,5 +151,33 @@ mod tests {
         );
         assert_eq!(r.status, RunStatus::Converged);
         assert_eq!(census.len(), 2);
+    }
+
+    /// A table whose size is all that matters.
+    struct Wide(usize);
+    impl TableProtocol for Wide {
+        fn states(&self) -> usize {
+            self.0
+        }
+        fn is_deterministic(&self) -> bool {
+            true
+        }
+        fn delta(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+            (a, b)
+        }
+        fn output(&self, _counts: &[u64]) -> Option<u32> {
+            None
+        }
+    }
+
+    #[test]
+    fn the_largest_u16_indexed_table_is_accepted() {
+        let _ = SeqTable::new(Wide(1 << 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "SeqTable holds u16 states")]
+    fn tables_past_u16_indices_are_refused() {
+        let _ = SeqTable::new(Wide((1 << 16) + 1));
     }
 }

@@ -3,7 +3,7 @@
 //! 701 voters, two candidates, a one-vote margin. The classic
 //! undecided-state dynamics (USD) reaches consensus fast but picks the
 //! loser almost half the time — it solves *approximate* plurality only.
-//! `SimpleAlgorithm` pays more time but gets the winner right
+//! `Algorithm::Simple` pays more time but gets the winner right
 //! w.h.p. — the paper's core trade-off, measured over 10 runs of each.
 //!
 //! Run with: `cargo run --release --example close_election`
@@ -36,7 +36,7 @@ fn main() {
         usd_correct += usize::from(r.is_correct(winner));
 
         // Exact protocol.
-        let (proto, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
+        let (proto, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
         let mut sim = Simulation::new(proto, states, seed);
         let r = sim.run(&RunOptions::with_parallel_time_budget(
             assignment.n(),

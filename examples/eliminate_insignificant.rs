@@ -2,7 +2,7 @@
 //!
 //! One strong opinion (x_max = 800 ≈ n^0.87) faces fifteen splinter
 //! opinions of ~80 agents each. The unordered algorithm would grind through
-//! up to k − 1 = 15 tournaments; `ImprovedAlgorithm` runs one junta clock
+//! up to k − 1 = 15 tournaments; `Algorithm::Improved` runs one junta clock
 //! per opinion during initialization, and when the strong opinion's clock
 //! fires first, every opinion whose clock never ticked is pruned — no
 //! tournament is ever held for it. The run prints how many opinions
@@ -24,8 +24,8 @@ fn main() {
         assignment.x_max()
     );
 
-    // --- ImprovedAlgorithm, watching the pruning moment. ---
-    let (proto, states) = ImprovedAlgorithm::new(&assignment, Tuning::default());
+    // --- Algorithm::Improved, watching the pruning moment. ---
+    let (proto, states) = Machine::start(Algorithm::Improved, &assignment, Tuning::default());
     let mut sim = Simulation::new(proto, states, 11);
     let mut surviving: Option<BTreeSet<u16>> = None;
     let result = sim.run_observed(
@@ -57,8 +57,8 @@ fn main() {
         None => println!("improved: no consensus within budget"),
     }
 
-    // --- UnorderedAlgorithm on the same input, for the time contrast. ---
-    let (proto, states) = UnorderedAlgorithm::new(&assignment, Tuning::default());
+    // --- Algorithm::Unordered on the same input, for the time contrast. ---
+    let (proto, states) = Machine::start(Algorithm::Unordered, &assignment, Tuning::default());
     let mut sim = Simulation::new(proto, states, 11);
     let result = sim.run(&RunOptions::with_parallel_time_budget(
         assignment.n(),

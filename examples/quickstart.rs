@@ -1,7 +1,7 @@
 //! Quickstart: exact plurality consensus with a one-agent lead.
 //!
 //! 900 anonymous agents hold one of three opinions; opinion 1 leads opinion
-//! 2 by a *single agent*. The ordered `SimpleAlgorithm` still identifies it
+//! 2 by a *single agent*. The ordered `Algorithm::Simple` still identifies it
 //! w.h.p., which is precisely what "exact" plurality consensus means.
 //!
 //! Run with: `cargo run --release --example quickstart`
@@ -19,14 +19,14 @@ fn main() {
         assignment.counts().bias(),
     );
 
-    let (protocol, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
+    let (protocol, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
     let mut sim = Simulation::new(protocol, states, 42);
     let result = sim.run(&RunOptions::with_parallel_time_budget(
         assignment.n(),
         1_000_000.0,
     ));
 
-    let ms = sim.protocol().milestones();
+    let ms = sim.protocol().milestones;
     println!(
         "initialization ended after {:.0} parallel time",
         ms.init_end

@@ -2,9 +2,9 @@
 //!
 //! A swarm of 1200 disposable sensors each observed one of six *fault
 //! signatures*. Signatures are opaque hashes: there is no global numbering
-//! the agents could agree on, so `SimpleAlgorithm`'s ordered tournament
+//! the agents could agree on, so `Algorithm::Simple`'s ordered tournament
 //! schedule is unavailable — exactly the situation Appendix B addresses.
-//! The `UnorderedAlgorithm` elects a leader among the tracker agents that
+//! `Algorithm::Unordered` elects a leader among the tracker agents that
 //! samples each tournament's challenger, and still returns the *exact*
 //! most frequent signature even though the top two counts differ by one.
 //!
@@ -24,7 +24,7 @@ fn main() {
         assignment.counts().supports()
     );
 
-    let (protocol, states) = UnorderedAlgorithm::new(&assignment, Tuning::default());
+    let (protocol, states) = Machine::start(Algorithm::Unordered, &assignment, Tuning::default());
     let mut sim = Simulation::new(protocol, states, 7);
     let result = sim.run(&RunOptions::with_parallel_time_budget(
         assignment.n(),
@@ -32,7 +32,7 @@ fn main() {
     ));
 
     let n = assignment.n() as f64;
-    let ms = *sim.protocol().milestones();
+    let ms = sim.protocol().milestones;
     println!(
         "timeline (parallel time): init {:.0} -> leader+defender {:.0} -> finished {:.0}",
         ms.init_end.map(|t| t as f64 / n).unwrap_or(f64::NAN),

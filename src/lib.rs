@@ -26,7 +26,7 @@
 //! // 600 agents, 4 opinions, plurality leads by exactly one agent.
 //! let counts = Counts::bias_one(600, 4);
 //! let assignment = counts.assignment();
-//! let (protocol, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
+//! let (protocol, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
 //! let mut sim = Simulation::new(protocol, states, 7);
 //! let result = sim.run(&RunOptions::with_parallel_time_budget(600, 500_000.0));
 //! assert_eq!(result.output, Some(assignment.plurality()));
@@ -44,10 +44,7 @@ pub use pp_workloads as workloads;
 
 /// The most common imports for running the paper's protocols.
 pub mod prelude {
-    pub use plurality_core::improved::ImprovedAlgorithm;
-    pub use plurality_core::simple::SimpleAlgorithm;
-    pub use plurality_core::unordered::UnorderedAlgorithm;
-    pub use plurality_core::Tuning;
+    pub use plurality_core::{Algorithm, Machine, Tuning};
     pub use pp_engine::{
         BatchSimulation, Census, FaultSpec, Protocol, RunOptions, RunResult, RunStatus,
         SchedulerSpec, SeqTable, SimRng, Simulation, TableProtocol,

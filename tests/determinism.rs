@@ -10,7 +10,7 @@ use exact_plurality::prelude::*;
 fn run_simple(seed: u64) -> (Option<u32>, u64) {
     let counts = Counts::bias_one(601, 3);
     let assignment = counts.assignment();
-    let (proto, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
+    let (proto, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
     let mut sim = Simulation::new(proto, states, seed);
     let r = sim.run(&RunOptions::with_parallel_time_budget(601, 500_000.0));
     (r.output, r.interactions)
@@ -104,10 +104,10 @@ fn improved_replays_identically() {
     let counts = Counts::one_large(1000, 9, 400);
     let assignment = counts.assignment();
     let run = |seed: u64| {
-        let (proto, states) = ImprovedAlgorithm::new(&assignment, Tuning::default());
+        let (proto, states) = Machine::start(Algorithm::Improved, &assignment, Tuning::default());
         let mut sim = Simulation::new(proto, states, seed);
         let r = sim.run(&RunOptions::with_parallel_time_budget(1000, 800_000.0));
-        (r.output, r.interactions, *sim.protocol().milestones())
+        (r.output, r.interactions, sim.protocol().milestones)
     };
     assert_eq!(run(777), run(777));
 }

@@ -3,84 +3,19 @@
 
 use exact_plurality::prelude::*;
 
-fn run(
-    make: impl Fn(&OpinionAssignment, Tuning) -> (ProtocolBox, Vec<exact_plurality::core::roles::Agent>),
-    counts: &Counts,
-    seed: u64,
-    budget: f64,
-) -> (RunResult, u32) {
+fn run(algorithm: Algorithm, counts: &Counts, seed: u64, budget: f64) -> (RunResult, u32) {
     let assignment = counts.assignment();
-    let expected = assignment.plurality();
-    let (proto, states) = make(&assignment, Tuning::default());
-    match proto {
-        ProtocolBox::Simple(p) => {
-            let mut sim = Simulation::new(p, states, seed);
-            (
-                sim.run(&RunOptions::with_parallel_time_budget(
-                    assignment.n(),
-                    budget,
-                )),
-                expected,
-            )
-        }
-        ProtocolBox::Unordered(p) => {
-            let mut sim = Simulation::new(p, states, seed);
-            (
-                sim.run(&RunOptions::with_parallel_time_budget(
-                    assignment.n(),
-                    budget,
-                )),
-                expected,
-            )
-        }
-        ProtocolBox::Improved(p) => {
-            let mut sim = Simulation::new(p, states, seed);
-            (
-                sim.run(&RunOptions::with_parallel_time_budget(
-                    assignment.n(),
-                    budget,
-                )),
-                expected,
-            )
-        }
-    }
-}
-
-enum ProtocolBox {
-    Simple(SimpleAlgorithm),
-    Unordered(UnorderedAlgorithm),
-    Improved(ImprovedAlgorithm),
-}
-
-fn simple(
-    a: &OpinionAssignment,
-    t: Tuning,
-) -> (ProtocolBox, Vec<exact_plurality::core::roles::Agent>) {
-    let (p, s) = SimpleAlgorithm::new(a, t);
-    (ProtocolBox::Simple(p), s)
-}
-
-fn unordered(
-    a: &OpinionAssignment,
-    t: Tuning,
-) -> (ProtocolBox, Vec<exact_plurality::core::roles::Agent>) {
-    let (p, s) = UnorderedAlgorithm::new(a, t);
-    (ProtocolBox::Unordered(p), s)
-}
-
-fn improved(
-    a: &OpinionAssignment,
-    t: Tuning,
-) -> (ProtocolBox, Vec<exact_plurality::core::roles::Agent>) {
-    let (p, s) = ImprovedAlgorithm::new(a, t);
-    (ProtocolBox::Improved(p), s)
+    let (machine, states) = Machine::start(algorithm, &assignment, Tuning::default());
+    let mut sim = Simulation::new(machine, states, seed);
+    let opts = RunOptions::with_parallel_time_budget(assignment.n(), budget);
+    (sim.run(&opts), assignment.plurality())
 }
 
 #[test]
 fn simple_is_exact_on_bias_one_across_seeds() {
     let counts = Counts::bias_one(901, 3);
     for seed in 0..5 {
-        let (r, expected) = run(simple, &counts, seed, 500_000.0);
+        let (r, expected) = run(Algorithm::Simple, &counts, seed, 500_000.0);
         assert!(r.is_correct(expected), "seed {seed}: {r:?}");
     }
 }
@@ -89,7 +24,7 @@ fn simple_is_exact_on_bias_one_across_seeds() {
 fn unordered_is_exact_on_bias_one() {
     let counts = Counts::bias_one(901, 3);
     for seed in 0..3 {
-        let (r, expected) = run(unordered, &counts, seed, 800_000.0);
+        let (r, expected) = run(Algorithm::Unordered, &counts, seed, 800_000.0);
         assert!(r.is_correct(expected), "seed {seed}: {r:?}");
     }
 }
@@ -99,7 +34,7 @@ fn improved_is_exact_on_the_theorem2_regime() {
     // x_max ≈ n^0.87 with many insignificant opinions.
     let counts = Counts::one_large(1500, 12, 600);
     for seed in 0..3 {
-        let (r, expected) = run(improved, &counts, seed, 800_000.0);
+        let (r, expected) = run(Algorithm::Improved, &counts, seed, 800_000.0);
         assert!(r.is_correct(expected), "seed {seed}: {r:?}");
     }
 }
@@ -109,7 +44,7 @@ fn plurality_in_last_position_is_found() {
     // The ordered protocol must carry the defender bit through k − 1
     // tournaments to the final opinion.
     let counts = Counts::from_supports(vec![200, 200, 200, 201]);
-    let (r, expected) = run(simple, &counts, 3, 800_000.0);
+    let (r, expected) = run(Algorithm::Simple, &counts, 3, 800_000.0);
     assert_eq!(expected, 4);
     assert!(r.is_correct(4), "{r:?}");
 }
@@ -117,13 +52,13 @@ fn plurality_in_last_position_is_found() {
 #[test]
 fn heavy_tailed_landscape_converges() {
     let counts = Counts::zipf(1200, 8, 1.0);
-    let (r, expected) = run(simple, &counts, 1, 900_000.0);
+    let (r, expected) = run(Algorithm::Simple, &counts, 1, 900_000.0);
     assert!(r.is_correct(expected), "{r:?}");
 }
 
 #[test]
 fn geometric_landscape_with_improved() {
     let counts = Counts::geometric(1200, 8, 0.5);
-    let (r, expected) = run(improved, &counts, 2, 900_000.0);
+    let (r, expected) = run(Algorithm::Improved, &counts, 2, 900_000.0);
     assert!(r.is_correct(expected), "{r:?}");
 }

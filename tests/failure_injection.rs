@@ -11,7 +11,7 @@ use exact_plurality::prelude::*;
 fn drive(tuning: Tuning, seed: u64) -> RunResult {
     let counts = Counts::bias_one(401, 3);
     let assignment = counts.assignment();
-    let (proto, states) = SimpleAlgorithm::new(&assignment, tuning);
+    let (proto, states) = Machine::start(Algorithm::Simple, &assignment, tuning);
     let mut sim = Simulation::new(proto, states, seed);
     sim.run(&RunOptions::with_parallel_time_budget(
         assignment.n(),
@@ -64,7 +64,7 @@ fn unordered_with_skimpy_leader_patience_terminates() {
     let counts = Counts::bias_one(401, 3);
     let assignment = counts.assignment();
     for seed in 0..3 {
-        let (proto, states) = UnorderedAlgorithm::new(&assignment, tuning);
+        let (proto, states) = Machine::start(Algorithm::Unordered, &assignment, tuning);
         let mut sim = Simulation::new(proto, states, seed);
         let r = sim.run(&RunOptions::with_parallel_time_budget(
             assignment.n(),
@@ -144,7 +144,7 @@ fn corrupting_a_paper_protocol_mid_run_terminates_cleanly() {
     let assignment = counts.assignment();
     let faults = FaultSpec::parse_list("corrupt@100:0.3").expect("spec parses");
     for seed in 0..3 {
-        let (proto, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
+        let (proto, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
         let mut sim = Simulation::new(proto, states, seed);
         let r = sim.run_faulted(
             &RunOptions::with_parallel_time_budget(assignment.n(), 50_000.0),
@@ -165,7 +165,7 @@ fn improved_without_dominant_plurality_still_behaves() {
     let counts = Counts::bias_one(600, 20); // x_max = 31 ≈ n^0.54, marginal
     let assignment = counts.assignment();
     for seed in 0..2 {
-        let (proto, states) = ImprovedAlgorithm::new(&assignment, Tuning::default());
+        let (proto, states) = Machine::start(Algorithm::Improved, &assignment, Tuning::default());
         let mut sim = Simulation::new(proto, states, seed);
         let r = sim.run(&RunOptions::with_parallel_time_budget(
             assignment.n(),

@@ -6,7 +6,7 @@ use exact_plurality::prelude::*;
 fn census_of_simple(n: usize, k: usize, seed: u64) -> usize {
     let counts = Counts::bias_one(n, k);
     let assignment = counts.assignment();
-    let (proto, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
+    let (proto, states) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
     let mut sim = Simulation::new(proto, states, seed);
     let mut census = Census::new();
     let r = sim.run_with_census(
@@ -48,7 +48,7 @@ fn encodings_distinguish_core_fields() {
     use exact_plurality::core::roles::Agent;
     let counts = Counts::bias_one(600, 3);
     let assignment = counts.assignment();
-    let (proto, _) = SimpleAlgorithm::new(&assignment, Tuning::default());
+    let (proto, _) = Machine::start(Algorithm::Simple, &assignment, Tuning::default());
     let a1 = Agent::collector(1, -1, true);
     let a2 = Agent::collector(2, -1, true);
     let mut a3 = Agent::collector(1, -1, true);

@@ -22,7 +22,9 @@
 //! initiators with many interactions per subtree; and clean runs of
 //! `ThreeState` and `UsdTable::new(64)` at `n = 10⁸`, the benchmark's
 //! regime, whose lumped batches (`ℓ ≈ 6,300`) draw most of their cells
-//! with the large-mean binomial sampler.
+//! with the large-mean binomial sampler. The paper's three protocols are
+//! pinned on the sequential engine at `n = 400`, each in a clean run to
+//! consensus and in a faulted, a scheduled and an adversarial run.
 
 use exact_plurality::baselines::UsdTable;
 use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner, TallyPaths};
@@ -379,6 +381,60 @@ fn batch_pairwise_fallback_streams_are_pinned() {
     assert_pinned("batch per-pair fallback", &got, &BATCH_PAIRWISE_FALLBACK);
 }
 
+/// The paper-protocol pins: a clean run to consensus, then a faulted,
+/// a scheduled and an adversarial run capped at `PAPER_BUDGET`.
+const PAPER_MODES: [Mode; 4] = [
+    Mode::Clean,
+    Mode::Faulted,
+    Mode::Scheduler("pairbias:0.3"),
+    Mode::Adversary("byz:0.05:1"),
+];
+const PAPER_CLEAN_BUDGET: f64 = 100_000.0;
+const PAPER_BUDGET: f64 = 600.0;
+
+/// Fold a run of one of the paper's protocols on `bias_one(400, 3)`: its
+/// result, clock, RNG state, milestones and each agent's `Debug` text
+/// (`Agent` has no `Hash`, and `encode` is not injective).
+fn paper_digest(algorithm: Algorithm, mode: Mode) -> u64 {
+    let assignment = Counts::bias_one(400, 3).assignment();
+    let (machine, states) = Machine::start(algorithm, &assignment, Tuning::default());
+    let mut sim = Simulation::new(machine, states.clone(), SEED);
+    let budget = match mode {
+        Mode::Clean => PAPER_CLEAN_BUDGET,
+        _ => PAPER_BUDGET,
+    };
+    let opts = RunOptions::with_parallel_time_budget(assignment.n(), budget);
+    let r = drive!(sim, mode, opts, &states);
+    let mut h = Fnv::new();
+    h.result(&r);
+    h.u64(sim.interactions());
+    for w in sim.rng_state() {
+        h.u64(w);
+    }
+    let ms = sim.protocol().milestones;
+    for t in [ms.init_end, ms.le_done, ms.fin, ms.first_winner] {
+        h.u64(u64::from(t.is_some()));
+        h.u64(t.unwrap_or(0));
+    }
+    h.u64(sim.states().len() as u64);
+    for s in sim.states() {
+        h.bytes(format!("{s:?}").as_bytes());
+    }
+    h.0
+}
+
+#[test]
+fn paper_protocol_streams_are_pinned() {
+    let got: Vec<u64> = PAPER_MODES
+        .iter()
+        .flat_map(|&m| {
+            [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved]
+                .map(|algorithm| paper_digest(algorithm, m))
+        })
+        .collect();
+    assert_pinned("paper protocols n=400", &got, &PAPER);
+}
+
 // Recorded digests, in `MODES` order.
 
 const SEQ: [u64; 9] = [
@@ -461,3 +517,19 @@ const BATCH_CLEAN_HUGE: [u64; 2] = [0x739a_35b2_d1de_32e0, 0x3690_82df_2ddd_e238
 /// `ThreeState` on `[0, 2, 2]` under `churn:0.3`, then `UsdTable::new(2)`
 /// on `[0, 1, 1]` under `churn:0.5`.
 const BATCH_PAIRWISE_FALLBACK: [u64; 2] = [0x0b85_4c6b_2175_2989, 0x4897_8d12_90f3_3589];
+
+/// `PAPER_MODES` order; simple, unordered, then improved in each.
+const PAPER: [u64; 12] = [
+    0x9263_95cb_18f7_699d,
+    0x5d6b_0eda_f8c4_5dca,
+    0xf1ec_3b94_85f7_93af,
+    0x6791_b221_fb10_a249,
+    0x6f94_b383_a3f1_0053,
+    0x512f_2341_08aa_3644,
+    0x45a3_33bf_0177_1f96,
+    0xc202_28f8_66b5_49e7,
+    0xb33f_ef2c_c838_be5c,
+    0x6159_4e66_71b6_307a,
+    0x1cb5_d016_ac6d_2ab6,
+    0x11b3_e7e9_5766_a269,
+];
