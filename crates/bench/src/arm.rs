@@ -2,12 +2,10 @@
 //!
 //! An *arm* is one protocol-under-test inside a scenario: a paper protocol
 //! on the sequential engine, a table protocol on either engine, or a
-//! bespoke closure. The [`ErasedArm`] trait erases the concrete
-//! protocol and engine types behind one uniform trial interface, so every
-//! arm — regardless of which simulator it needs — honors `--engine`,
-//! ensemble threading, census collection and per-trial seed derivation the
-//! same way. This replaces the previously split `run_trial` /
-//! `run_usd_baseline` code paths.
+//! bespoke closure. Each [`Arm`] is a label plus one trial closure that
+//! hides the concrete protocol and engine types, so every arm — whichever
+//! simulator it needs — honors `--engine`, ensemble threading, census
+//! collection and per-trial seed derivation the same way.
 
 use plurality_core::{Algorithm, Tuning};
 use pp_engine::{
@@ -58,54 +56,53 @@ impl<'a> TrialSpec<'a> {
     }
 }
 
-/// An engine-erased experiment arm.
-pub trait ErasedArm: Send + Sync {
+/// One trial: the spec, the engine `--engine` selected and the seed.
+type Trial = dyn Fn(&TrialSpec, Engine, u64) -> TrialOutcome + Send + Sync;
+
+/// An engine-erased experiment arm: a row label and the closure that runs
+/// one trial.
+pub struct Arm {
+    label: String,
+    /// A table protocol, which runs on either engine; every other arm runs
+    /// sequentially whatever `--engine` says.
+    table: bool,
+    trial: Box<Trial>,
+}
+
+impl Arm {
+    fn new(
+        label: impl Into<String>,
+        table: bool,
+        trial: impl Fn(&TrialSpec, Engine, u64) -> TrialOutcome + Send + Sync + 'static,
+    ) -> Self {
+        Self {
+            label: label.into(),
+            table,
+            trial: Box::new(trial),
+        }
+    }
+
     /// Row label ("simple", "usd", "3-state", …).
-    fn label(&self) -> &str;
+    pub fn label(&self) -> &str {
+        &self.label
+    }
 
     /// Whether the arm can switch engines (`--engine`). Arms tied to the
     /// per-agent `Protocol` interface always run sequentially.
-    fn engine_aware(&self) -> bool {
-        false
+    pub fn engine_aware(&self) -> bool {
+        self.table
     }
 
     /// Largest population this arm accepts on `engine`, if capped. The
     /// scenario layer skips grid points above the cap (with a note) rather
     /// than melting the machine.
-    fn max_n(&self, engine: Engine) -> Option<usize> {
-        let _ = engine;
-        None
+    pub fn max_n(&self, engine: Engine) -> Option<usize> {
+        (self.table && engine == Engine::Seq).then_some(SEQ_CAP)
     }
 
     /// Run one trial.
-    fn run(&self, spec: &TrialSpec, engine: Engine, seed: u64) -> TrialOutcome;
-}
-
-/// A boxed arm, as stored in scenario definitions.
-pub type Arm = Box<dyn ErasedArm>;
-
-// ---------------------------------------------------------------------------
-// Paper-protocol arms (sequential engine).
-
-struct ProtocolArm {
-    label: String,
-    algorithm: Algorithm,
-    /// Overrides the spec tuning when set (for tuning-comparison arms).
-    tuning: Option<Tuning>,
-}
-
-impl ErasedArm for ProtocolArm {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn run(&self, spec: &TrialSpec, _engine: Engine, seed: u64) -> TrialOutcome {
-        run_trial(
-            self.algorithm,
-            spec,
-            self.tuning.unwrap_or(spec.tuning),
-            seed,
-        )
+    pub fn run(&self, spec: &TrialSpec, engine: Engine, seed: u64) -> TrialOutcome {
+        (self.trial)(spec, engine, seed)
     }
 }
 
@@ -113,51 +110,35 @@ impl ErasedArm for ProtocolArm {
 /// sequential engine (the `Θ(k + log n)`-state machines are not table
 /// protocols).
 pub fn protocol(algorithm: Algorithm) -> Arm {
-    Box::new(ProtocolArm {
-        label: algorithm.name().to_string(),
-        algorithm,
-        tuning: None,
+    Arm::new(algorithm.name(), false, move |spec, _, seed| {
+        run_trial(algorithm, spec, spec.tuning, seed)
     })
 }
 
 /// A paper protocol with a fixed tuning and its own label, for arms that
 /// compare tuning variants side by side.
 pub fn protocol_tuned(label: impl Into<String>, algorithm: Algorithm, tuning: Tuning) -> Arm {
-    Box::new(ProtocolArm {
-        label: label.into(),
-        algorithm,
-        tuning: Some(tuning),
+    Arm::new(label, false, move |spec, _, seed| {
+        run_trial(algorithm, spec, tuning, seed)
     })
 }
 
-// ---------------------------------------------------------------------------
-// Table-protocol arms (engine-erased).
-
-struct TableArm<P, F> {
-    label: String,
-    factory: F,
-    _marker: std::marker::PhantomData<fn() -> P>,
-}
-
-impl<P, F> ErasedArm for TableArm<P, F>
+/// A table protocol as an engine-erased arm: `factory` builds the table
+/// and its initial configuration from the grid point's opinion counts.
+/// The arm runs on whichever engine `--engine` selects — batched
+/// (multinomial tallies) or sequential via [`pp_engine::SeqTable`]
+/// (capped at [`SEQ_CAP`] agents).
+///
+/// Correctness is judged against the planted plurality, so the table's
+/// output values must be opinion identifiers (true for USD and the
+/// majority substrates).
+pub fn table<P, F>(label: impl Into<String>, factory: F) -> Arm
 where
-    P: TableProtocol + Send + Sync,
-    F: Fn(&Counts) -> (P, Vec<u64>) + Send + Sync,
+    P: TableProtocol + Send + Sync + 'static,
+    F: Fn(&Counts) -> (P, Vec<u64>) + Send + Sync + 'static,
 {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn engine_aware(&self) -> bool {
-        true
-    }
-
-    fn max_n(&self, engine: Engine) -> Option<usize> {
-        (engine == Engine::Seq).then_some(SEQ_CAP)
-    }
-
-    fn run(&self, spec: &TrialSpec, engine: Engine, seed: u64) -> TrialOutcome {
-        let (table, init) = (self.factory)(spec.counts);
+    Arm::new(label, true, move |spec, engine, seed| {
+        let (table, init) = factory(spec.counts);
         let expected = u32::from(spec.counts.plurality());
         let (result, census) = match engine {
             Engine::Batch => {
@@ -179,27 +160,6 @@ where
             }
         };
         TrialOutcome::of(result, expected, census)
-    }
-}
-
-/// A table protocol as an engine-erased arm: `factory` builds the table
-/// and its initial configuration from the grid point's opinion counts.
-/// The arm runs on whichever engine `--engine` selects — batched
-/// (multinomial tallies) or sequential via [`pp_engine::SeqTable`]
-/// (capped at [`SEQ_CAP`] agents).
-///
-/// Correctness is judged against the planted plurality, so the table's
-/// output values must be opinion identifiers (true for USD and the
-/// majority substrates).
-pub fn table<P, F>(label: impl Into<String>, factory: F) -> Arm
-where
-    P: TableProtocol + Send + Sync + 'static,
-    F: Fn(&Counts) -> (P, Vec<u64>) + Send + Sync + 'static,
-{
-    Box::new(TableArm {
-        label: label.into(),
-        factory,
-        _marker: std::marker::PhantomData,
     })
 }
 
@@ -212,37 +172,13 @@ pub fn usd() -> Arm {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Closure arms.
-
-struct FnArm<F> {
-    label: String,
-    f: F,
-}
-
-impl<F> ErasedArm for FnArm<F>
-where
-    F: Fn(&TrialSpec, u64) -> TrialOutcome + Send + Sync,
-{
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn run(&self, spec: &TrialSpec, _engine: Engine, seed: u64) -> TrialOutcome {
-        (self.f)(spec, seed)
-    }
-}
-
 /// A bespoke sequential arm from a closure, for protocols outside both the
 /// [`Algorithm`] set and the table interface (e.g. the cancel/split majority).
 pub fn from_fn<F>(label: impl Into<String>, f: F) -> Arm
 where
     F: Fn(&TrialSpec, u64) -> TrialOutcome + Send + Sync + 'static,
 {
-    Box::new(FnArm {
-        label: label.into(),
-        f,
-    })
+    Arm::new(label, false, move |spec, _, seed| f(spec, seed))
 }
 
 #[cfg(test)]

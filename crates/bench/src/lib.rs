@@ -3,7 +3,7 @@
 //! The paper's evaluation is a matrix of protocols × workloads × engines.
 //! This crate expresses it as *data*:
 //!
-//! * [`arm`] — engine-erased protocol arms ([`arm::ErasedArm`]): paper
+//! * [`arm`] — engine-erased protocol arms ([`arm::Arm`]): paper
 //!   protocols on the sequential engine, table protocols on either
 //!   engine (`--engine {seq,batch}`), bespoke closures — all sharing seed
 //!   derivation, ensemble threading and census handling;
@@ -48,7 +48,7 @@ pub mod scenario;
 pub mod scenarios;
 pub mod sink;
 
-pub use arm::{Arm, ErasedArm, TrialSpec};
+pub use arm::{Arm, TrialSpec};
 pub use harness::{parse_args, CliError, Engine, ExpOpts, USAGE};
 pub use protocols::{median_parallel_time, run_trial, TrialOutcome};
 pub use scenario::{col, Ctx, GridPoint, PointRun, Scenario, Study};

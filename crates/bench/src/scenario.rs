@@ -27,7 +27,7 @@ use pp_engine::{AdversarySpec, FaultSpec, SchedulerSpec};
 use pp_stats::{Summary, Table};
 use pp_workloads::{Counts, Workload};
 
-use crate::arm::{Arm, ErasedArm, TrialSpec};
+use crate::arm::{Arm, TrialSpec};
 use crate::harness::{Engine, ExpOpts};
 use crate::protocols::TrialOutcome;
 use crate::sink::Sink;
@@ -168,7 +168,7 @@ impl Ctx<'_> {
     }
 
     /// The engine `arm` will actually run on under the current options.
-    pub fn engine_for(&self, arm: &dyn ErasedArm) -> Engine {
+    pub fn engine_for(&self, arm: &Arm) -> Engine {
         if arm.engine_aware() {
             self.opts.engine
         } else {
@@ -180,7 +180,7 @@ impl Ctx<'_> {
     /// `--faults`, `--scheduler` and `--adversary` flags override the
     /// spec's own, derives per-trial seeds from `stream` and fans trials
     /// out across threads.
-    pub fn run_arm(&self, arm: &dyn ErasedArm, spec: &TrialSpec, stream: u64) -> Vec<TrialOutcome> {
+    pub fn run_arm(&self, arm: &Arm, spec: &TrialSpec, stream: u64) -> Vec<TrialOutcome> {
         let engine = self.engine_for(arm);
         let mut spec = spec.clone();
         if !self.opts.faults.is_empty() {
@@ -626,7 +626,7 @@ impl Study {
         for (arm_idx, point_idx) in cells {
             let sa = &self.arms[arm_idx];
             let point = &self.grid[point_idx];
-            let engine = ctx.engine_for(sa.arm.as_ref());
+            let engine = ctx.engine_for(&sa.arm);
             let n = point.workload.n();
             let cap = sa
                 .arm
@@ -652,7 +652,7 @@ impl Study {
                 adversary: point.adversary,
             };
             let stream = self.stream_base + (arm_idx as u64) * 10_000 + point_idx as u64;
-            let outcomes = ctx.run_arm(sa.arm.as_ref(), &spec, stream);
+            let outcomes = ctx.run_arm(&sa.arm, &spec, stream);
             let run = PointRun {
                 point: point.clone(),
                 arm: sa.arm.label().to_string(),

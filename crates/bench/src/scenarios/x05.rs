@@ -57,7 +57,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         let spec = TrialSpec::new(&counts, 5.0e3 * k as f64 + 5.0e4);
         let mut medians = [0.0f64; 2];
         for (j, a) in arms.iter().enumerate() {
-            let outcomes = ctx.run_arm(a.as_ref(), &spec, (i as u64) << 4 | j as u64);
+            let outcomes = ctx.run_arm(a, &spec, (i as u64) << 4 | j as u64);
             let ok = outcomes.iter().filter(|o| o.correct).count();
             let times: Vec<f64> = outcomes
                 .iter()

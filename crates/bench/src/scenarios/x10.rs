@@ -14,7 +14,7 @@
 
 use std::io;
 
-use pp_engine::{RunOptions, RunStatus, Simulation};
+use pp_engine::{RunOptions, Simulation};
 use pp_majority::{cancel_split::CancelSplitRun, four_state_counts, FourState, ThreeState};
 use pp_stats::wilson_interval;
 use pp_workloads::{Counts, Workload};
@@ -59,15 +59,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         let (proto, states) = CancelSplitRun::new(a, b, 0, 24);
         let mut sim = Simulation::new(proto, states, seed);
         let r = sim.run(&RunOptions::with_parallel_time_budget(a + b, spec.budget));
-        TrialOutcome {
-            converged: r.status == RunStatus::Converged,
-            correct: r.output == Some(1),
-            parallel_time: r.parallel_time,
-            init_end: None,
-            le_done: None,
-            census: None,
-            faults: r.faults,
-        }
+        TrialOutcome::of(r, 1, None)
     });
     let four_state = arm::table("4-state", |c: &Counts| {
         (

@@ -6,7 +6,7 @@
 
 use std::io;
 
-use pp_engine::{RunOptions, RunStatus, SimRng, Simulation};
+use pp_engine::{RunOptions, SimRng, Simulation};
 use pp_leader::LeaderElectionRun;
 use pp_workloads::Workload;
 use rand::SeedableRng;
@@ -39,15 +39,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         let (proto, states) = LeaderElectionRun::new(n, 4, &mut rng);
         let mut sim = Simulation::new(proto, states, seed);
         let r = sim.run(&RunOptions::with_parallel_time_budget(n, spec.budget));
-        TrialOutcome {
-            converged: r.status == RunStatus::Converged,
-            correct: r.status == RunStatus::Converged && r.output == Some(1),
-            parallel_time: r.parallel_time,
-            init_end: None,
-            le_done: None,
-            census: None,
-            faults: r.faults,
-        }
+        TrialOutcome::of(r, 1, None)
     });
 
     Study::new(

@@ -1376,33 +1376,68 @@ mod tests {
         );
     }
 
-    #[test]
-    fn improved_tokens_of_plurality_survive_the_init() {
-        // Lemma 10(2): count plurality tokens among collectors the moment
-        // all agents reached phase 0.
-        let assignment = Counts::one_large(2000, 11, 800).assignment();
+    /// Run the improved algorithm on `counts` to x09's observation point,
+    /// the first `n`-interaction stride boundary at which every agent is in
+    /// phase ≥ 0, and return the plurality's tokens there and how many
+    /// insignificant opinions (support ≤ `x_max/4`) still hold tokens.
+    fn pruned(counts: &Counts, seed: u64) -> (usize, usize) {
+        let assignment = counts.assignment();
         let (machine, states) = Machine::start(Algorithm::Improved, &assignment, Tuning::default());
-        let mut sim = Simulation::new(machine, states, 19);
-        let mut plurality_tokens_at_start: Option<usize> = None;
-        let _ = sim.run_observed(
-            &RunOptions::with_parallel_time_budget(assignment.n(), 400_000.0),
-            |_, states| {
-                if plurality_tokens_at_start.is_none() && states.iter().all(|s| s.phase >= 0) {
-                    let tokens: usize = states
-                        .iter()
-                        .filter_map(|s| match &s.role {
-                            Role::Collector(c) if c.opinion == 1 => Some(usize::from(c.tokens)),
-                            _ => None,
-                        })
-                        .sum();
-                    plurality_tokens_at_start = Some(tokens);
+        let mut sim = Simulation::new(machine, states, seed);
+        while !sim.states().iter().all(|s| s.phase >= 0) {
+            assert!(
+                sim.parallel_time() < 50_000.0,
+                "seed {seed}: init never ended"
+            );
+            for _ in 0..assignment.n() {
+                sim.step();
+            }
+        }
+        let mut tokens = vec![0usize; counts.k()];
+        for s in sim.states() {
+            if let Role::Collector(c) = &s.role {
+                tokens[usize::from(c.opinion) - 1] += usize::from(c.tokens);
+            }
+        }
+        let leaks = tokens
+            .iter()
+            .zip(counts.supports())
+            .filter(|&(&t, &support)| 4 * support <= counts.x_max() && t > 0)
+            .count();
+        (tokens[0], leaks)
+    }
+
+    /// Lemma 10(2) and the pruning of Lemmas 9–10 over seeds 0..20 on x09's
+    /// grid. Measured when this sweep was written: the plurality kept all
+    /// `x_max` tokens in 40 of 40 trials; insignificant opinions still held
+    /// tokens in 4 of 20 trials at n = 2,000 (seeds 2, 4, 7 and 14; 7
+    /// opinions in all) and in 0 of 20 at n = 4,000. The lemmas hold with
+    /// high probability, so the bound on leaking trials is that measured
+    /// band, not zero.
+    #[test]
+    fn improved_init_keeps_plurality_tokens_and_prunes_insignificant_opinions() {
+        for (counts, max_leaking) in [
+            (Counts::one_large(2000, 11, 800), 4),
+            (Counts::one_large(4000, 21, 1600), 0),
+        ] {
+            let mut leaking = Vec::new();
+            for seed in 0..20 {
+                let (kept, leaks) = pruned(&counts, seed);
+                assert_eq!(
+                    kept,
+                    counts.x_max(),
+                    "n = {}, seed {seed}: plurality tokens must be conserved",
+                    counts.n()
+                );
+                if leaks > 0 {
+                    leaking.push((seed, leaks));
                 }
-            },
-        );
-        assert_eq!(
-            plurality_tokens_at_start.expect("init completed"),
-            assignment.x_max(),
-            "plurality tokens must be conserved through the pruning init"
-        );
+            }
+            assert!(
+                leaking.len() <= max_leaking,
+                "n = {}: insignificant opinions kept tokens in {leaking:?} (seed, opinions)",
+                counts.n()
+            );
+        }
     }
 }

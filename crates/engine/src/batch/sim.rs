@@ -19,7 +19,7 @@ use crate::fault::{
     OpinionCensus, SchedulerSpec, SCHEDULER_RETRIES,
 };
 use crate::protocol::SimRng;
-use crate::result::{RunOptions, RunResult};
+use crate::result::{ChurnSample, RunOptions, RunResult, RunStatus};
 use crate::rng;
 
 /// Floor on the multiplicity below which responders are always drawn one
@@ -951,44 +951,38 @@ impl<P: TableProtocol> BatchSimulation<P> {
             initial.iter().sum::<u64>() > 0,
             "churn needs a join distribution"
         );
-        driver::run_churned(self, opts, churn, initial, stop_at)
-    }
-}
-
-impl<P: TableProtocol> Engine for BatchSimulation<P> {
-    type Config = [u64];
-
-    fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    fn population(&self) -> u64 {
-        self.n
-    }
-
-    fn config(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// One collision-free batch, truncated to `cap` interactions.
-    fn advance(&mut self, _opts: &RunOptions, cap: u64) -> u64 {
-        let len = draw_batch_len(&mut self.rng, self.n).min(cap);
-        self.apply_batch(len);
-        len
-    }
-
-    fn output(&self) -> Option<u32> {
-        self.protocol.output(&self.counts)
-    }
-
-    fn strike(&mut self, initial: &[u64], fault: FaultSpec) {
-        strike_counts(
-            &*self.protocol,
-            &mut self.counts,
-            initial,
-            fault,
-            &mut self.rng,
-        );
+        let mut next_mark = churn.next_mark(self.parallel_time());
+        let mut series: Vec<ChurnSample> = Vec::new();
+        while self.parallel_time() < stop_at && self.clock.interactions < opts.max_interactions {
+            let len = self.advance(opts, opts.max_interactions - self.clock.interactions);
+            self.apply_churn_events(churn, initial, len);
+            let clock = self.parallel_time();
+            if clock >= next_mark {
+                let top = self
+                    .opinion_census()
+                    .tallies()
+                    .iter()
+                    .map(|&(_, c)| c)
+                    .max()
+                    .unwrap_or(0);
+                series.push(ChurnSample {
+                    t: clock,
+                    population: self.n,
+                    plurality_frac: top as f64 / self.n as f64,
+                    output: self.output(),
+                });
+                next_mark = churn.next_mark(clock);
+            }
+        }
+        let output = self.output();
+        let status = if output.is_some() {
+            RunStatus::Converged
+        } else {
+            RunStatus::Exhausted
+        };
+        let mut r = driver::finish(self, status, output);
+        r.series = series;
+        r
     }
 
     /// Poisson join/leave events covering a batch of `len` interactions,
@@ -1061,8 +1055,8 @@ impl<P: TableProtocol> Engine for BatchSimulation<P> {
         }
     }
 
-    /// The live opinion tally in `O(S)`, for adaptive forgeries and
-    /// targeted churn.
+    /// The live opinion tally in `O(S)`, for adaptive forgeries, targeted
+    /// churn and the churn series.
     fn opinion_census(&self) -> OpinionCensus {
         OpinionCensus::from_tallies(
             self.counts
@@ -1070,6 +1064,43 @@ impl<P: TableProtocol> Engine for BatchSimulation<P> {
                 .enumerate()
                 .filter_map(|(s, &c)| self.protocol.opinion(s).map(|op| (op, c))),
         )
+    }
+}
+
+impl<P: TableProtocol> Engine for BatchSimulation<P> {
+    type Config = [u64];
+
+    fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    fn population(&self) -> u64 {
+        self.n
+    }
+
+    fn config(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// One collision-free batch, truncated to `cap` interactions.
+    fn advance(&mut self, _opts: &RunOptions, cap: u64) -> u64 {
+        let len = draw_batch_len(&mut self.rng, self.n).min(cap);
+        self.apply_batch(len);
+        len
+    }
+
+    fn output(&self) -> Option<u32> {
+        self.protocol.output(&self.counts)
+    }
+
+    fn strike(&mut self, initial: &[u64], fault: FaultSpec) {
+        strike_counts(
+            &*self.protocol,
+            &mut self.counts,
+            initial,
+            fault,
+            &mut self.rng,
+        );
     }
 
     fn scheduler_saturated(&self) -> bool {

@@ -2,20 +2,22 @@
 //!
 //! Unlike the one-shot [`FaultSpec::Churn`](crate::FaultSpec::Churn) epoch
 //! strike, a
-//! [`ChurnProcess`] runs *for the whole run*: after every engine stride or
-//! batch of `ℓ` interactions, `Poisson(join·ℓ)` fresh agents drawn from
-//! the initial workload join and `Poisson(leave·ℓ)` uniformly random
-//! agents leave (never below two agents). Rates are expressed per agent
-//! per unit of parallel time, so a stride of `ℓ` interactions — `ℓ/n`
+//! [`ChurnProcess`] runs *for the whole run*: after every batch of `ℓ`
+//! interactions of the batched engine, `Poisson(join·ℓ)` fresh agents
+//! drawn from the initial workload join and `Poisson(leave·ℓ)` uniformly
+//! random agents leave (never below two agents). Rates are expressed per
+//! agent per unit of parallel time, so a batch of `ℓ` interactions — `ℓ/n`
 //! parallel time across `n` agents — carries an expected `rate · ℓ`
 //! events regardless of the current population size.
 //!
-//! The engines' `run_churned` methods drive the process and record a
-//! [`ChurnSample`](crate::ChurnSample) each time the parallel clock
-//! crosses a multiple of [`ChurnProcess::sample_every`], producing the
-//! population / plurality-fraction / time-in-consensus series the churn
-//! soak experiments report. All churn randomness comes from the engine's
-//! own RNG stream, preserving the (seed, config) replay contract.
+//! [`BatchSimulation::run_churned`](crate::BatchSimulation::run_churned)
+//! drives the process and records a [`ChurnSample`](crate::ChurnSample)
+//! each time the parallel clock crosses a multiple of
+//! [`ChurnProcess::sample_every`], producing the population /
+//! plurality-fraction / time-in-consensus series the churn soak
+//! experiments report; the sequential engine does not churn. All churn
+//! randomness comes from the engine's own RNG stream, preserving the
+//! (seed, config) replay contract.
 
 use crate::batch::multinomial::poisson;
 use crate::fault::{ChurnSpec, ChurnTarget};
@@ -95,7 +97,7 @@ impl ChurnProcess {
         ((clock / self.sample_every).floor() + 1.0) * self.sample_every
     }
 
-    /// Draw the `(joins, leaves)` event counts for a stride of `len`
+    /// Draw the `(joins, leaves)` event counts for a batch of `len`
     /// interactions. A zero rate draws nothing from the RNG, so a
     /// zero-rate process leaves the engine's stream untouched.
     pub fn draw_events(&self, rng: &mut SimRng, len: u64) -> (u64, u64) {

@@ -1,13 +1,14 @@
 //! The run driver both engines share.
 //!
-//! A clean, faulted or churned run has the same shape on the sequential
-//! and the batched engine: advance, check the output predicate, strike or
-//! churn between advances, keep the folded parallel clock, and assemble a
-//! [`RunResult`]. This module writes that shape once, generic over
-//! [`Engine`], which each engine implements with only its own steps.
-//! Dispatch is static, so every run is monomorphic, and the
-//! per-interaction and per-batch hot loops stay inside each engine's
-//! [`Engine::advance`].
+//! A clean or faulted run has the same shape on the sequential and the
+//! batched engine: advance, check the output predicate, strike between
+//! advances, keep the parallel clock, and assemble a [`RunResult`]. This
+//! module writes that shape once, generic over [`Engine`], which each
+//! engine implements with only its own steps. Dispatch is static, so
+//! every run is monomorphic, and the per-interaction and per-batch hot
+//! loops stay inside each engine's [`Engine::advance`]. Steady-state
+//! churn runs on the batched engine alone, in
+//! [`BatchSimulation::run_churned`](crate::BatchSimulation::run_churned).
 //!
 //! Runs only cut at natural stride or batch boundaries (a fault's target
 //! time caps an advance; a churned run's stop time never does), which is
@@ -16,9 +17,8 @@
 
 use std::borrow::Borrow;
 
-use crate::churn::ChurnProcess;
-use crate::fault::{FaultRecord, FaultSpec, OpinionCensus};
-use crate::result::{ChurnSample, RunNote, RunOptions, RunResult, RunStatus};
+use crate::fault::{FaultRecord, FaultSpec};
+use crate::result::{RunNote, RunOptions, RunResult, RunStatus};
 
 /// The parallel clock: interactions divided by the population size,
 /// folded over population changes (churn, admissions) so it stays
@@ -65,7 +65,7 @@ impl Clock {
 
 /// What the driver needs from an engine: its own steps, nothing shared.
 pub(crate) trait Engine {
-    /// The configuration joins and rejoins draw from: per-agent states on
+    /// The configuration rejoining agents return to: per-agent states on
     /// the sequential engine, per-state counts on the batched one.
     type Config: ?Sized + ToOwned;
 
@@ -86,13 +86,6 @@ pub(crate) trait Engine {
     /// Apply `fault`'s strike; `initial` is the configuration at the
     /// start of the run, which rejoining agents return to.
     fn strike(&mut self, initial: &Self::Config, fault: FaultSpec);
-
-    /// The churn process's join/leave events for a stride of `len`
-    /// interactions, folding the clock before the population changes.
-    fn apply_churn_events(&mut self, churn: &ChurnProcess, initial: &Self::Config, len: u64);
-
-    /// The live opinion tally.
-    fn opinion_census(&self) -> OpinionCensus;
 
     fn scheduler_saturated(&self) -> bool;
 }
@@ -180,51 +173,6 @@ pub(crate) fn run_faulted<E: Engine>(
 
 fn last(records: &mut [FaultRecord]) -> &mut FaultRecord {
     records.last_mut().expect("an open record exists")
-}
-
-/// [`Simulation::run_churned`](crate::Simulation::run_churned) for both
-/// engines: the churn events follow every advance, and advances are never
-/// cut at `stop_at`.
-pub(crate) fn run_churned<E: Engine>(
-    e: &mut E,
-    opts: &RunOptions,
-    churn: &ChurnProcess,
-    initial: &E::Config,
-    stop_at: f64,
-) -> RunResult {
-    let mut next_mark = churn.next_mark(parallel_time(e));
-    let mut series: Vec<ChurnSample> = Vec::new();
-    while parallel_time(e) < stop_at && e.clock().interactions < opts.max_interactions {
-        let len = e.advance(opts, opts.max_interactions - e.clock().interactions);
-        e.apply_churn_events(churn, initial, len);
-        let clock = parallel_time(e);
-        if clock >= next_mark {
-            let n = e.population();
-            let top = e
-                .opinion_census()
-                .tallies()
-                .iter()
-                .map(|&(_, c)| c)
-                .max()
-                .unwrap_or(0);
-            series.push(ChurnSample {
-                t: clock,
-                population: n,
-                plurality_frac: top as f64 / n as f64,
-                output: e.output(),
-            });
-            next_mark = churn.next_mark(clock);
-        }
-    }
-    let output = e.output();
-    let status = if output.is_some() {
-        RunStatus::Converged
-    } else {
-        RunStatus::Exhausted
-    };
-    let mut r = finish(e, status, output);
-    r.series = series;
-    r
 }
 
 /// The run's result at the current clock, with no fault records or

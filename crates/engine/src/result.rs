@@ -13,7 +13,7 @@ pub enum RunStatus {
 
 /// One sample of a run's health under steady-state churn, taken every
 /// [`ChurnProcess::sample_every`](crate::ChurnProcess) units of parallel
-/// time by the engines' `run_churned` methods.
+/// time by [`BatchSimulation::run_churned`](crate::BatchSimulation::run_churned).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSample {
     /// Parallel time of the sample.
@@ -50,8 +50,9 @@ pub struct RunResult {
     /// Recovery bookkeeping for every fault that fired, in firing order.
     /// Empty for clean (`run`) and fault-free `run_faulted` runs.
     pub faults: Vec<FaultRecord>,
-    /// Time series sampled by `run_churned`, in time order. Empty for
-    /// non-churned runs.
+    /// Time series sampled by
+    /// [`BatchSimulation::run_churned`](crate::BatchSimulation::run_churned),
+    /// in time order. Empty for non-churned runs.
     pub series: Vec<ChurnSample>,
     /// Out-of-band observations (e.g. scheduler saturation). Empty for
     /// clean runs.

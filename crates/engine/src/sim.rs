@@ -3,10 +3,9 @@
 use rand::{Rng, SeedableRng};
 
 use crate::census::Census;
-use crate::churn::ChurnProcess;
 use crate::driver::{self, Clock, Engine};
 use crate::fault::{
-    AdversarySpec, ChurnTarget, FaultSpec, Forgery, OpinionCensus, Replacement, SchedulerSpec,
+    AdversarySpec, FaultSpec, Forgery, OpinionCensus, Replacement, SchedulerSpec,
     SCHEDULER_RETRIES, SCHEDULER_SATURATION_STREAK,
 };
 use crate::pair::{pair_mut, sample_pair};
@@ -88,8 +87,7 @@ impl<P: Protocol> Simulation<P> {
         self.clock.interactions
     }
 
-    /// Parallel time: interactions divided by the population size, folded
-    /// over population changes (churn) so the clock stays continuous.
+    /// Parallel time: interactions divided by the population size.
     pub fn parallel_time(&self) -> f64 {
         self.clock.parallel_time(self.states.len() as u64)
     }
@@ -310,39 +308,9 @@ impl<P: Protocol> Simulation<P> {
         driver::run_faulted(self, opts, faults)
     }
 
-    /// Run under a steady-state churn process until `stop_at` parallel
-    /// time: agents join (cloning a uniformly random state of `initial`)
-    /// and leave at the process's Poisson rates, applied after every
-    /// convergence-check stride, and a [`ChurnSample`](crate::ChurnSample)
-    /// is recorded each time the clock crosses a multiple of the process's
-    /// sampling period.
-    ///
-    /// Convergence does not stop a churned run — the point is measuring
-    /// *how long* the run stays correct — so the result's status is
-    /// [`RunStatus::Converged`] iff the predicate fires at `stop_at`, and
-    /// the series carries the history. Strides are never truncated at
-    /// `stop_at` (the run halts at the first stride boundary past it),
-    /// which keeps checkpointed and uninterrupted runs on the same RNG
-    /// trajectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty.
-    pub fn run_churned(
-        &mut self,
-        opts: &RunOptions,
-        churn: &ChurnProcess,
-        initial: &[P::State],
-        stop_at: f64,
-    ) -> RunResult {
-        assert!(!initial.is_empty(), "churn needs a join distribution");
-        driver::run_churned(self, opts, churn, initial, stop_at)
-    }
-
     /// The convergence-check stride: `converged` is an `O(n)` scan, so the
     /// hot loop must never rescan mid-stride. The default stride is the
-    /// population size, which churn changes, so it is resolved per stride:
-    /// a resumed run then picks the stride the uninterrupted run would have.
+    /// population size.
     fn check_stride(&self, opts: &RunOptions) -> u64 {
         if opts.check_every == 0 {
             self.n() as u64
@@ -351,37 +319,15 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Remove up to `leaves` agents from the opinion class the target
-    /// selects (plurality leader / weakest minority), returning how many
-    /// were actually removed. Victims are distinct members of the class,
-    /// chosen by a partial Fisher–Yates shuffle over the member indices —
-    /// one `O(n)` scan per stride, matching the census cost — and removed
-    /// in descending index order so `swap_remove` never displaces a
-    /// pending victim.
-    fn remove_targeted(&mut self, target: ChurnTarget, leaves: u64) -> u64 {
-        let census = self.opinion_census();
-        let want = match target {
-            ChurnTarget::Uniform => None,
-            ChurnTarget::Plurality => census.leader(),
-            ChurnTarget::Minority => census.weakest(),
-        };
-        // An opinion-free population degrades to uniform departures.
-        let Some(want) = want else { return 0 };
-        let mut members: Vec<usize> = (0..self.states.len())
-            .filter(|&i| self.protocol.opinion_of(&self.states[i]) == Some(want))
-            .collect();
-        let k = (leaves as usize).min(members.len());
-        for m in 0..k {
-            let pick = self.rng.gen_range(m..members.len());
-            members.swap(m, pick);
+    /// The live opinion tally, for adaptive forgeries.
+    fn opinion_census(&self) -> OpinionCensus {
+        let mut tally: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+        for s in &self.states {
+            if let Some(op) = self.protocol.opinion_of(s) {
+                *tally.entry(op).or_insert(0) += 1;
+            }
         }
-        let mut victims = members;
-        victims.truncate(k);
-        victims.sort_unstable_by(|a, b| b.cmp(a));
-        for v in victims {
-            self.states.swap_remove(v);
-        }
-        k as u64
+        OpinionCensus::from_tallies(tally)
     }
 }
 
@@ -443,46 +389,6 @@ impl<P: Protocol> Engine for Simulation<P> {
                 }
             }
         }
-    }
-
-    /// Poisson join/leave events covering a stride of `len` interactions.
-    /// The clock folds before the population changes so parallel time
-    /// stays continuous; leaves are capped to keep at least two agents.
-    ///
-    /// Uniform-target departures keep the exact RNG draw sequence from
-    /// before targeting existed; targeted departures hit the census-chosen
-    /// opinion class first and fall back to uniform removals once (or if)
-    /// the class runs dry.
-    fn apply_churn_events(&mut self, churn: &ChurnProcess, initial: &[P::State], len: u64) {
-        let (joins, leaves) = churn.draw_events(&mut self.rng, len);
-        let leaves = leaves.min(self.states.len() as u64 - 2);
-        if joins == 0 && leaves == 0 {
-            return;
-        }
-        self.clock.fold(self.states.len() as u64);
-        let targeted = match churn.target() {
-            ChurnTarget::Uniform => 0,
-            target => self.remove_targeted(target, leaves),
-        };
-        for _ in 0..leaves - targeted {
-            let victim = self.rng.gen_range(0..self.states.len());
-            self.states.swap_remove(victim);
-        }
-        for _ in 0..joins {
-            let donor = self.rng.gen_range(0..initial.len());
-            self.states.push(initial[donor].clone());
-        }
-    }
-
-    /// The live opinion tally, for adaptive forgeries and targeted churn.
-    fn opinion_census(&self) -> OpinionCensus {
-        let mut tally: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for s in &self.states {
-            if let Some(op) = self.protocol.opinion_of(s) {
-                *tally.entry(op).or_insert(0) += 1;
-            }
-        }
-        OpinionCensus::from_tallies(tally)
     }
 
     fn scheduler_saturated(&self) -> bool {
