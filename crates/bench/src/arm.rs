@@ -24,9 +24,9 @@ pub const SEQ_CAP: usize = 1_000_000;
 
 /// Everything one trial needs besides the seed and the engine.
 #[derive(Debug, Clone)]
-pub struct TrialSpec<'a> {
+pub struct TrialSpec {
     /// The initial opinion distribution.
-    pub counts: &'a Counts,
+    pub counts: Counts,
     /// Parallel-time budget.
     pub budget: f64,
     /// Protocol tuning constants.
@@ -41,9 +41,9 @@ pub struct TrialSpec<'a> {
     pub adversary: Option<AdversarySpec>,
 }
 
-impl<'a> TrialSpec<'a> {
+impl TrialSpec {
     /// A spec with default tuning, no census and no faults.
-    pub fn new(counts: &'a Counts, budget: f64) -> Self {
+    pub fn new(counts: Counts, budget: f64) -> Self {
         Self {
             counts,
             budget,
@@ -138,7 +138,7 @@ where
     F: Fn(&Counts) -> (P, Vec<u64>) + Send + Sync + 'static,
 {
     Arm::new(label, true, move |spec, engine, seed| {
-        let (table, init) = factory(spec.counts);
+        let (table, init) = factory(&spec.counts);
         let expected = u32::from(spec.counts.plurality());
         let (result, census) = match engine {
             Engine::Batch => {
@@ -187,8 +187,7 @@ mod tests {
 
     #[test]
     fn usd_arm_agrees_across_both_engines() {
-        let counts = Counts::bias_one(801, 3);
-        let spec = TrialSpec::new(&counts, 1.0e4);
+        let spec = TrialSpec::new(Counts::bias_one(801, 3), 1.0e4);
         let arm = usd();
         assert!(arm.engine_aware());
         for engine in [Engine::Seq, Engine::Batch] {
@@ -201,8 +200,7 @@ mod tests {
 
     #[test]
     fn protocol_arm_runs_and_ignores_engine() {
-        let counts = Counts::bias_one(401, 3);
-        let spec = TrialSpec::new(&counts, 5.0e5);
+        let spec = TrialSpec::new(Counts::bias_one(401, 3), 5.0e5);
         let arm = protocol(Algorithm::Simple);
         assert!(!arm.engine_aware());
         let out = arm.run(&spec, Engine::Batch, 7);
@@ -211,8 +209,7 @@ mod tests {
 
     #[test]
     fn table_arm_census_counts_occupied_states_on_seq() {
-        let counts = Counts::bias_one(401, 3);
-        let mut spec = TrialSpec::new(&counts, 1.0e4);
+        let mut spec = TrialSpec::new(Counts::bias_one(401, 3), 1.0e4);
         spec.census = true;
         let out = usd().run(&spec, Engine::Seq, 5);
         // USD over k = 3 occupies at most 4 states (blank + opinions).

@@ -33,8 +33,9 @@
 //! # Adding a scenario
 //!
 //! Write `scenarios/xNN.rs` exposing a `SCENARIO` constant whose body is
-//! (typically) one [`scenario::Study`] — grid points from named
-//! [`pp_workloads::Workload`]s, arms from [`arm`], output schema from
+//! (typically) one [`scenario::Study`] — grid points from
+//! [`pp_workloads::Counts`] constructors (`bias_one`, `one_large`, `zipf`,
+//! …) and a budget, arms from [`arm`], output schema from
 //! [`scenario::col`], plus the [`scenario::RunFlag`]s it honors — then
 //! add it to the array in `registry.rs`. See
 //! `scenarios/x17.rs` for the template; the definition is under twenty

@@ -108,8 +108,7 @@ mod tests {
 
     #[test]
     fn all_three_protocols_drive() {
-        let counts = Counts::bias_one(401, 3);
-        let spec = TrialSpec::new(&counts, 500_000.0);
+        let spec = TrialSpec::new(Counts::bias_one(401, 3), 500_000.0);
         for algorithm in [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved] {
             let out = run_trial(algorithm, &spec, Tuning::default(), 7);
             assert!(out.converged, "{} did not converge", algorithm.name());
@@ -119,8 +118,7 @@ mod tests {
 
     #[test]
     fn census_is_collected_when_requested() {
-        let counts = Counts::bias_one(401, 3);
-        let mut spec = TrialSpec::new(&counts, 500_000.0);
+        let mut spec = TrialSpec::new(Counts::bias_one(401, 3), 500_000.0);
         spec.census = true;
         let out = run_trial(Algorithm::Simple, &spec, Tuning::default(), 3);
         let states = out.census.expect("census requested");

@@ -8,7 +8,8 @@
 //! `--adversary`) and result emission ([`Ctx::emit`] → CSV + manifest).
 //!
 //! Grid-shaped experiments don't write loops at all: a [`Study`] describes
-//! a grid of [`GridPoint`]s (workload + budget + tuning), a list of
+//! a grid of [`GridPoint`]s (a labelled [`TrialSpec`]: counts, budget,
+//! tuning and run knobs), a list of
 //! engine-erased [`Arm`]s and an output schema as [`ColSpec`] columns, and
 //! [`Study::run`] executes the cross product — honoring `--engine`,
 //! per-arm population caps, ensemble threading and seed derivation — then
@@ -25,7 +26,7 @@ use std::io;
 use plurality_core::Tuning;
 use pp_engine::{AdversarySpec, FaultSpec, SchedulerSpec};
 use pp_stats::{Summary, Table};
-use pp_workloads::{Counts, Workload};
+use pp_workloads::Counts;
 
 use crate::arm::{Arm, TrialSpec};
 use crate::harness::{Engine, ExpOpts};
@@ -196,40 +197,26 @@ impl Ctx<'_> {
 // ---------------------------------------------------------------------------
 // Declarative studies.
 
-/// One grid point of a [`Study`].
+/// One grid point of a [`Study`]: a labelled trial spec.
 #[derive(Debug, Clone)]
 pub struct GridPoint {
     /// Sweep label (for multi-sweep tables; empty when unused).
     pub sweep: &'static str,
     /// Free-form row key (ablation factor, bias multiple, …).
     pub tag: String,
-    /// The initial opinion distribution.
-    pub workload: Workload,
-    /// Parallel-time budget.
-    pub budget: f64,
-    /// Tuning constants (per-point so ablations can sweep them).
-    pub tuning: Tuning,
-    /// Fault hooks applied in every trial of this point (`--faults`
-    /// overrides when non-empty, see [`Ctx::run_arm`]).
-    pub faults: Vec<FaultSpec>,
-    /// Interaction scheduler (`--scheduler` overrides; `None` = uniform).
-    pub scheduler: Option<SchedulerSpec>,
-    /// Byzantine adversary (`--adversary` overrides; `None` = honest).
-    pub adversary: Option<AdversarySpec>,
+    /// What every trial of this point runs: the counts, budget and tuning,
+    /// and the fault plan, scheduler and adversary that `--faults`,
+    /// `--scheduler` and `--adversary` override (see [`Ctx::run_arm`]).
+    pub spec: TrialSpec,
 }
 
 impl GridPoint {
     /// A point with default tuning, empty labels and no faults.
-    pub fn new(workload: Workload, budget: f64) -> Self {
+    pub fn new(counts: Counts, budget: f64) -> Self {
         Self {
             sweep: "",
             tag: String::new(),
-            workload,
-            budget,
-            tuning: Tuning::default(),
-            faults: Vec::new(),
-            scheduler: None,
-            adversary: None,
+            spec: TrialSpec::new(counts, budget),
         }
     }
 
@@ -247,25 +234,25 @@ impl GridPoint {
 
     /// Set the tuning.
     pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
+        self.spec.tuning = tuning;
         self
     }
 
     /// Set the fault plan.
     pub fn faults(mut self, faults: impl Into<Vec<FaultSpec>>) -> Self {
-        self.faults = faults.into();
+        self.spec.faults = faults.into();
         self
     }
 
     /// Set the scheduler.
     pub fn scheduler(mut self, scheduler: SchedulerSpec) -> Self {
-        self.scheduler = Some(scheduler);
+        self.spec.scheduler = Some(scheduler);
         self
     }
 
     /// Set the Byzantine adversary.
     pub fn adversary(mut self, adversary: AdversarySpec) -> Self {
-        self.adversary = Some(adversary);
+        self.spec.adversary = Some(adversary);
         self
     }
 }
@@ -294,12 +281,12 @@ pub struct PointRun {
 impl PointRun {
     /// Population size.
     pub fn n(&self) -> usize {
-        self.point.workload.n()
+        self.point.spec.counts.n()
     }
 
     /// Opinion count.
     pub fn k(&self) -> usize {
-        self.point.workload.k()
+        self.point.spec.counts.k()
     }
 
     /// Trials that converged to the planted plurality.
@@ -427,9 +414,9 @@ pub mod col {
         derived("k", |r| r.k().to_string())
     }
 
-    /// Workload bias (plurality minus runner-up).
+    /// Input bias (plurality minus runner-up).
     pub fn bias() -> ColSpec {
-        derived("bias", |r| r.point.workload.counts().bias().to_string())
+        derived("bias", |r| r.point.spec.counts.bias().to_string())
     }
 
     /// Arm label under a custom header ("algo", "protocol", …).
@@ -627,7 +614,7 @@ impl Study {
             let sa = &self.arms[arm_idx];
             let point = &self.grid[point_idx];
             let engine = ctx.engine_for(&sa.arm);
-            let n = point.workload.n();
+            let n = point.spec.counts.n();
             let cap = sa
                 .arm
                 .max_n(engine)
@@ -641,16 +628,9 @@ impl Study {
                 );
                 continue;
             }
-            let counts: Counts = point.workload.counts();
-            let spec = TrialSpec {
-                counts: &counts,
-                budget: sa.budget.unwrap_or(point.budget),
-                tuning: point.tuning,
-                census: self.census,
-                faults: point.faults.clone(),
-                scheduler: point.scheduler,
-                adversary: point.adversary,
-            };
+            let mut spec = point.spec.clone();
+            spec.budget = sa.budget.unwrap_or(spec.budget);
+            spec.census = self.census;
             let stream = self.stream_base + (arm_idx as u64) * 10_000 + point_idx as u64;
             let outcomes = ctx.run_arm(&sa.arm, &spec, stream);
             let run = PointRun {
@@ -701,7 +681,7 @@ mod tests {
             sink: &mut sink,
         };
         let runs = Study::new("t", "t_study")
-            .points([400usize, 800].map(|n| GridPoint::new(Workload::BiasOne { n, k: 3 }, 1.0e4)))
+            .points([400, 800].map(|n| GridPoint::new(Counts::bias_one(n, 3), 1.0e4)))
             .arm(arm::usd())
             .cols(vec![
                 col::n(),
@@ -735,15 +715,9 @@ mod tests {
             sink: &mut sink,
         };
         let runs = Study::new("t", "t_cap")
-            .point(GridPoint::new(Workload::BiasOne { n: 400, k: 2 }, 1.0e4))
+            .point(GridPoint::new(Counts::bias_one(400, 2), 1.0e4))
             // Far beyond SEQ_CAP: must be skipped, not attempted.
-            .point(GridPoint::new(
-                Workload::BiasOne {
-                    n: 100_000_000,
-                    k: 2,
-                },
-                1.0e4,
-            ))
+            .point(GridPoint::new(Counts::bias_one(100_000_000, 2), 1.0e4))
             .arm(arm::usd())
             .cols(vec![col::n(), col::ok_frac()])
             .run(&mut ctx)

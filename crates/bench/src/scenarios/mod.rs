@@ -11,7 +11,7 @@ use std::io;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, Study};
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 
 pub mod x01;
 pub mod x02;
@@ -64,7 +64,7 @@ pub(crate) fn usd_baseline(
     .skip_unconverged()
     .points(
         grid.into_iter()
-            .map(|n| GridPoint::new(Workload::BiasOne { n, k }, 1.0e4)),
+            .map(|n| GridPoint::new(Counts::bias_one(n, k), 1.0e4)),
     )
     .arm(arm::usd())
     .cols(vec![

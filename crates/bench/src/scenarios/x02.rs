@@ -11,7 +11,7 @@
 use std::io;
 
 use plurality_core::Algorithm;
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -54,13 +54,15 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     .census(true)
     .arm_major()
     .points(
-        k_grid.iter().map(|&k| {
-            GridPoint::new(Workload::BiasOne { n: fixed_n, k }, budget(k)).sweep("k-sweep")
+        k_grid
+            .iter()
+            .map(|&k| GridPoint::new(Counts::bias_one(fixed_n, k), budget(k)).sweep("k-sweep")),
+    )
+    .points(
+        n_grid.iter().map(|&n| {
+            GridPoint::new(Counts::bias_one(n, fixed_k), budget(fixed_k)).sweep("n-sweep")
         }),
     )
-    .points(n_grid.iter().map(|&n| {
-        GridPoint::new(Workload::BiasOne { n, k: fixed_k }, budget(fixed_k)).sweep("n-sweep")
-    }))
     .arm(arm::protocol(Algorithm::Simple))
     .arm(arm::protocol(Algorithm::Improved))
     .cols(vec![

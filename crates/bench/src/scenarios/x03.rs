@@ -12,7 +12,7 @@ use std::io;
 
 use plurality_core::Algorithm;
 use pp_stats::wilson_interval;
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -49,7 +49,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     )
     .points(
         grid.into_iter()
-            .map(|(n, k)| GridPoint::new(Workload::BiasOne { n, k }, 4.0e3 * k as f64 + 4.0e4)),
+            .map(|(n, k)| GridPoint::new(Counts::bias_one(n, k), 4.0e3 * k as f64 + 4.0e4)),
     )
     .arm(arm::protocol(Algorithm::Simple))
     .arm(arm::protocol(Algorithm::Unordered))

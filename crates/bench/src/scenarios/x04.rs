@@ -14,7 +14,7 @@ use std::io;
 
 use plurality_core::Algorithm;
 use pp_stats::{fit_affine, Summary};
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, PointRun, RunFlag, Scenario, Study};
@@ -59,11 +59,13 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         )
         .skip_unconverged()
         .points(n_grid.iter().map(|&n| {
-            GridPoint::new(Workload::BiasOne { n, k: fixed_k }, budget(fixed_k)).sweep("n-sweep")
+            GridPoint::new(Counts::bias_one(n, fixed_k), budget(fixed_k)).sweep("n-sweep")
         }))
-        .points(k_grid.iter().map(|&k| {
-            GridPoint::new(Workload::BiasOne { n: fixed_n, k }, budget(k)).sweep("k-sweep")
-        }))
+        .points(
+            k_grid
+                .iter()
+                .map(|&k| GridPoint::new(Counts::bias_one(fixed_n, k), budget(k)).sweep("k-sweep")),
+        )
         .arm(arm::protocol(Algorithm::Unordered))
         .cols(vec![
             col::sweep(),

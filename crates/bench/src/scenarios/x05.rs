@@ -53,8 +53,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     );
 
     for (i, &x_max) in xmax_grid.iter().enumerate() {
-        let counts = Counts::one_large(n, k, x_max);
-        let spec = TrialSpec::new(&counts, 5.0e3 * k as f64 + 5.0e4);
+        let spec = TrialSpec::new(Counts::one_large(n, k, x_max), 5.0e3 * k as f64 + 5.0e4);
         let mut medians = [0.0f64; 2];
         for (j, a) in arms.iter().enumerate() {
             let outcomes = ctx.run_arm(a, &spec, (i as u64) << 4 | j as u64);

@@ -17,7 +17,7 @@ use std::io;
 use pp_engine::{RunOptions, Simulation};
 use pp_majority::{cancel_split::CancelSplitRun, four_state_counts, FourState, ThreeState};
 use pp_stats::wilson_interval;
-use pp_workloads::{Counts, Workload};
+use pp_workloads::Counts;
 
 use crate::arm::{self, TrialSpec};
 use crate::protocols::TrialOutcome;
@@ -72,14 +72,11 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         "X10a: bias-1 majority across substrates",
         "x10a_majority_bias1",
     )
-    .points(sizes.iter().map(|&n| {
-        GridPoint::new(
-            Workload::Explicit {
-                supports: vec![n / 2 + 1, n / 2],
-            },
-            100_000.0,
-        )
-    }))
+    .points(
+        sizes
+            .iter()
+            .map(|&n| GridPoint::new(Counts::from_supports(vec![n / 2 + 1, n / 2]), 100_000.0)),
+    )
     .arm(cancel_split)
     .arm(three_state_arm())
     // 4-state pays Θ(n) at bias 1: larger budget, capped population.
@@ -110,14 +107,9 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     .points([0.0, 0.25, 0.5, 1.0, 2.0].into_iter().map(|mult| {
         let bias = ((sqrt_term * mult) as usize).max(1) | 1; // odd, ≥ 1
         let a = (n + bias).div_ceil(2); // strict plurality even when n + bias is odd
-        GridPoint::new(
-            Workload::Explicit {
-                supports: vec![a, n - a],
-            },
-            100_000.0,
-        )
-        // Tag the bias actually materialised (a − b), not the nominal one.
-        .tag((2 * a - n).to_string())
+        GridPoint::new(Counts::from_supports(vec![a, n - a]), 100_000.0)
+            // Tag the bias actually materialised (a − b), not the nominal one.
+            .tag((2 * a - n).to_string())
     }))
     .arm(three_state_arm())
     .cols(vec![

@@ -8,7 +8,7 @@ use std::io;
 
 use pp_engine::{RunOptions, SimRng, Simulation};
 use pp_leader::LeaderElectionRun;
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 use rand::SeedableRng;
 
 use crate::arm::{self, TrialSpec};
@@ -49,7 +49,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     .points(
         sizes
             .into_iter()
-            .map(|n| GridPoint::new(Workload::BiasOne { n, k: 2 }, 500_000.0)),
+            .map(|n| GridPoint::new(Counts::bias_one(n, 2), 500_000.0)),
     )
     .arm(leader)
     .cols(vec![

@@ -60,8 +60,8 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         let counts = Counts::adversarial_bias(n, k, bias);
         let actual_bias = counts.bias();
 
-        let usd_out = ctx.run_arm(&usd, &TrialSpec::new(&counts, 100_000.0), i as u64);
-        let simple_out = ctx.run_arm(&simple, &TrialSpec::new(&counts, 1.0e5), 100 + i as u64);
+        let usd_out = ctx.run_arm(&usd, &TrialSpec::new(counts.clone(), 100_000.0), i as u64);
+        let simple_out = ctx.run_arm(&simple, &TrialSpec::new(counts, 1.0e5), 100 + i as u64);
 
         let usd_ok = usd_out.iter().filter(|o| o.correct).count();
         let simple_ok = simple_out.iter().filter(|o| o.correct).count();
@@ -89,7 +89,8 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         for (i, big_n) in [1_000_000usize, 100_000_000].into_iter().enumerate() {
             let counts = Counts::adversarial_bias(big_n, k, 1);
             let big_sqrt = ((big_n as f64) * (big_n as f64).ln()).sqrt();
-            let usd_out = ctx.run_arm(&usd, &TrialSpec::new(&counts, 100_000.0), 500 + i as u64);
+            let spec = TrialSpec::new(counts.clone(), 100_000.0);
+            let usd_out = ctx.run_arm(&usd, &spec, 500 + i as u64);
             let usd_ok = usd_out.iter().filter(|o| o.correct).count();
             table.push(vec![
                 big_n.to_string(),

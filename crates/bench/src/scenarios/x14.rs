@@ -11,7 +11,7 @@
 use std::io;
 
 use plurality_core::{Algorithm, Tuning};
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -29,7 +29,7 @@ pub const SCENARIO: Scenario = Scenario {
 fn run(ctx: &mut Ctx) -> io::Result<()> {
     let n = if ctx.full() { 2001 } else { 1201 };
     let k = 3;
-    let workload = Workload::BiasOne { n, k };
+    let counts = Counts::bias_one(n, k);
     let budget = 3.0e5;
 
     // ---- Sweep A: global phase-length scale. ----
@@ -38,7 +38,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         "x14a_phase_scale",
     )
     .points([0.25, 0.5, 0.75, 1.0, 1.5].into_iter().map(|f| {
-        GridPoint::new(workload.clone(), budget)
+        GridPoint::new(counts.clone(), budget)
             .tag(format!("{f:.2}"))
             .tuning(Tuning::default().scaled(f))
     }))
@@ -59,7 +59,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     )
     .stream_base(100)
     .points([2u32, 4, 6, 10, 16].into_iter().map(|window| {
-        GridPoint::new(workload.clone(), budget)
+        GridPoint::new(counts.clone(), budget)
             .tag(window.to_string())
             .tuning(Tuning {
                 match_window: window,
@@ -82,7 +82,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     )
     .stream_base(200)
     .points([2u8, 4, 10, 20].into_iter().map(|cap| {
-        GridPoint::new(workload.clone(), budget)
+        GridPoint::new(counts.clone(), budget)
             .tag(cap.to_string())
             .tuning(Tuning {
                 merge_cap: cap,

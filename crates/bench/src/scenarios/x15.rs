@@ -13,7 +13,7 @@
 use std::io;
 
 use plurality_core::{Algorithm, Tuning};
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -42,7 +42,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     )
     .points(
         ks.into_iter()
-            .map(|k| GridPoint::new(Workload::BiasOne { n, k }, 2.0e3 * k as f64 + 5.0e4)),
+            .map(|k| GridPoint::new(Counts::bias_one(n, k), 2.0e3 * k as f64 + 5.0e4)),
     )
     .arm(arm::protocol_tuned(
         "base",

@@ -4,17 +4,18 @@
 //! load-balancing inputs of Berenbrink et al. 2016) studies how the
 //! *shape* of the initial support vector drives approximate dynamics: at
 //! minimal bias the winner degrades towards a support-weighted lottery
-//! regardless of the tail shape. This scenario sweeps the named workload
-//! families — flat bias-1, one-large-many-small, Zipf and geometric
-//! tails — through the engine-erased USD arm.
+//! regardless of the tail shape. This scenario sweeps four input shapes,
+//! each a `Counts` constructor tagged with its name — flat bias-1,
+//! one-large-many-small, Zipf and geometric tails — through the
+//! engine-erased USD arm.
 //!
 //! It is also the template for adding scenarios: the whole experiment is
-//! one declarative `Study` (grid = named workloads, one arm, schema as
+//! one declarative `Study` (grid = tagged input shapes, one arm, schema as
 //! columns) — under twenty lines of actual definition.
 
 use std::io;
 
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -35,21 +36,22 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     } else {
         (10_000, 8)
     };
-    let workloads = [
-        Workload::BiasOne { n, k },
-        Workload::OneLarge { n, k, x_max: n / 4 },
-        Workload::Zipf { n, k, s: 1.0 },
-        Workload::Geometric { n, k, ratio: 0.5 },
+    let shapes = [
+        ("bias_one", Counts::bias_one(n, k)),
+        ("one_large", Counts::one_large(n, k, n / 4)),
+        ("zipf", Counts::zipf(n, k, 1.0)),
+        ("geometric", Counts::geometric(n, k, 0.5)),
     ];
 
     Study::new(
         "X17: USD winner quality across adversarial initial distributions",
         "x17_adversarial_init",
     )
-    .points(workloads.into_iter().map(|w| {
-        let family = w.family();
-        GridPoint::new(w, 1.0e4).tag(family)
-    }))
+    .points(
+        shapes
+            .into_iter()
+            .map(|(name, counts)| GridPoint::new(counts, 1.0e4).tag(name)),
+    )
     .arm(arm::usd())
     .cols(vec![
         col::tag("workload"),

@@ -20,7 +20,7 @@ use std::io;
 
 use pp_engine::FaultSpec;
 use pp_majority::{four_state_counts, FourState, ThreeState};
-use pp_workloads::{Counts, Workload};
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -39,11 +39,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     let n = if ctx.full() { 1_000_000 } else { 10_000 };
     // 2:1 support — far enough from the lottery regime that the original
     // winner should survive moderate corruption.
-    let workload = Workload::Geometric {
-        n,
-        k: 2,
-        ratio: 0.5,
-    };
+    let counts = Counts::geometric(n, 2, 0.5);
     let fracs = [0.05, 0.1, 0.2, 0.4];
 
     Study::new(
@@ -51,7 +47,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         "x18_fault_recovery",
     )
     .points(fracs.into_iter().map(|frac| {
-        GridPoint::new(workload.clone(), 2_000.0)
+        GridPoint::new(counts.clone(), 2_000.0)
             .tag(format!("{frac}"))
             .faults(vec![FaultSpec::Corrupt { at: 50.0, frac }])
     }))

@@ -21,7 +21,7 @@ use std::io;
 
 use plurality_core::Algorithm;
 use pp_engine::{FaultSpec, SchedulerSpec};
-use pp_workloads::Workload;
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -38,10 +38,10 @@ pub const SCENARIO: Scenario = Scenario {
 
 fn run(ctx: &mut Ctx) -> io::Result<()> {
     let n = if ctx.full() { 1001 } else { 401 };
-    let workload = Workload::BiasOne { n, k: 3 };
+    let counts = Counts::bias_one(n, 3);
     let budget = 500_000.0;
 
-    let base = || GridPoint::new(workload.clone(), budget);
+    let base = || GridPoint::new(counts.clone(), budget);
     let points = [
         base().tag("uniform"),
         base().tag("starve").scheduler(SchedulerSpec::Starve {

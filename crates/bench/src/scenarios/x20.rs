@@ -16,7 +16,7 @@ use std::io;
 use pp_engine::FaultSpec;
 use pp_majority::ThreeState;
 use pp_stats::{fit_affine, Table};
-use pp_workloads::{Counts, Workload};
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, PointRun, RunFlag, Scenario, Study};
@@ -47,17 +47,10 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         "X20: reconvergence time vs n under repeated corruption",
         "x20_repeated_corruption",
     )
-    .points(grid.into_iter().map(|n| {
-        GridPoint::new(
-            Workload::Geometric {
-                n,
-                k: 2,
-                ratio: 0.5,
-            },
-            2_000.0,
-        )
-        .faults(strikes.clone())
-    }))
+    .points(
+        grid.into_iter()
+            .map(|n| GridPoint::new(Counts::geometric(n, 2, 0.5), 2_000.0).faults(strikes.clone())),
+    )
     .arm(arm::usd())
     .arm(arm::table("3-state", |c: &Counts| {
         (

@@ -25,7 +25,7 @@ use std::io;
 use plurality_core::Algorithm;
 use pp_engine::AdversarySpec;
 use pp_majority::{four_state_counts, FourState, ThreeState};
-use pp_workloads::{Counts, Workload};
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -42,11 +42,7 @@ pub const SCENARIO: Scenario = Scenario {
 
 fn run(ctx: &mut Ctx) -> io::Result<()> {
     let n = if ctx.full() { 2_001 } else { 601 };
-    let workload = Workload::Geometric {
-        n,
-        k: 2,
-        ratio: 0.5,
-    };
+    let counts = Counts::geometric(n, 2, 0.5);
     let fracs = [0.0, 0.002, 0.005, 0.01, 0.02, 0.05];
 
     Study::new(
@@ -54,7 +50,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         "x21_byzantine_tolerance",
     )
     .points(fracs.into_iter().map(|frac| {
-        let p = GridPoint::new(workload.clone(), 2_000.0).tag(format!("{frac}"));
+        let p = GridPoint::new(counts.clone(), 2_000.0).tag(format!("{frac}"));
         if frac > 0.0 {
             // Liars forge the runner-up opinion — the direction that
             // fights the plurality hardest.

@@ -25,7 +25,7 @@ use std::io;
 use plurality_core::Algorithm;
 use pp_engine::{AdaptiveStrategy, AdversarySpec};
 use pp_majority::{four_state_counts, FourState, ThreeState};
-use pp_workloads::{Counts, Workload};
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, RunFlag, Scenario, Study};
@@ -64,11 +64,7 @@ fn adversary(kind: &str, frac: f64) -> AdversarySpec {
 
 fn run(ctx: &mut Ctx) -> io::Result<()> {
     let n = if ctx.full() { 2_001 } else { 601 };
-    let workload = Workload::Geometric {
-        n,
-        k: 2,
-        ratio: 0.5,
-    };
+    let counts = Counts::geometric(n, 2, 0.5);
     // The x21 sweep, minus the honest baseline (x21 already pins it).
     let fracs = [0.002, 0.005, 0.01, 0.02, 0.05];
     let kinds = ["fixed", "boost-runnerup", "suppress-leader", "split"];
@@ -78,9 +74,9 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         "x23_adaptive_tolerance",
     )
     .points(kinds.into_iter().flat_map(|kind| {
-        let workload = workload.clone();
+        let counts = counts.clone();
         fracs.into_iter().map(move |frac| {
-            GridPoint::new(workload.clone(), 2_000.0)
+            GridPoint::new(counts.clone(), 2_000.0)
                 .sweep(kind)
                 .tag(format!("{frac}"))
                 .adversary(adversary(kind, frac))

@@ -23,7 +23,7 @@ use std::io;
 use pp_engine::FaultSpec;
 use pp_majority::ThreeState;
 use pp_stats::{fit_affine, Table};
-use pp_workloads::{Counts, Workload};
+use pp_workloads::Counts;
 
 use crate::arm;
 use crate::scenario::{col, Ctx, GridPoint, PointRun, RunFlag, Scenario, Study};
@@ -58,22 +58,15 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
     .points(grid.into_iter().flat_map(|n| {
         let lead = (n as f64 * (n as f64).ln()).sqrt().ceil() as usize;
         fracs.into_iter().map(move |frac| {
-            GridPoint::new(
-                Workload::AdversarialBias {
-                    n,
-                    k: 2,
-                    bias: lead,
-                },
-                2_000.0,
-            )
-            .tag(format!("{frac}"))
-            // One early strike, aimed at the runner-up: the cheapest
-            // way to spend a corruption budget against a lead.
-            .faults(vec![FaultSpec::Inject {
-                at: 2.0,
-                frac,
-                opinion: 2,
-            }])
+            GridPoint::new(Counts::adversarial_bias(n, 2, lead), 2_000.0)
+                .tag(format!("{frac}"))
+                // One early strike, aimed at the runner-up: the cheapest
+                // way to spend a corruption budget against a lead.
+                .faults(vec![FaultSpec::Inject {
+                    at: 2.0,
+                    frac,
+                    opinion: 2,
+                }])
         })
     }))
     .arm(arm::usd())

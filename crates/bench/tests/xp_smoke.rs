@@ -29,6 +29,12 @@ fn tiny_scenario_end_to_end_csv_and_manifest() {
         csv.lines().next().unwrap_or("")
     );
     assert_eq!(csv.lines().count(), 5, "header + 4 workload rows:\n{csv}");
+    let shapes: Vec<&str> = csv
+        .lines()
+        .skip(1)
+        .map(|row| row.split(',').next().unwrap_or(""))
+        .collect();
+    assert_eq!(shapes, ["bias_one", "one_large", "zipf", "geometric"]);
 
     let json = fs::read_to_string(&manifest).expect("manifest written");
     for field in [

@@ -36,12 +36,6 @@ impl Census {
     pub fn is_empty(&self) -> bool {
         self.seen.is_empty()
     }
-
-    /// Merge another census into this one (e.g. across trials, to measure
-    /// the union of reachable states over many schedules).
-    pub fn merge(&mut self, other: &Census) {
-        self.seen.extend(other.seen.iter().copied());
-    }
 }
 
 #[cfg(test)]
@@ -56,16 +50,5 @@ mod tests {
         c.record(1);
         c.record(2);
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn merge_unions() {
-        let mut a = Census::new();
-        a.record(1);
-        let mut b = Census::new();
-        b.record(1);
-        b.record(7);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
     }
 }

@@ -137,19 +137,6 @@ impl Table {
     }
 }
 
-/// Format a float with a sensible number of significant digits for tables.
-pub fn fmt_f64(v: f64) -> String {
-    if v == 0.0 {
-        "0".to_string()
-    } else if v.abs() >= 1000.0 {
-        format!("{v:.0}")
-    } else if v.abs() >= 10.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,13 +167,5 @@ mod tests {
     fn mismatched_row_width_panics() {
         let mut t = Table::new("c", &["a", "b"]);
         t.push(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn float_formatting_buckets() {
-        assert_eq!(fmt_f64(0.0), "0");
-        assert_eq!(fmt_f64(1234.5), "1234");
-        assert_eq!(fmt_f64(12.34), "12.3");
-        assert_eq!(fmt_f64(1.2345), "1.234");
     }
 }

@@ -58,14 +58,6 @@ impl OpinionAssignment {
     pub fn x_max(&self) -> usize {
         self.counts.x_max()
     }
-
-    /// Initial per-agent opinion states for protocols whose
-    /// `Protocol::State` is built from an opinion id (convenience for the
-    /// facade example; protocol crates provide their own richer
-    /// constructors).
-    pub fn initial_states(&self) -> Vec<u16> {
-        self.opinions.clone()
-    }
 }
 
 #[cfg(test)]

@@ -11,14 +11,9 @@
 //!
 //! A [`Counts`] value is the distribution; [`OpinionAssignment`] expands it
 //! into one opinion per agent. Opinions are numbered `1..=k` as in the paper.
-//! [`Workload`] names these constructors declaratively — scenario grids
-//! store workloads, and manifests record which input family produced each
-//! row.
 
 mod assignment;
 mod counts;
-mod workload;
 
 pub use assignment::OpinionAssignment;
 pub use counts::Counts;
-pub use workload::Workload;
