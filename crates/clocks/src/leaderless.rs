@@ -70,27 +70,33 @@ impl LeaderlessClock {
     }
 
     /// One clock–clock interaction: the circularly-lagging counter advances
-    /// by one (ties advance the initiator `a`).
+    /// by one (ties advance the initiator `a`). Both counters must lie in
+    /// `0..period`.
     #[inline]
     pub fn interact(&self, a: &mut u32, b: &mut u32) -> Advanced {
         debug_assert!(*a < self.period && *b < self.period);
-        let d = self.ahead_by(*a, *b);
-        if d == 0 || d > self.period / 2 {
-            // b is behind (or tie): in the tie case the initiator advances,
-            // which is the "ties broken arbitrarily" of Algorithm 1.
-            if d == 0 {
-                let from = *a;
-                *a = (*a + 1) % self.period;
-                Advanced::Initiator { from, to: *a }
-            } else {
-                let from = *b;
-                *b = (*b + 1) % self.period;
-                Advanced::Responder { from, to: *b }
-            }
+        if self.ahead_by(*a, *b) > self.period / 2 {
+            // b is circularly behind a.
+            let from = *b;
+            *b = self.tick(from);
+            Advanced::Responder { from, to: *b }
         } else {
+            // a is behind, or the counters tie: the initiator advances,
+            // which is the "ties broken arbitrarily" of Algorithm 1.
             let from = *a;
-            *a = (*a + 1) % self.period;
+            *a = self.tick(from);
             Advanced::Initiator { from, to: *a }
+        }
+    }
+
+    /// `(g + 1) mod period` for a counter `g < period`, wrapped by a
+    /// compare instead of a division.
+    #[inline]
+    fn tick(&self, g: u32) -> u32 {
+        if g + 1 == self.period {
+            0
+        } else {
+            g + 1
         }
     }
 }
@@ -218,6 +224,32 @@ mod tests {
         let adv = c.interact(&mut a, &mut b);
         assert_eq!(adv, Advanced::Initiator { from: 7, to: 8 });
         assert_eq!((a, b), (8, 7));
+    }
+
+    #[test]
+    fn last_counter_value_wraps_to_zero() {
+        let c = LeaderlessClock::new(10);
+        // The initiator trails its partner by one.
+        let (mut a, mut b) = (9u32, 0u32);
+        assert_eq!(
+            c.interact(&mut a, &mut b),
+            Advanced::Initiator { from: 9, to: 0 }
+        );
+        assert_eq!((a, b), (0, 0));
+        // The responder trails its partner by one.
+        let (mut a, mut b) = (0u32, 9u32);
+        assert_eq!(
+            c.interact(&mut a, &mut b),
+            Advanced::Responder { from: 9, to: 0 }
+        );
+        assert_eq!((a, b), (0, 0));
+        // A tie.
+        let (mut a, mut b) = (9u32, 9u32);
+        assert_eq!(
+            c.interact(&mut a, &mut b),
+            Advanced::Initiator { from: 9, to: 0 }
+        );
+        assert_eq!((a, b), (0, 9));
     }
 
     #[test]

@@ -60,11 +60,10 @@ impl PhaseSchedule {
             "counter {g} outside period {}",
             self.period()
         );
-        match self.ends.binary_search(&g) {
-            // `g` equals the exclusive end of phase `i` → phase `i + 1`.
-            Ok(i) => (i + 1) as u8,
-            Err(i) => i as u8,
-        }
+        // Phase `p` spans `ends[p − 1] ≤ g < ends[p]`, so `p` is the number
+        // of phase ends at or below `g`. A linear count over the few ends
+        // takes no data-dependent branch, unlike a binary search.
+        self.ends.iter().filter(|&&end| end <= g).count() as u8
     }
 
     /// Length of phase `p`.
@@ -100,6 +99,35 @@ mod tests {
         assert_eq!(s.len_of(0), 2);
         assert_eq!(s.len_of(1), 5);
         assert_eq!(s.len_of(2), 1);
+    }
+
+    /// The phase of `g` by binary search over the phase ends.
+    fn phase_by_search(s: &PhaseSchedule, g: u32) -> u8 {
+        match s.ends.binary_search(&g) {
+            Ok(i) => (i + 1) as u8,
+            Err(i) => i as u8,
+        }
+    }
+
+    #[test]
+    fn phase_of_matches_binary_search() {
+        // The default tuning's phase lengths at n = 4,000 and at n = 10⁶,
+        // and the ragged layout.
+        let layouts: [&[u32]; 3] = [
+            &[59, 17, 42, 17, 42, 17, 200, 17, 34, 17],
+            &[97, 28, 70, 28, 70, 28, 332, 28, 56, 28],
+            &[2, 5, 1],
+        ];
+        for lengths in layouts {
+            let s = PhaseSchedule::from_lengths(lengths);
+            for g in 0..s.period() {
+                assert_eq!(
+                    s.phase_of(g),
+                    phase_by_search(&s, g),
+                    "{lengths:?}, g = {g}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -432,7 +432,10 @@ impl Machine {
             }
         };
         let ahead = |from: i8, to: i8| -> bool {
-            let d = (i16::from(to) - i16::from(from)).rem_euclid(10);
+            // Both phases lie in 0..=9, so one addition of 10 reduces a
+            // negative difference mod 10.
+            let d = to - from;
+            let d = if d < 0 { d + 10 } else { d };
             (1..=4).contains(&d)
         };
         if !matches!(a.role, Role::Clock(_)) && ahead(pa, pb) {

@@ -10,13 +10,15 @@
 //! # The two engines
 //!
 //! **Sequential** ([`Simulation`]): one agent-state vector, one interaction
-//! per step. The pair draw is the hot path: both indices come out of a
-//! single RNG word (Lemire bounded sampling on `0..n·(n−1)`, see
-//! [`pair::sample_pair`]) whenever `n < 2³²`, and the `O(n)` convergence
-//! scan runs on a stride cached once per run — never mid-stride. This
-//! engine handles *any* [`Protocol`], including the paper's own
-//! `Θ(k + log n)`-state algorithms with their milestone bookkeeping, and
-//! tops out around `n ≈ 10⁶` in practice.
+//! per step. The pair draw is the hot path: whenever `n ≤ 2³²` both
+//! indices come out of one Lemire bounded draw on `0..n·(n−1)`, split
+//! into initiator and responder by multiplication instead of division
+//! (see [`pair::sample_pair`]). With no scheduler and no adversary
+//! installed, a stride runs as one tight loop of pair draw, two-agent
+//! borrow and transition, and the `O(n)` convergence scan runs between
+//! strides, never mid-stride. This engine handles *any* [`Protocol`],
+//! including the paper's own `Θ(k + log n)`-state algorithms with their
+//! milestone bookkeeping, and tops out around `n ≈ 10⁶` in practice.
 //!
 //! **Batched configuration-space** ([`BatchSimulation`], module
 //! [`batch`]): for protocols expressible as a [`TableProtocol`] — a

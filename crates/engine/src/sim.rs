@@ -111,20 +111,45 @@ impl<P: Protocol> Simulation<P> {
     /// responder) indices.
     #[inline]
     pub fn step(&mut self) -> (usize, usize) {
+        if self.is_uniform() {
+            return self.step_uniform();
+        }
         let (i, j) = match self.scheduler {
             None => sample_pair(&mut self.rng, self.states.len()),
             Some(sched) => self.sample_pair_scheduled(sched),
         };
         match self.adversary {
-            None => {
-                let t = self.clock.interactions;
-                let (a, b) = pair_mut(&mut self.states, i, j);
-                self.protocol.interact(t, a, b, &mut self.rng);
-            }
+            None => self.interact_honest(i, j),
             Some(adv) => self.interact_byzantine(i, j, adv.lie_frac()),
         }
         self.clock.interactions += 1;
         (i, j)
+    }
+
+    /// Whether the model is the plain uniform one: no scheduler and no
+    /// adversary installed.
+    fn is_uniform(&self) -> bool {
+        self.scheduler.is_none() && self.adversary.is_none()
+    }
+
+    /// One interaction of the uniform model: a uniform pair and an honest
+    /// transition. While [`is_uniform`](Self::is_uniform) holds, it is
+    /// all that [`step`](Self::step) does and all that the stride loop of
+    /// [`advance`](Engine::advance) runs.
+    #[inline(always)]
+    fn step_uniform(&mut self) -> (usize, usize) {
+        let (i, j) = sample_pair(&mut self.rng, self.states.len());
+        self.interact_honest(i, j);
+        self.clock.interactions += 1;
+        (i, j)
+    }
+
+    /// The protocol's transition of initiator `i` and responder `j`.
+    #[inline(always)]
+    fn interact_honest(&mut self, i: usize, j: usize) {
+        let t = self.clock.interactions;
+        let (a, b) = pair_mut(&mut self.states, i, j);
+        self.protocol.interact(t, a, b, &mut self.rng);
     }
 
     /// One interaction under a Byzantine adversary: each participant
@@ -155,10 +180,7 @@ impl<P: Protocol> Simulation<P> {
         let b_forgery = lie(&self.protocol, &mut self.rng);
         let t = self.clock.interactions;
         match (a_forgery, b_forgery) {
-            (None, None) => {
-                let (a, b) = pair_mut(&mut self.states, i, j);
-                self.protocol.interact(t, a, b, &mut self.rng);
-            }
+            (None, None) => self.interact_honest(i, j),
             (Some(mut fake_a), None) => {
                 // Initiator lies: only the responder's transition is real.
                 self.protocol
@@ -347,11 +369,19 @@ impl<P: Protocol> Engine for Simulation<P> {
     }
 
     /// One convergence-check stride of interactions, capped at `cap`.
+    /// The uniform model runs the stride as one tight loop of
+    /// [`step_uniform`](Simulation::step_uniform).
     fn advance(&mut self, opts: &RunOptions, cap: u64) -> u64 {
         let steps = self.check_stride(opts).min(cap);
-        self.refresh_forgery();
-        for _ in 0..steps {
-            self.step();
+        if self.is_uniform() {
+            for _ in 0..steps {
+                self.step_uniform();
+            }
+        } else {
+            self.refresh_forgery();
+            for _ in 0..steps {
+                self.step();
+            }
         }
         steps
     }

@@ -16,16 +16,19 @@
 //! takes the lumped tally), each in a clean run, a faulted run, under two
 //! schedulers, under two adversaries and under a scheduler and an
 //! adversary on a faulted run (sequential USD skips the two faulted
-//! runs); two churned runs on each batched table, the only engine that
-//! churns; the `ppckpt` bytes a churned segment run writes; adversarial runs of
-//! `ThreeState` and `UsdTable::new(2)` at `n = 4·10⁶`, whose batches
-//! (`ℓ ≈ 1,250` interactions, against about 63 at `n = 10⁴`) split over
-//! initiators with many interactions per subtree; and clean runs of
-//! `ThreeState` and `UsdTable::new(64)` at `n = 10⁸`, the benchmark's
-//! regime, whose lumped batches (`ℓ ≈ 6,300`) draw most of their cells
-//! with the large-mean binomial sampler. The paper's three protocols are
-//! pinned on the sequential engine at `n = 400`, each in a clean run to
-//! consensus and in a faulted, a scheduled and an adversarial run.
+//! runs); 3-state majority on the sequential engine at `n = 10⁶`, clean
+//! and under `pairbias:0.3`; two churned runs on each batched table, the
+//! only engine that churns; the `ppckpt` bytes a churned segment run
+//! writes; adversarial runs of `ThreeState` and `UsdTable::new(2)` at
+//! `n = 4·10⁶`, whose batches (`ℓ ≈ 1,250` interactions, against about
+//! 63 at `n = 10⁴`) split over initiators with many interactions per
+//! subtree; and clean runs of `ThreeState` and `UsdTable::new(64)` at
+//! `n = 10⁸`, the benchmark's regime, whose lumped batches (`ℓ ≈ 6,300`)
+//! draw most of their cells with the large-mean binomial sampler. The
+//! paper's three protocols are pinned on the sequential engine at
+//! `n = 400`, each in a clean run to consensus and in a faulted, a
+//! scheduled and an adversarial run, and `Algorithm::Improved` also on
+//! `one_large(1000, 4, 400)`, clean to consensus.
 
 use exact_plurality::baselines::UsdTable;
 use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner, TallyPaths};
@@ -176,11 +179,11 @@ macro_rules! drive {
 /// Fold a sequential run of `table` from `init` (agents contiguous by
 /// state): its result, clock, RNG state and each agent's table-state
 /// index.
-fn seq_digest<P: TableProtocol>(table: P, init: &[u64], mode: Mode) -> u64 {
+fn seq_digest<P: TableProtocol>(table: P, init: &[u64], mode: Mode, budget: f64) -> u64 {
     let n: u64 = init.iter().sum();
     let states = SeqTable::<P>::initial_states(init);
     let mut sim = Simulation::new(SeqTable::new(table), states.clone(), SEED);
-    let opts = RunOptions::with_parallel_time_budget(n as usize, BUDGET);
+    let opts = RunOptions::with_parallel_time_budget(n as usize, budget);
     let r = drive!(sim, mode, opts);
     let mut h = Fnv::new();
     h.result(&r);
@@ -267,7 +270,7 @@ fn seq_modes() -> impl Iterator<Item = Mode> {
 #[test]
 fn sequential_table_streams_are_pinned() {
     let got: Vec<u64> = seq_modes()
-        .map(|m| seq_digest(ThreeState, &[0, 600, 400], m))
+        .map(|m| seq_digest(ThreeState, &[0, 600, 400], m, BUDGET))
         .collect();
     assert_pinned("seq three-state n=1e3", &got, &SEQ);
 }
@@ -275,7 +278,7 @@ fn sequential_table_streams_are_pinned() {
 #[test]
 fn sequential_four_state_streams_are_pinned() {
     let got: Vec<u64> = seq_modes()
-        .map(|m| seq_digest(FourState, &four_state_counts(600, 400), m))
+        .map(|m| seq_digest(FourState, &four_state_counts(600, 400), m, BUDGET))
         .collect();
     assert_pinned("seq four-state n=1e3", &got, &SEQ_FOUR_STATE);
 }
@@ -289,9 +292,25 @@ fn sequential_usd_streams_are_pinned() {
     let init = usd.initial_counts(Counts::bias_one(1_000, 3).supports());
     let got: Vec<u64> = seq_modes()
         .filter(|m| !matches!(m, Mode::Faulted | Mode::Hostile))
-        .map(|m| seq_digest(usd.clone(), &init, m))
+        .map(|m| seq_digest(usd.clone(), &init, m, BUDGET))
         .collect();
     assert_pinned("seq usd k=3 n=1e3", &got, &SEQ_USD);
+}
+
+/// The large sequential pins: `SeqTable<ThreeState>` on a 60/40 start at
+/// `n = 10⁶` for two parallel-time units, uniform and under
+/// `pairbias:0.3` (whose draws also go through the uniform pair sampler).
+/// At `n = 1,000` the initiator index `⌊x·n/2⁶⁴⌋` of a pair draw takes
+/// only 10 bits; here it takes 20.
+const SEQ_LARGE_N: u64 = 1_000_000;
+const SEQ_LARGE_BUDGET: f64 = 2.0;
+
+#[test]
+fn sequential_streams_at_large_n_are_pinned() {
+    let init = [0, SEQ_LARGE_N * 3 / 5, SEQ_LARGE_N * 2 / 5];
+    let got = [Mode::Clean, Mode::Scheduler("pairbias:0.3")]
+        .map(|m| seq_digest(ThreeState, &init, m, SEQ_LARGE_BUDGET));
+    assert_pinned("seq three-state n=1e6", &got, &SEQ_LARGE);
 }
 
 #[test]
@@ -399,11 +418,11 @@ const PAPER_MODES: [Mode; 4] = [
 const PAPER_CLEAN_BUDGET: f64 = 100_000.0;
 const PAPER_BUDGET: f64 = 600.0;
 
-/// Fold a run of one of the paper's protocols on `bias_one(400, 3)`: its
-/// result, clock, RNG state, milestones and each agent's `Debug` text
-/// (`Agent` has no `Hash`, and `encode` is not injective).
-fn paper_digest(algorithm: Algorithm, mode: Mode) -> u64 {
-    let assignment = Counts::bias_one(400, 3).assignment();
+/// Fold a run of one of the paper's protocols on `counts`: its result,
+/// clock, RNG state, milestones and each agent's `Debug` text (`Agent`
+/// has no `Hash`, and `encode` is not injective).
+fn paper_digest(algorithm: Algorithm, counts: &Counts, mode: Mode) -> u64 {
+    let assignment = counts.assignment();
     let (machine, states) = Machine::start(algorithm, &assignment, Tuning::default());
     let mut sim = Simulation::new(machine, states.clone(), SEED);
     let budget = match mode {
@@ -436,10 +455,21 @@ fn paper_protocol_streams_are_pinned() {
         .iter()
         .flat_map(|&m| {
             [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved]
-                .map(|algorithm| paper_digest(algorithm, m))
+                .map(|algorithm| paper_digest(algorithm, &Counts::bias_one(400, 3), m))
         })
         .collect();
     assert_pinned("paper protocols n=400", &got, &PAPER);
+}
+
+/// The pruning pin: `Algorithm::Improved` on `one_large(1000, 4, 400)`,
+/// clean to consensus. One large opinion among small ones is the input
+/// shape of the benchmark's `paper-improved` workload, whose phase-0
+/// broadcast prunes agents; `bias_one(400, 3)` has no large opinion.
+#[test]
+fn improved_pruning_stream_is_pinned() {
+    let counts = Counts::one_large(1_000, 4, 400);
+    let got = [paper_digest(Algorithm::Improved, &counts, Mode::Clean)];
+    assert_pinned("paper improved one_large n=1e3", &got, &PAPER_PRUNING);
 }
 
 // Recorded digests, in `seq_modes()` order for the sequential engine and
@@ -475,6 +505,10 @@ const SEQ_USD: [u64; 5] = [
     0x266e_f3ef_c8f2_78d3,
     0xc4dc_a48b_16ec_9771,
 ];
+
+/// `ThreeState` on a 60/40 start at `n = 10⁶`, clean then under
+/// `pairbias:0.3`.
+const SEQ_LARGE: [u64; 2] = [0x838c_a3b8_ba55_7392, 0x2e36_e046_9690_fe81];
 
 const BATCH_THREE_STATE: [u64; 9] = [
     0xe24d_da17_1ff9_15dc,
@@ -535,3 +569,6 @@ const PAPER: [u64; 12] = [
     0x1cb5_d016_ac6d_2ab6,
     0x11b3_e7e9_5766_a269,
 ];
+
+/// `Algorithm::Improved` on `one_large(1000, 4, 400)`, clean.
+const PAPER_PRUNING: [u64; 1] = [0x7471_ea52_c16d_62d4];
