@@ -31,16 +31,25 @@
 //! `churn:0.005:0.005:plurality`, and `run()` against an `adaptive:0.05`
 //! adversary ([`FAULT_ROWS`]).
 //!
+//! A fifth block rates the paper's three protocols on the sequential
+//! `Simulation`, the only engine they run on: `Machine::start` under each
+//! `Algorithm` on `one_large(4000, 8, 1000)` (the benchmark's
+//! `paper-improved` input) from seed 42, run to consensus within x01's
+//! budget of `4e3·k + 2e4` parallel time, each rate one whole run (setup
+//! off the clock), again median, min and max of [`REPEATS`].
+//!
 //! Usage: `cargo run --release -p plurality-bench --bin bench_engine
 //! [-- path/to/BENCH_engine.json]`
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use plurality_core::{Algorithm, Machine, Tuning};
 use pp_baselines::UsdTable;
 use pp_engine::batch::multinomial::binomial;
 use pp_engine::{
-    BatchSimulation, ChurnProcess, RunOptions, SeqTable, SimRng, Simulation, TableProtocol,
+    BatchSimulation, ChurnProcess, RunOptions, RunStatus, SeqTable, SimRng, Simulation,
+    TableProtocol,
 };
 use pp_majority::ThreeState;
 use pp_workloads::Counts;
@@ -69,6 +78,10 @@ const FAULT_ROWS: [&str; 4] = [
     "adaptive_adversary",
     "targeted_churn",
 ];
+
+/// The paper-protocol rows, in JSON order.
+const PAPER_ALGORITHMS: [Algorithm; 3] =
+    [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved];
 
 /// Median, min and max of [`REPEATS`] measurements.
 #[derive(Debug, Clone, Copy)]
@@ -170,6 +183,23 @@ fn fault_rate(row: &str, n: u64) -> f64 {
     })
 }
 
+/// Interactions per second of one run of `algorithm` on
+/// `one_large(4000, 8, 1000)` from seed 42 to consensus, within x01's
+/// budget.
+fn paper_rate(algorithm: Algorithm) -> f64 {
+    let counts = Counts::one_large(4_000, 8, 1_000);
+    let assignment = counts.assignment();
+    let (machine, states) = Machine::start(algorithm, &assignment, Tuning::default());
+    let mut sim = Simulation::new(machine, states, 42);
+    let budget = 4.0e3 * counts.k() as f64 + 2.0e4;
+    let opts = RunOptions::with_parallel_time_budget(assignment.n(), budget);
+    let t0 = Instant::now();
+    let r = sim.run(&opts);
+    let secs = t0.elapsed().as_secs_f64();
+    assert_eq!(r.status, RunStatus::Converged, "{}", algorithm.name());
+    r.interactions as f64 / secs
+}
+
 /// Nanoseconds per `binomial(n, p)` draw over a million draws, after a
 /// warm-up that also fills the ln-factorial table.
 fn ns_per_draw(n: u64, p: f64) -> f64 {
@@ -262,6 +292,11 @@ fn main() {
         })
         .collect();
 
+    let paper: Vec<Spread> = PAPER_ALGORITHMS
+        .iter()
+        .map(|&algorithm| Spread::of(|| paper_rate(algorithm)))
+        .collect();
+
     println!("interactions/sec, median [min, max] of {REPEATS} (nproc = {nproc})");
     println!("3-state majority (60/40 start):");
     for (name, rates) in &rows {
@@ -298,6 +333,11 @@ fn main() {
     for (name, rates) in FAULT_ROWS.iter().zip(&fault) {
         let cells: Vec<String> = rates.iter().map(Spread::human).collect();
         println!("{name:>20} {}", cells.join("  "));
+    }
+
+    println!("paper protocols on one_large(4000, 8, 1000), to consensus, interactions/sec:");
+    for (algorithm, rate) in PAPER_ALGORITHMS.iter().zip(&paper) {
+        println!("{:>20} {}", algorithm.name(), rate.human());
     }
 
     let grid_json = |rates: &[Spread]| -> String {
@@ -363,6 +403,17 @@ fn main() {
         .map(|(name, rates)| format!("    \"{name}\": {}", grid_json(rates)))
         .collect();
     json.push_str(&fault_rows.join(",\n"));
+    json.push_str("\n  },\n");
+    json.push_str("  \"paper\": {\n");
+    json.push_str(
+        "    \"configuration\": \"Machine::start(algorithm, one_large(4000, 8, 1000), Tuning::default()) on Simulation from seed 42, one run to consensus within 52,000 parallel time (x01's budget) per repeat\",\n",
+    );
+    let paper_rows: Vec<String> = PAPER_ALGORITHMS
+        .iter()
+        .zip(&paper)
+        .map(|(algorithm, rate)| format!("    \"{}\": {}", algorithm.name(), rate.json()))
+        .collect();
+    json.push_str(&paper_rows.join(",\n"));
     json.push_str("\n  }\n}\n");
     std::fs::write(&path, json).expect("write BENCH_engine.json");
     eprintln!("wrote {path}");

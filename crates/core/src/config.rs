@@ -42,7 +42,8 @@ pub struct Tuning {
     /// this cap (the paper's 10).
     pub merge_cap: u8,
     /// Algorithm 5: `phase` starts at `−improved_init_hours` (the paper's
-    /// constant `c > 3·c₂/c₁`, Lemma 10).
+    /// constant `c > 3·c₂/c₁`, Lemma 10). Must lie in `1..=127`;
+    /// [`Machine::start`](crate::Machine::start) panics otherwise.
     pub improved_init_hours: u8,
     /// Hour length `m` of the per-opinion junta clocks (Algorithm 5).
     pub junta_hour_len: u32,

@@ -17,6 +17,42 @@
 //! [`Machine::start`] builds it and its initial configuration for one
 //! [`Algorithm`], which picks how challengers are chosen and which
 //! initialization runs.
+//!
+//! # The idle skip
+//!
+//! Each tournament phase gives one rule to one or two role pairs, and the
+//! odd phases are buffers, so most pairs that meet change nothing.
+//! [`Protocol::interact`] first asks `Machine::idle`, a pure predicate,
+//! and returns at once when it holds; otherwise `Machine::transition`
+//! runs the phase handlers, which stay the one definition of every
+//! transition. A pair is idle when both agents are in the same tournament
+//! phase `p ≥ 0` with equal `le_done`, neither has `fin` set, neither is a
+//! winner, and one of these holds:
+//!
+//! 1. the const mask `LIVE[ordered][le_done][p]` has no bit for the pair
+//!    (initiator role, responder role). `live_pairs` builds it from the
+//!    list of role pairs some rule reads: clock–clock once `le_done` is
+//!    set (the leaderless clock); collector–collector in phases 0–7
+//!    (cancellation, and failure containment, which phases 8 and 9
+//!    suppress); every pair with a collector or a tracker in phase 0
+//!    (setup); collector–player in phases 4 and 8 (line-up, conclusion);
+//!    player–player in phase 6 (the match); and under
+//!    [`Algorithm::Simple`] collector–tracker in every phase (challenger
+//!    bits, the final broadcast at `tcnt = k + 1`);
+//! 2. in phase 0 of the unordered variants, one agent is a clock or a
+//!    player and the other is settled: a collector whose `ℓ` already holds
+//!    its setup load, or a tracker that is not the lottery's leader (only
+//!    the leader acts on a partner that is neither a collector nor a
+//!    tracker).
+//!
+//! An idle pair would run through `transition` without a write: the
+//! broadcast flags are equal, phase propagation sees equal phases, and no
+//! handler's role pattern fits. No path it skips draws from the RNG or
+//! records a milestone. The unit test `idle_pairs_change_nothing` checks
+//! this invariant on random agents of every algorithm, reachable
+//! `le_done` value, phase 0–9 and role pair: whenever `idle(a, b)` holds,
+//! `transition` leaves both agents, the [`Milestones`] and the RNG state
+//! exactly as they were.
 
 use pp_clocks::{FormJunta, JuntaClock, LeaderlessClock, PhaseSchedule};
 use pp_dynamics::balance;
@@ -76,6 +112,70 @@ impl Algorithm {
     }
 }
 
+/// Role indices of the [`LIVE`] pair masks.
+const COLLECTOR: usize = 0;
+const CLOCK: usize = 1;
+const TRACKER: usize = 2;
+const PLAYER: usize = 3;
+
+fn role_index(role: &Role) -> usize {
+    match role {
+        Role::Collector(_) => COLLECTOR,
+        Role::Clock(_) => CLOCK,
+        Role::Tracker(_) => TRACKER,
+        Role::Player(_) => PLAYER,
+    }
+}
+
+/// The role pairs some rule reads, as bits `1 << (4·initiator +
+/// responder)`, indexed by `[ordered][le_done][phase]`. Two agents of the
+/// same tournament phase whose pair has no bit change nothing when they
+/// meet (the module doc's rule 1).
+const LIVE: [[[u16; 10]; 2]; 2] = live_pairs();
+
+const fn live_pairs() -> [[[u16; 10]; 2]; 2] {
+    const fn pair(x: usize, y: usize) -> u16 {
+        1 << (4 * x + y)
+    }
+    let mut live = [[[0; 10]; 2]; 2];
+    let mut i = 0;
+    while i < 40 {
+        let (ordered, le_done, phase) = (i / 20, i / 10 % 2, i % 10);
+        let mut m = 0;
+        // The leaderless clock (Algorithm 1), gated on `le_done`.
+        if le_done == 1 {
+            m |= pair(CLOCK, CLOCK);
+        }
+        // Cancellation (phase 2); failure containment (phases 0–7).
+        if phase <= 7 {
+            m |= pair(COLLECTOR, COLLECTOR);
+        }
+        // Setup: every pair with a collector or a tracker (ℓ loading, the
+        // lottery, slots, leader actions and directives).
+        if phase == 0 {
+            m |= !(pair(CLOCK, CLOCK)
+                | pair(CLOCK, PLAYER)
+                | pair(PLAYER, CLOCK)
+                | pair(PLAYER, PLAYER));
+        }
+        // Line-up and conclusion.
+        if phase == 4 || phase == 8 {
+            m |= pair(COLLECTOR, PLAYER) | pair(PLAYER, COLLECTOR);
+        }
+        // The match.
+        if phase == 6 {
+            m |= pair(PLAYER, PLAYER);
+        }
+        // Ordered challenger bits and the final broadcast.
+        if ordered == 1 {
+            m |= pair(COLLECTOR, TRACKER) | pair(TRACKER, COLLECTOR);
+        }
+        live[ordered][le_done][phase] = m;
+        i += 1;
+    }
+    live
+}
+
 /// Interaction indices of notable global events, for experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Milestones {
@@ -119,7 +219,8 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2k` or `n < 40`.
+    /// Panics if `n < 2k` or `n < 40`, if `tuning.merge_cap` lies outside
+    /// `2..=63`, or if `tuning.improved_init_hours` lies outside `1..=127`.
     pub fn start(
         algorithm: Algorithm,
         assignment: &OpinionAssignment,
@@ -156,6 +257,10 @@ impl Machine {
         assert!(
             (2..=63).contains(&tuning.merge_cap),
             "merge cap must lie in 2..=63 (token and load fields are i8-sized)"
+        );
+        assert!(
+            (1..=127).contains(&tuning.improved_init_hours),
+            "improved init hours must lie in 1..=127 (the initial phase is i8-sized)"
         );
         let ln = (n as f64).ln().max(1.0);
         let lengths: Vec<u32> = tuning
@@ -263,7 +368,8 @@ impl Machine {
         if a.phase >= 0 || b.phase >= 0 {
             for x in [&mut *a, &mut *b] {
                 if x.phase < 0 {
-                    self.improved_enter(x, rng);
+                    let ticked = x.phase != self.initial_phase();
+                    self.improved_enter(x, ticked, rng);
                 }
             }
             return;
@@ -290,17 +396,16 @@ impl Machine {
             a.phase = target;
             if a.phase == 0 {
                 self.milestones.init_end.get_or_insert(t);
-                a.phase = -1; // improved_enter expects phase < 0
-                self.improved_enter(a, rng);
+                self.improved_enter(a, true, rng);
             }
         }
     }
 
-    /// Entry into the tournament from the improved init: prune or keep.
-    fn improved_enter(&mut self, x: &mut Agent, rng: &mut SimRng) {
-        let never_ticked = x.phase == self.initial_phase();
+    /// Entry into the tournament from the improved init: an agent whose
+    /// own clock never `ticked`, or that holds no tokens, is pruned.
+    fn improved_enter(&mut self, x: &mut Agent, ticked: bool, rng: &mut SimRng) {
         let tokenless = matches!(&x.role, Role::Collector(c) if c.tokens == 0);
-        if never_ticked || tokenless {
+        if !ticked || tokenless {
             x.role = self.random_worker_role(rng);
         }
         self.enter_phase0(x);
@@ -491,14 +596,20 @@ impl Machine {
         // interaction so late challenger bits still load their tokens.
         for x in [&mut *a, &mut *b] {
             if let Role::Collector(c) = &mut x.role {
-                c.ell = if c.defender {
-                    c.tokens as i8
-                } else if c.challenger {
-                    -(c.tokens as i8)
-                } else {
-                    0
-                };
+                c.ell = Self::setup_load(c);
             }
+        }
+    }
+
+    /// The `ℓ` a collector loads in phase 0: its tokens as defender, minus
+    /// them as challenger, 0 otherwise.
+    fn setup_load(c: &Collector) -> i8 {
+        if c.defender {
+            c.tokens as i8
+        } else if c.challenger {
+            -(c.tokens as i8)
+        } else {
+            0
         }
     }
 
@@ -714,13 +825,39 @@ impl Machine {
             }
         }
     }
-}
 
-impl Protocol for Machine {
-    type State = Agent;
+    /// Whether `transition(a, b)` would change nothing: the module doc's
+    /// idle skip.
+    #[inline]
+    fn idle(&self, a: &Agent, b: &Agent) -> bool {
+        let phase = a.phase;
+        if phase < 0
+            || phase != b.phase
+            || a.le_done != b.le_done
+            || a.fin
+            || b.fin
+            || a.is_winner()
+            || b.is_winner()
+        {
+            return false;
+        }
+        let ordered = self.algorithm.ordered();
+        let live = LIVE[usize::from(ordered)][usize::from(a.le_done)][phase as usize];
+        if live >> (4 * role_index(&a.role) + role_index(&b.role)) & 1 == 0 {
+            return true;
+        }
+        // Rule 2: a worker meets a settled partner in unordered setup.
+        let worker = |x: &Agent| matches!(x.role, Role::Clock(_) | Role::Player(_));
+        let settled = |x: &Agent| match &x.role {
+            Role::Collector(c) => c.ell == Self::setup_load(c),
+            Role::Tracker(tr) => !tr.lot.leader,
+            Role::Clock(_) | Role::Player(_) => false,
+        };
+        phase == 0 && !ordered && (worker(a) && settled(b) || worker(b) && settled(a))
+    }
 
     /// One interaction of the full protocol (`a` initiates).
-    fn interact(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
+    fn transition(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
         // §3.4 final broadcast dominates everything.
         if a.is_winner() || b.is_winner() {
             self.spread_winner(a, b);
@@ -754,6 +891,18 @@ impl Protocol for Machine {
             return;
         }
         self.tournament_step(t, a, b, rng);
+    }
+}
+
+impl Protocol for Machine {
+    type State = Agent;
+
+    /// One interaction of the full protocol (`a` initiates): nothing when
+    /// the pair is idle, else the full transition.
+    fn interact(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
+        if !self.idle(a, b) {
+            self.transition(t, a, b, rng);
+        }
     }
 
     /// All agents are winner-collectors of the same opinion.
@@ -856,7 +1005,10 @@ impl Protocol for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_clocks::JuntaState;
     use pp_engine::{RunOptions, RunResult, RunStatus, Simulation};
+    use pp_leader::LotteryState;
+    use pp_majority::MajState;
     use pp_workloads::Counts;
 
     fn machine() -> Machine {
@@ -1197,6 +1349,182 @@ mod tests {
         m.interact(1, &mut healthy, &mut herald, &mut rng);
         assert_eq!(healthy.phase, 0);
         assert!(matches!(healthy.role, Role::Collector(_)));
+    }
+
+    #[test]
+    fn one_init_hour_keeps_a_self_ticked_collector() {
+        let tuning = Tuning {
+            improved_init_hours: 1,
+            ..Tuning::default()
+        };
+        let mut m = Machine::new(Algorithm::Improved, 1000, 4, tuning);
+        let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(10);
+        // The initial phase is −1, so one tick takes the initiator into
+        // phase 0. Six tokens each are too many to merge.
+        let mut a = Agent::collector(1, m.initial_phase(), false);
+        let mut b = a;
+        if let Role::Collector(c) = &mut a.role {
+            c.tokens = 6;
+        }
+        if let Role::Collector(c) = &mut b.role {
+            c.tokens = 6;
+            c.jc = u64::from(tuning.junta_hour_len);
+        }
+        m.interact(0, &mut a, &mut b, &mut rng);
+        assert_eq!(a.phase, 0);
+        assert_eq!(
+            a.as_collector().map(|c| c.tokens),
+            Some(6),
+            "a collector whose own clock ticked keeps its role and tokens"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "improved init hours")]
+    fn zero_init_hours_panic_at_construction() {
+        let tuning = Tuning {
+            improved_init_hours: 0,
+            ..Tuning::default()
+        };
+        Machine::new(Algorithm::Improved, 1000, 4, tuning);
+    }
+
+    #[test]
+    #[should_panic(expected = "improved init hours")]
+    fn init_hours_past_the_phase_range_panic_at_construction() {
+        let tuning = Tuning {
+            improved_init_hours: 128,
+            ..Tuning::default()
+        };
+        Machine::new(Algorithm::Improved, 1000, 4, tuning);
+    }
+
+    /// A random agent of the role with `role_index` `role` in `phase`,
+    /// `fin` and `winner` unset, every other field drawn at random: clock
+    /// counters below the period, and a collector's `ℓ` at its setup load
+    /// half the time (rule 2's settled collector).
+    fn random_agent(m: &Machine, role: usize, phase: i8, le_done: bool, rng: &mut SimRng) -> Agent {
+        let k = m.k;
+        let cap = m.tuning.merge_cap;
+        let mut junta = || JuntaState {
+            level: rng.gen_range(0..=m.sub_junta.max_level()),
+            active: rng.gen(),
+        };
+        let role = match role {
+            COLLECTOR => {
+                let mut c = Collector::new(0);
+                c.junta = junta();
+                c.opinion = rng.gen_range(1..=k);
+                c.tokens = rng.gen_range(1..=cap);
+                c.defender = rng.gen();
+                c.challenger = rng.gen();
+                c.played = rng.gen();
+                c.jc = rng.gen_range(0..1_000);
+                c.ell = if rng.gen() {
+                    Machine::setup_load(&c)
+                } else {
+                    rng.gen_range(-(cap as i8)..=cap as i8)
+                };
+                Role::Collector(c)
+            }
+            CLOCK => Role::Clock(Clock {
+                g: rng.gen_range(0..m.clock.period()),
+                sub: rng.gen_range(0..4),
+            }),
+            TRACKER => {
+                let junta = junta();
+                Role::Tracker(Tracker {
+                    tcnt: rng.gen_range(1..=k + 1),
+                    slot_op: rng.gen_range(0..=k),
+                    slot_kind: [
+                        SlotKind::Empty,
+                        SlotKind::Cand,
+                        SlotKind::Def,
+                        SlotKind::Chal,
+                    ][rng.gen_range(0..4usize)],
+                    lot: LotteryState {
+                        junta,
+                        p: rng.gen_range(0..1_000),
+                        candidate: rng.gen(),
+                        coin: rng.gen(),
+                        best_hour: rng.gen_range(0..100),
+                        best_coin: rng.gen(),
+                        leader: rng.gen(),
+                        done: rng.gen(),
+                    },
+                    leader_ctr: rng.gen_range(0..=m.leader_wait),
+                    def_picked: rng.gen(),
+                })
+            }
+            _ => {
+                let mut verdict =
+                    || [Verdict::Tie, Verdict::A, Verdict::B][rng.gen_range(0..3usize)];
+                let (po, out) = (verdict(), verdict());
+                Role::Player(Player {
+                    po,
+                    maj: MajState {
+                        sign: rng.gen_range(-1..=1),
+                        level: rng.gen_range(0..=m.maj.levels()),
+                        out,
+                        t: rng.gen_range(0..=m.maj.declare_threshold()),
+                    },
+                })
+            }
+        };
+        Agent {
+            phase,
+            role,
+            done_once: rng.gen(),
+            le_done,
+            fin: false,
+        }
+    }
+
+    /// The idle skip's invariant: whenever `idle(a, b)` holds, `transition`
+    /// leaves both agents, the milestones and the RNG as they were. Runs
+    /// every algorithm, reachable `le_done` value (only `true` under
+    /// `Simple`), phase 0–9 and role pair over random agents.
+    #[test]
+    fn idle_pairs_change_nothing() {
+        let mut gen = <SimRng as rand::SeedableRng>::seed_from_u64(11);
+        let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(12);
+        for algorithm in [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved] {
+            let mut m = Machine::new(algorithm, 1000, 4, Tuning::default());
+            let le_done_values: &[bool] = if algorithm.ordered() {
+                &[true]
+            } else {
+                &[false, true]
+            };
+            let (mut idle, mut settled) = (0, 0);
+            for &le_done in le_done_values {
+                for phase in 0..10 {
+                    for (ra, rb) in (0..16).map(|pair| (pair / 4, pair % 4)) {
+                        for _ in 0..100 {
+                            let a0 = random_agent(&m, ra, phase, le_done, &mut gen);
+                            let b0 = random_agent(&m, rb, phase, le_done, &mut gen);
+                            if !m.idle(&a0, &b0) {
+                                continue;
+                            }
+                            idle += 1;
+                            let live = LIVE[usize::from(algorithm.ordered())][usize::from(le_done)]
+                                [phase as usize];
+                            settled += live >> (4 * ra + rb) & 1;
+                            let (mut a, mut b) = (a0, b0);
+                            let before = rng.state();
+                            m.transition(gen.gen(), &mut a, &mut b, &mut rng);
+                            let case = format!("{algorithm:?}, le_done {le_done}, phase {phase}");
+                            assert_eq!((a, b), (a0, b0), "{case}: an idle pair changed");
+                            assert_eq!(rng.state(), before, "{case}: an idle pair drew");
+                            assert_eq!(m.milestones, Milestones::default(), "{case}");
+                        }
+                    }
+                }
+            }
+            assert!(idle > 0, "{algorithm:?}: no idle pair drawn");
+            if !algorithm.ordered() {
+                assert!(settled > 0, "{algorithm:?}: rule 2 never fired");
+            }
+        }
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! draw most of their cells with the large-mean binomial sampler. The
 //! paper's three protocols are pinned on the sequential engine at
 //! `n = 400`, each in a clean run to consensus and in a faulted, a
-//! scheduled and an adversarial run, and `Algorithm::Improved` also on
-//! `one_large(1000, 4, 400)`, clean to consensus.
+//! scheduled and an adversarial run, `Algorithm::Improved` also on
+//! `one_large(1000, 4, 400)`, clean to consensus, and each algorithm on
+//! `bias_one(2000, 8)`, clean to consensus at its own seed.
 
 use exact_plurality::baselines::UsdTable;
 use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner, TallyPaths};
@@ -418,13 +419,14 @@ const PAPER_MODES: [Mode; 4] = [
 const PAPER_CLEAN_BUDGET: f64 = 100_000.0;
 const PAPER_BUDGET: f64 = 600.0;
 
-/// Fold a run of one of the paper's protocols on `counts`: its result,
-/// clock, RNG state, milestones and each agent's `Debug` text (`Agent`
-/// has no `Hash`, and `encode` is not injective).
-fn paper_digest(algorithm: Algorithm, counts: &Counts, mode: Mode) -> u64 {
+/// Fold a run of one of the paper's protocols on `counts` from `seed`:
+/// its result, clock, RNG state, milestones and each agent's `Debug` text
+/// (`Agent` has no `Hash`, and `encode` is not injective). Returns the
+/// digest and the run's result.
+fn paper_digest(algorithm: Algorithm, counts: &Counts, mode: Mode, seed: u64) -> (u64, RunResult) {
     let assignment = counts.assignment();
     let (machine, states) = Machine::start(algorithm, &assignment, Tuning::default());
-    let mut sim = Simulation::new(machine, states.clone(), SEED);
+    let mut sim = Simulation::new(machine, states.clone(), seed);
     let budget = match mode {
         Mode::Clean => PAPER_CLEAN_BUDGET,
         _ => PAPER_BUDGET,
@@ -446,7 +448,7 @@ fn paper_digest(algorithm: Algorithm, counts: &Counts, mode: Mode) -> u64 {
     for s in sim.states() {
         h.bytes(format!("{s:?}").as_bytes());
     }
-    h.0
+    (h.0, r)
 }
 
 #[test]
@@ -455,7 +457,7 @@ fn paper_protocol_streams_are_pinned() {
         .iter()
         .flat_map(|&m| {
             [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved]
-                .map(|algorithm| paper_digest(algorithm, &Counts::bias_one(400, 3), m))
+                .map(|algorithm| paper_digest(algorithm, &Counts::bias_one(400, 3), m, SEED).0)
         })
         .collect();
     assert_pinned("paper protocols n=400", &got, &PAPER);
@@ -468,8 +470,34 @@ fn paper_protocol_streams_are_pinned() {
 #[test]
 fn improved_pruning_stream_is_pinned() {
     let counts = Counts::one_large(1_000, 4, 400);
-    let got = [paper_digest(Algorithm::Improved, &counts, Mode::Clean)];
+    let got = [paper_digest(Algorithm::Improved, &counts, Mode::Clean, SEED).0];
     assert_pinned("paper improved one_large n=1e3", &got, &PAPER_PRUNING);
+}
+
+/// The many-tournament pins: each algorithm on `bias_one(2000, 8)`
+/// (supports 251, 250×6, 249; the plurality is opinion 1), clean to
+/// consensus from its own seed. These runs play up to seven tournaments,
+/// and the `Unordered` and `Improved` runs take the failure-containment
+/// path (two defender opinions meeting outside phases 8 and 9). Those two
+/// answer wrong, runner-ups of the plurality; ROADMAP item 1's fix is
+/// expected to move them.
+#[test]
+fn paper_protocols_at_eight_opinions_are_pinned() {
+    let counts = Counts::bias_one(2_000, 8);
+    let runs = [
+        (Algorithm::Simple, 5, 1, 21_626_000),
+        (Algorithm::Unordered, 13, 2, 25_686_000),
+        (Algorithm::Improved, 12, 5, 26_376_000),
+    ];
+    let got = runs.map(|(algorithm, seed, output, interactions)| {
+        let (digest, r) = paper_digest(algorithm, &counts, Mode::Clean, seed);
+        let name = algorithm.name();
+        assert_eq!(r.status, RunStatus::Converged, "{name}");
+        assert_eq!(r.output, Some(output), "{name}");
+        assert_eq!(r.interactions, interactions, "{name}");
+        digest
+    });
+    assert_pinned("paper protocols bias_one(2000, 8)", &got, &PAPER_EIGHT);
 }
 
 // Recorded digests, in `seq_modes()` order for the sequential engine and
@@ -572,3 +600,11 @@ const PAPER: [u64; 12] = [
 
 /// `Algorithm::Improved` on `one_large(1000, 4, 400)`, clean.
 const PAPER_PRUNING: [u64; 1] = [0x7471_ea52_c16d_62d4];
+
+/// Simple (seed 5), unordered (seed 13), then improved (seed 12) on
+/// `bias_one(2000, 8)`, clean.
+const PAPER_EIGHT: [u64; 3] = [
+    0xf07e_a18a_2775_1d7c,
+    0xde63_5486_e36f_237e,
+    0x0a7d_38c1_45c3_fc96,
+];
