@@ -22,12 +22,22 @@
 //!
 //! Each tournament phase gives one rule to one or two role pairs, and the
 //! odd phases are buffers, so most pairs that meet change nothing.
-//! [`Protocol::interact`] first asks `Machine::idle`, a pure predicate,
-//! and returns at once when it holds; otherwise `Machine::transition`
-//! runs the phase handlers, which stay the one definition of every
-//! transition. A pair is idle when both agents are in the same tournament
-//! phase `p ≥ 0` with equal `le_done`, neither has `fin` set, neither is a
-//! winner, and one of these holds:
+//! `Machine` opts into the engine's quiet-pair contract
+//! ([`Protocol::CLASSED`]): [`Protocol::class`] sums an agent up in one
+//! byte, and [`Protocol::quiet`] reads one bit of the const table `QUIET`
+//! for an (initiator, responder) pair of classes. The sequential engine
+//! caches each agent's class and skips a quiet pair without reading
+//! either agent; otherwise [`Protocol::interact`] runs the phase
+//! handlers, which stay the one definition of every transition.
+//!
+//! A class encodes what the idle rules read: the tournament phase
+//! `p ∈ 0..=9`, `le_done`, the role, and a settled bit (a collector whose
+//! `ℓ` already holds its setup load, or a tracker that is not the
+//! lottery's leader), 160 classes in all. An agent still initializing
+//! (`p < 0`), with `fin` set, or a winner is
+//! [`UNCLASSED`], which is never quiet. Two classes
+//! are quiet when they share the phase `p` and `le_done`, and one of these
+//! holds:
 //!
 //! 1. the const mask `LIVE[ordered][le_done][p]` has no bit for the pair
 //!    (initiator role, responder role). `live_pairs` builds it from the
@@ -40,23 +50,23 @@
 //!    [`Algorithm::Simple`] collector–tracker in every phase (challenger
 //!    bits, the final broadcast at `tcnt = k + 1`);
 //! 2. in phase 0 of the unordered variants, one agent is a clock or a
-//!    player and the other is settled: a collector whose `ℓ` already holds
-//!    its setup load, or a tracker that is not the lottery's leader (only
-//!    the leader acts on a partner that is neither a collector nor a
-//!    tracker).
+//!    player and the other is settled (only the leader acts on a partner
+//!    that is neither a collector nor a tracker).
 //!
-//! An idle pair would run through `transition` without a write: the
-//! broadcast flags are equal, phase propagation sees equal phases, and no
-//! handler's role pattern fits. No path it skips draws from the RNG or
-//! records a milestone. The unit test `idle_pairs_change_nothing` checks
-//! this invariant on random agents of every algorithm, reachable
-//! `le_done` value, phase 0–9 and role pair: whenever `idle(a, b)` holds,
-//! `transition` leaves both agents, the [`Milestones`] and the RNG state
-//! exactly as they were.
+//! `quiet_pairs` builds `QUIET[ordered]`, a 256 × 256-bit table whose
+//! rows and columns from 160 on are zero, from `LIVE` and rule 2 at
+//! compile time. A quiet pair would run through `interact` without a
+//! write: the broadcast flags are equal, phase propagation sees equal
+//! phases, and no handler's role pattern fits. No path it skips draws
+//! from the RNG or records a milestone. The unit test
+//! `idle_pairs_change_nothing` checks this contract on random agents of
+//! every algorithm, reachable `le_done` value, phase 0–9 and role pair:
+//! whenever `quiet(class(a), class(b))` holds, `interact` leaves both
+//! agents, the [`Milestones`] and the RNG state exactly as they were.
 
 use pp_clocks::{FormJunta, JuntaClock, LeaderlessClock, PhaseSchedule};
 use pp_dynamics::balance;
-use pp_engine::{Protocol, Replacement, SimRng};
+use pp_engine::{Protocol, Replacement, SimRng, UNCLASSED};
 use pp_leader::Lottery;
 use pp_majority::{CancelSplit, Verdict};
 use pp_workloads::OpinionAssignment;
@@ -112,20 +122,11 @@ impl Algorithm {
     }
 }
 
-/// Role indices of the [`LIVE`] pair masks.
+/// Role indices of the [`LIVE`] pair masks and the classes.
 const COLLECTOR: usize = 0;
 const CLOCK: usize = 1;
 const TRACKER: usize = 2;
 const PLAYER: usize = 3;
-
-fn role_index(role: &Role) -> usize {
-    match role {
-        Role::Collector(_) => COLLECTOR,
-        Role::Clock(_) => CLOCK,
-        Role::Tracker(_) => TRACKER,
-        Role::Player(_) => PLAYER,
-    }
-}
 
 /// The role pairs some rule reads, as bits `1 << (4·initiator +
 /// responder)`, indexed by `[ordered][le_done][phase]`. Two agents of the
@@ -174,6 +175,56 @@ const fn live_pairs() -> [[[u16; 10]; 2]; 2] {
         i += 1;
     }
     live
+}
+
+/// The number of classes: tournament phase 0–9 × `le_done` × role ×
+/// settled.
+const CLASSES: usize = 160;
+
+// Every class lies below `CLASSES`, which lies below `UNCLASSED`.
+const _: () = assert!(class_of(9, 1, PLAYER, true) as usize + 1 == CLASSES);
+const _: () = assert!(CLASSES <= UNCLASSED as usize);
+
+/// The class of an agent in tournament `phase` with the given `le_done`,
+/// role index and rule 2's `settled` bit.
+const fn class_of(phase: usize, le_done: usize, role: usize, settled: bool) -> u8 {
+    (((phase * 2 + le_done) * 4 + role) * 2 + settled as usize) as u8
+}
+
+/// The quiet pairs of classes, as bits: an initiator of class `a` and a
+/// responder of class `b` are quiet when bit `b % 64` of
+/// `QUIET[ordered][a][b / 64]` is set. Rows and columns from [`CLASSES`]
+/// on, [`UNCLASSED`] among them, are zero.
+const QUIET: [[[u64; 4]; 256]; 2] = quiet_pairs();
+
+/// Builds [`QUIET`] from [`LIVE`] and rule 2 of the module doc: a pair is
+/// quiet when both agents share the phase and `le_done`, and their role
+/// pair has no [`LIVE`] bit or a worker meets a settled partner in
+/// unordered setup.
+const fn quiet_pairs() -> [[[u64; 4]; 256]; 2] {
+    const fn worker(role: usize) -> bool {
+        role == CLOCK || role == PLAYER
+    }
+    let mut quiet = [[[0; 4]; 256]; 2];
+    let mut i = 0;
+    while i < 2 * 20 * 16 * 4 {
+        let (ordered, lane, roles, settled) = (i / 1280, i / 64 % 20, i / 4 % 16, i % 4);
+        let (phase, le_done) = (lane / 2, lane % 2);
+        let (ra, rb) = (roles / 4, roles % 4);
+        let (sa, sb) = (
+            settled / 2 == 1 && !worker(ra),
+            settled % 2 == 1 && !worker(rb),
+        );
+        let live = LIVE[ordered][le_done][phase] >> (4 * ra + rb) & 1 == 1;
+        let rule2 = phase == 0 && ordered == 0 && (worker(ra) && sb || worker(rb) && sa);
+        if !live || rule2 {
+            let a = class_of(phase, le_done, ra, settled / 2 == 1) as usize;
+            let b = class_of(phase, le_done, rb, settled % 2 == 1) as usize;
+            quiet[ordered][a][b / 64] |= 1 << (b % 64);
+        }
+        i += 1;
+    }
+    quiet
 }
 
 /// Interaction indices of notable global events, for experiments.
@@ -825,39 +876,16 @@ impl Machine {
             }
         }
     }
+}
 
-    /// Whether `transition(a, b)` would change nothing: the module doc's
-    /// idle skip.
-    #[inline]
-    fn idle(&self, a: &Agent, b: &Agent) -> bool {
-        let phase = a.phase;
-        if phase < 0
-            || phase != b.phase
-            || a.le_done != b.le_done
-            || a.fin
-            || b.fin
-            || a.is_winner()
-            || b.is_winner()
-        {
-            return false;
-        }
-        let ordered = self.algorithm.ordered();
-        let live = LIVE[usize::from(ordered)][usize::from(a.le_done)][phase as usize];
-        if live >> (4 * role_index(&a.role) + role_index(&b.role)) & 1 == 0 {
-            return true;
-        }
-        // Rule 2: a worker meets a settled partner in unordered setup.
-        let worker = |x: &Agent| matches!(x.role, Role::Clock(_) | Role::Player(_));
-        let settled = |x: &Agent| match &x.role {
-            Role::Collector(c) => c.ell == Self::setup_load(c),
-            Role::Tracker(tr) => !tr.lot.leader,
-            Role::Clock(_) | Role::Player(_) => false,
-        };
-        phase == 0 && !ordered && (worker(a) && settled(b) || worker(b) && settled(a))
-    }
+impl Protocol for Machine {
+    type State = Agent;
 
-    /// One interaction of the full protocol (`a` initiates).
-    fn transition(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
+    const CLASSED: bool = true;
+
+    /// One interaction of the full protocol (`a` initiates). A quiet pair
+    /// runs through it without a write (the module doc's quiet pairs).
+    fn interact(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
         // §3.4 final broadcast dominates everything.
         if a.is_winner() || b.is_winner() {
             self.spread_winner(a, b);
@@ -892,17 +920,30 @@ impl Machine {
         }
         self.tournament_step(t, a, b, rng);
     }
-}
 
-impl Protocol for Machine {
-    type State = Agent;
-
-    /// One interaction of the full protocol (`a` initiates): nothing when
-    /// the pair is idle, else the full transition.
-    fn interact(&mut self, t: u64, a: &mut Agent, b: &mut Agent, rng: &mut SimRng) {
-        if !self.idle(a, b) {
-            self.transition(t, a, b, rng);
+    /// The module doc's class: the tournament phase, `le_done`, the role
+    /// and rule 2's settled bit, or [`UNCLASSED`] for an agent still
+    /// initializing, with `fin` set, or a winner.
+    #[inline]
+    fn class(&self, x: &Agent) -> u8 {
+        if !(0..=9).contains(&x.phase) || x.fin {
+            return UNCLASSED;
         }
+        let (role, settled) = match &x.role {
+            Role::Collector(c) if c.winner => return UNCLASSED,
+            Role::Collector(c) => (COLLECTOR, c.ell == Self::setup_load(c)),
+            Role::Clock(_) => (CLOCK, false),
+            Role::Tracker(tr) => (TRACKER, !tr.lot.leader),
+            Role::Player(_) => (PLAYER, false),
+        };
+        class_of(x.phase as usize, usize::from(x.le_done), role, settled)
+    }
+
+    /// One bit of the module doc's `QUIET` table.
+    #[inline]
+    fn quiet(&self, a: u8, b: u8) -> bool {
+        let row = &QUIET[usize::from(self.algorithm.ordered())][usize::from(a)];
+        row[usize::from(b >> 6)] >> (b & 63) & 1 == 1
     }
 
     /// All agents are winner-collectors of the same opinion.
@@ -1480,10 +1521,10 @@ mod tests {
         }
     }
 
-    /// The idle skip's invariant: whenever `idle(a, b)` holds, `transition`
-    /// leaves both agents, the milestones and the RNG as they were. Runs
-    /// every algorithm, reachable `le_done` value (only `true` under
-    /// `Simple`), phase 0–9 and role pair over random agents.
+    /// The quiet-pair contract: whenever `quiet(class(a), class(b))`
+    /// holds, `interact` leaves both agents, the milestones and the RNG as
+    /// they were. Runs every algorithm, reachable `le_done` value (only
+    /// `true` under `Simple`), phase 0–9 and role pair over random agents.
     #[test]
     fn idle_pairs_change_nothing() {
         let mut gen = <SimRng as rand::SeedableRng>::seed_from_u64(11);
@@ -1502,7 +1543,7 @@ mod tests {
                         for _ in 0..100 {
                             let a0 = random_agent(&m, ra, phase, le_done, &mut gen);
                             let b0 = random_agent(&m, rb, phase, le_done, &mut gen);
-                            if !m.idle(&a0, &b0) {
+                            if !m.quiet(m.class(&a0), m.class(&b0)) {
                                 continue;
                             }
                             idle += 1;
@@ -1511,7 +1552,7 @@ mod tests {
                             settled += live >> (4 * ra + rb) & 1;
                             let (mut a, mut b) = (a0, b0);
                             let before = rng.state();
-                            m.transition(gen.gen(), &mut a, &mut b, &mut rng);
+                            m.interact(gen.gen(), &mut a, &mut b, &mut rng);
                             let case = format!("{algorithm:?}, le_done {le_done}, phase {phase}");
                             assert_eq!((a, b), (a0, b0), "{case}: an idle pair changed");
                             assert_eq!(rng.state(), before, "{case}: an idle pair drew");
@@ -1523,6 +1564,32 @@ mod tests {
             assert!(idle > 0, "{algorithm:?}: no idle pair drawn");
             if !algorithm.ordered() {
                 assert!(settled > 0, "{algorithm:?}: rule 2 never fired");
+            }
+        }
+    }
+
+    /// What the quiet table cannot judge is unclassed: an agent still
+    /// initializing, one with `fin` set and a winner. No class is quiet
+    /// with `UNCLASSED`.
+    #[test]
+    fn unjudgeable_agents_are_unclassed_and_never_quiet() {
+        let mut gen = <SimRng as rand::SeedableRng>::seed_from_u64(13);
+        for algorithm in [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved] {
+            let m = Machine::new(algorithm, 1000, 4, Tuning::default());
+            for role in 0..4 {
+                let init = random_agent(&m, role, m.initial_phase(), false, &mut gen);
+                let mut fin = random_agent(&m, role, 3, true, &mut gen);
+                fin.fin = true;
+                assert_eq!(m.class(&init), UNCLASSED, "{algorithm:?}");
+                assert_eq!(m.class(&fin), UNCLASSED, "{algorithm:?}");
+            }
+            let mut winner = random_agent(&m, COLLECTOR, 8, true, &mut gen);
+            if let Role::Collector(c) = &mut winner.role {
+                c.winner = true;
+            }
+            assert_eq!(m.class(&winner), UNCLASSED, "{algorithm:?}");
+            for c in 0..=u8::MAX {
+                assert!(!m.quiet(c, UNCLASSED) && !m.quiet(UNCLASSED, c));
             }
         }
     }

@@ -16,7 +16,14 @@
 //! (see [`pair::sample_pair`]). With no scheduler and no adversary
 //! installed, a stride runs as one tight loop of pair draw, two-agent
 //! borrow and transition, and the `O(n)` convergence scan runs between
-//! strides, never mid-stride. This engine handles *any* [`Protocol`],
+//! strides, never mid-stride. A protocol that opts into quiet pairs
+//! ([`Protocol::CLASSED`]) also gets one class byte per agent beside the
+//! states: the loop first looks up the two agents' classes and skips a
+//! quiet pair before it touches either agent, and it re-classes both
+//! after every transition. The paper's tournament machine opts in, and
+//! on one large opinion among small ones most of its pairs end at that
+//! lookup; protocols that do not opt in keep the plain loop, with no
+//! class array. This engine handles *any* [`Protocol`],
 //! including the paper's own `Θ(k + log n)`-state algorithms with their
 //! milestone bookkeeping, and tops out around `n ≈ 10⁶` in practice.
 //!
@@ -122,7 +129,7 @@ pub use fault::{
     AdaptiveStrategy, AdversarySpec, ChurnSpec, ChurnTarget, FaultRecord, FaultSpec, Forgery,
     LieTarget, OpinionCensus, Replacement, SchedulerSpec,
 };
-pub use protocol::{Protocol, SimRng};
+pub use protocol::{Protocol, SimRng, UNCLASSED};
 pub use result::{ChurnSample, RunNote, RunOptions, RunResult, RunStatus};
 pub use segment::SegmentRunner;
 pub use sim::Simulation;

@@ -12,6 +12,10 @@ use crate::fault::Replacement;
 /// independent seeds per trial via [`crate::rng::derive`].
 pub type SimRng = SmallRng;
 
+/// The class of an agent whose class is unknown or that has none; never
+/// [`quiet`](Protocol::quiet) with any class.
+pub const UNCLASSED: u8 = u8::MAX;
+
 /// A population protocol: per-agent state plus a pairwise transition
 /// function.
 ///
@@ -25,9 +29,36 @@ pub type SimRng = SmallRng;
 /// those that flip internal coins (e.g. role selection with probability 1/3)
 /// draw from the provided RNG, which models the standard synthetic-coin
 /// construction.
+///
+/// # Quiet pairs
+///
+/// A protocol whose pairs mostly change nothing may let the sequential
+/// engine skip them without reading either agent. It opts in by setting
+/// [`CLASSED`](Protocol::CLASSED) and implementing
+/// [`class`](Protocol::class), a one-byte summary of a state, and
+/// [`quiet`](Protocol::quiet), a predicate on an (initiator, responder)
+/// pair of classes. The contract: `quiet(class(a), class(b))` may hold
+/// only when `interact(t, a, b, rng)` would write neither state, draw no
+/// RNG word and record nothing, for every `t`. [`UNCLASSED`] is never
+/// quiet with any class.
+///
+/// [`Simulation`](crate::Simulation) then keeps one class byte per agent
+/// beside the states and skips a quiet pair before it touches either
+/// agent. Its cache may be conservative but is never stale: a cached
+/// class is either [`UNCLASSED`] (an agent not yet classed since the
+/// start or since a fault struck it, which takes the full transition
+/// once) or `class` of the agent's current state. So a quiet skip leaves
+/// the run exactly as `interact` would, in every state, RNG word and
+/// milestone. Protocols that do not opt in (the default) compile to the
+/// plain loop, with no class array and no class store.
 pub trait Protocol {
     /// Per-agent state.
     type State: Clone + Send + Sync + std::fmt::Debug;
+
+    /// Whether the sequential engine caches [`class`](Protocol::class)
+    /// per agent and skips [`quiet`](Protocol::quiet) pairs (the trait
+    /// doc's quiet-pair contract). Off by default.
+    const CLASSED: bool = false;
 
     /// Apply one interaction at (zero-based) interaction index `t`.
     ///
@@ -35,6 +66,23 @@ pub trait Protocol {
     /// pairs, and several of the paper's transitions are asymmetric (e.g.
     /// only the initiator's clock counter moves).
     fn interact(&mut self, t: u64, a: &mut Self::State, b: &mut Self::State, rng: &mut SimRng);
+
+    /// The one-byte class of `state`, a pure function of the state; read
+    /// only when [`CLASSED`](Protocol::CLASSED) is set. The default classes
+    /// nothing.
+    fn class(&self, state: &Self::State) -> u8 {
+        let _ = state;
+        UNCLASSED
+    }
+
+    /// Whether an initiator of class `a` and a responder of class `b`
+    /// form a quiet pair, one whose `interact` writes neither state, draws
+    /// no RNG word and records nothing. Must be `false` whenever either
+    /// class is [`UNCLASSED`]. The default holds for no pair.
+    fn quiet(&self, a: u8, b: u8) -> bool {
+        let _ = (a, b);
+        false
+    }
 
     /// Whether the configuration has reached the protocol's target, and if
     /// so which output (opinion identifier) it carries.

@@ -9,7 +9,7 @@ use crate::fault::{
     SCHEDULER_RETRIES, SCHEDULER_SATURATION_STREAK,
 };
 use crate::pair::{pair_mut, sample_pair};
-use crate::protocol::{Protocol, SimRng};
+use crate::protocol::{Protocol, SimRng, UNCLASSED};
 use crate::result::{RunOptions, RunResult, RunStatus};
 
 /// A single simulation instance: a protocol, a configuration (one state per
@@ -18,6 +18,12 @@ use crate::result::{RunOptions, RunResult, RunStatus};
 pub struct Simulation<P: Protocol> {
     protocol: P,
     states: Vec<P::State>,
+    /// One cached [`Protocol::class`] per agent when the protocol opts in
+    /// ([`Protocol::CLASSED`]), else empty. Each entry is [`UNCLASSED`]
+    /// or the class of the agent's current state: it starts `UNCLASSED`,
+    /// is refreshed after every transition that may write the agent, and
+    /// is reset when a fault strikes it.
+    classes: Vec<u8>,
     rng: SimRng,
     clock: Clock,
     scheduler: Option<SchedulerSpec>,
@@ -43,9 +49,18 @@ impl<P: Protocol> Simulation<P> {
             states.len() >= 2,
             "population must contain at least two agents"
         );
+        // A memset: classing every agent here would cost more than the
+        // pairs it saves, and an unclassed agent is classed by its first
+        // transition.
+        let classes = if P::CLASSED {
+            vec![UNCLASSED; states.len()]
+        } else {
+            Vec::new()
+        };
         Self {
             protocol,
             states,
+            classes,
             rng: SimRng::seed_from_u64(seed),
             clock: Clock::default(),
             scheduler: None,
@@ -144,12 +159,43 @@ impl<P: Protocol> Simulation<P> {
         (i, j)
     }
 
-    /// The protocol's transition of initiator `i` and responder `j`.
+    /// The protocol's transition of initiator `i` and responder `j`. A
+    /// protocol that opts into classes skips a quiet pair on the two
+    /// cached class bytes alone, without reading either agent, and
+    /// re-classes both agents after a transition.
     #[inline(always)]
     fn interact_honest(&mut self, i: usize, j: usize) {
+        if P::CLASSED {
+            debug_assert!(
+                self.class_is_fresh(i) && self.class_is_fresh(j),
+                "a cached class is stale"
+            );
+            if self.protocol.quiet(self.classes[i], self.classes[j]) {
+                return;
+            }
+        }
         let t = self.clock.interactions;
         let (a, b) = pair_mut(&mut self.states, i, j);
         self.protocol.interact(t, a, b, &mut self.rng);
+        if P::CLASSED {
+            self.classes[i] = self.protocol.class(a);
+            self.classes[j] = self.protocol.class(b);
+        }
+    }
+
+    /// Refresh agent `i`'s cached class after a transition that may have
+    /// written it.
+    fn reclass(&mut self, i: usize) {
+        if P::CLASSED {
+            self.classes[i] = self.protocol.class(&self.states[i]);
+        }
+    }
+
+    /// Whether agent `i`'s cached class is [`UNCLASSED`] or the class of
+    /// its state: the cache may be conservative but never stale.
+    fn class_is_fresh(&self, i: usize) -> bool {
+        let cached = self.classes[i];
+        cached == UNCLASSED || cached == self.protocol.class(&self.states[i])
     }
 
     /// One interaction under a Byzantine adversary: each participant
@@ -185,10 +231,12 @@ impl<P: Protocol> Simulation<P> {
                 // Initiator lies: only the responder's transition is real.
                 self.protocol
                     .interact(t, &mut fake_a, &mut self.states[j], &mut self.rng);
+                self.reclass(j);
             }
             (None, Some(mut fake_b)) => {
                 self.protocol
                     .interact(t, &mut self.states[i], &mut fake_b, &mut self.rng);
+                self.reclass(i);
             }
             (Some(_), Some(_)) => {}
         }
@@ -394,7 +442,8 @@ impl<P: Protocol> Engine for Simulation<P> {
     /// fault's probability. [`Replacement::Rejoin`] restores the
     /// victim's initial state; the other kinds delegate to
     /// [`Protocol::fault_state`], and a protocol returning `None` leaves
-    /// the victim untouched (faults degrade, never panic).
+    /// the victim untouched (faults degrade, never panic). Each victim's
+    /// cached class becomes [`UNCLASSED`].
     fn strike(&mut self, initial: &[P::State], fault: FaultSpec) {
         let (frac, replacement) = fault.strike();
         if frac <= 0.0 {
@@ -403,12 +452,16 @@ impl<P: Protocol> Engine for Simulation<P> {
         let Self {
             protocol,
             states,
+            classes,
             rng,
             ..
         } = self;
-        for (state, init) in states.iter_mut().zip(initial) {
+        for (i, (state, init)) in states.iter_mut().zip(initial).enumerate() {
             if !rng.gen_bool(frac) {
                 continue;
+            }
+            if P::CLASSED {
+                classes[i] = UNCLASSED;
             }
             match replacement {
                 Replacement::Rejoin => *state = init.clone(),
@@ -487,6 +540,115 @@ mod tests {
             "census = {}",
             census.len()
         );
+    }
+
+    /// A toy protocol that opts into classes, for the cache contract.
+    /// Each agent holds one of four colours, which is its class; equal
+    /// colours are quiet. Otherwise the initiator draws a word and paints
+    /// the responder, takes its colour, or does nothing. Faults and
+    /// forgeries produce colour 3, which no initial agent holds, so a
+    /// struck agent and the real side of a one-sided lie change class.
+    /// `SKIP = false` runs the same transitions with the skip off.
+    #[derive(Debug, Default)]
+    struct Paint<const SKIP: bool> {
+        /// How often the engine called `interact`: instrumentation of
+        /// the skip, not an output of the protocol.
+        calls: u64,
+    }
+
+    impl<const SKIP: bool> Protocol for Paint<SKIP> {
+        type State = u8;
+        const CLASSED: bool = SKIP;
+        fn interact(&mut self, _t: u64, a: &mut u8, b: &mut u8, rng: &mut SimRng) {
+            self.calls += 1;
+            if a == b {
+                return;
+            }
+            match rng.gen_range(0..4) {
+                0 => *b = *a,
+                1 => *a = *b,
+                _ => {}
+            }
+        }
+        fn converged(&self, states: &[u8]) -> Option<u32> {
+            let first = states[0];
+            states.iter().all(|&s| s == first).then_some(first.into())
+        }
+        fn class(&self, state: &u8) -> u8 {
+            *state
+        }
+        fn quiet(&self, a: u8, b: u8) -> bool {
+            a == b && a != UNCLASSED
+        }
+        fn fault_state(&self, replacement: &Replacement, _rng: &mut SimRng) -> Option<u8> {
+            (*replacement != Replacement::Rejoin).then_some(3)
+        }
+        fn opinion_of(&self, state: &u8) -> Option<u32> {
+            Some((*state).into())
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum PaintMode {
+        Clean,
+        Scheduler(&'static str),
+        Adversary(&'static str),
+        Faults(&'static str),
+    }
+
+    /// One run of [`Paint`] in `mode`: its result and final states, RNG
+    /// state and interaction count, then the `interact` calls.
+    fn paint_run<const SKIP: bool>(mode: PaintMode) -> ((String, Vec<u8>, [u64; 4], u64), u64) {
+        let states = (0..60).map(|i| i % 3).collect();
+        let mut sim = Simulation::new(Paint::<SKIP>::default(), states, 3);
+        let opts = RunOptions::with_parallel_time_budget(60, 200.0);
+        let r = match mode {
+            PaintMode::Clean => sim.run(&opts),
+            PaintMode::Scheduler(spec) => {
+                sim.set_scheduler(spec.parse().expect("scheduler parses"));
+                sim.run(&opts)
+            }
+            PaintMode::Adversary(spec) => {
+                sim.set_adversary(spec.parse().expect("adversary parses"));
+                sim.run(&opts)
+            }
+            PaintMode::Faults(spec) => {
+                sim.run_faulted(&opts, &FaultSpec::parse_list(spec).expect("faults parse"))
+            }
+        };
+        let end = (
+            format!("{r:?}"),
+            sim.states().to_vec(),
+            sim.rng_state(),
+            sim.interactions(),
+        );
+        (end, sim.protocol().calls)
+    }
+
+    /// The class cache is conservative but never stale: a run that skips
+    /// quiet pairs ends exactly as the same transitions run with the skip
+    /// off, in every mode that writes an agent outside a plain transition
+    /// (one-sided lies, strikes) or draws pairs another way, and it does
+    /// skip pairs.
+    #[test]
+    fn quiet_skip_replays_the_unskipped_run() {
+        let modes = [
+            PaintMode::Clean,
+            PaintMode::Scheduler("pairbias:0.3"),
+            PaintMode::Scheduler("starve:1:0.5"),
+            PaintMode::Adversary("byz:0.05"),
+            PaintMode::Adversary("adaptive:0.05"),
+            PaintMode::Faults("corrupt@20:0.2,churn@40:0.2,inject@60:0.2:1"),
+        ];
+        for mode in modes {
+            let (skipped, skipped_calls) = paint_run::<true>(mode);
+            let (full, full_calls) = paint_run::<false>(mode);
+            assert_eq!(skipped, full, "{mode:?}: the skip moved the run");
+            assert!(
+                skipped_calls < full_calls,
+                "{mode:?}: no pair skipped ({skipped_calls} of {full_calls} calls)"
+            );
+        }
     }
 
     #[test]

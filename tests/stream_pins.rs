@@ -32,6 +32,7 @@
 //! `bias_one(2000, 8)`, clean to consensus at its own seed.
 
 use exact_plurality::baselines::UsdTable;
+use exact_plurality::core::tournament::Milestones;
 use exact_plurality::engine::{AdversarySpec, ChurnProcess, RunResult, SegmentRunner, TallyPaths};
 use exact_plurality::majority::{four_state_counts, FourState, ThreeState};
 use exact_plurality::prelude::*;
@@ -120,6 +121,8 @@ enum Mode {
     Adversary(&'static str),
     /// A faulted run under `pairbias:0.3` and `byz:0.05:2` together.
     Hostile,
+    /// A run under the given fault plan.
+    FaultPlan(&'static str),
 }
 
 const MODES: [Mode; 9] = [
@@ -172,6 +175,9 @@ macro_rules! drive {
                 sim.set_scheduler(scheduler("pairbias:0.3"));
                 sim.set_adversary(adversary("byz:0.05:2"));
                 sim.run_faulted(&$opts, &faults())
+            }
+            Mode::FaultPlan(spec) => {
+                sim.run_faulted(&$opts, &FaultSpec::parse_list(spec).expect("faults parse"))
             }
         }
     }};
@@ -419,18 +425,29 @@ const PAPER_MODES: [Mode; 4] = [
 const PAPER_CLEAN_BUDGET: f64 = 100_000.0;
 const PAPER_BUDGET: f64 = 600.0;
 
-/// Fold a run of one of the paper's protocols on `counts` from `seed`:
-/// its result, clock, RNG state, milestones and each agent's `Debug` text
-/// (`Agent` has no `Hash`, and `encode` is not injective). Returns the
-/// digest and the run's result.
-fn paper_digest(algorithm: Algorithm, counts: &Counts, mode: Mode, seed: u64) -> (u64, RunResult) {
+/// The budget of a paper-protocol pin in `mode`.
+fn paper_budget(mode: Mode) -> f64 {
+    match mode {
+        Mode::Clean => PAPER_CLEAN_BUDGET,
+        _ => PAPER_BUDGET,
+    }
+}
+
+/// Fold a run of one of the paper's protocols on `counts` from `seed`,
+/// capped at `budget` parallel time: its result, clock, RNG state,
+/// milestones and each agent's `Debug` text (`Agent` has no `Hash`, and
+/// `encode` is not injective). Returns the digest, the run's result and
+/// its milestones.
+fn paper_digest(
+    algorithm: Algorithm,
+    counts: &Counts,
+    mode: Mode,
+    seed: u64,
+    budget: f64,
+) -> (u64, RunResult, Milestones) {
     let assignment = counts.assignment();
     let (machine, states) = Machine::start(algorithm, &assignment, Tuning::default());
     let mut sim = Simulation::new(machine, states.clone(), seed);
-    let budget = match mode {
-        Mode::Clean => PAPER_CLEAN_BUDGET,
-        _ => PAPER_BUDGET,
-    };
     let opts = RunOptions::with_parallel_time_budget(assignment.n(), budget);
     let r = drive!(sim, mode, opts);
     let mut h = Fnv::new();
@@ -448,7 +465,7 @@ fn paper_digest(algorithm: Algorithm, counts: &Counts, mode: Mode, seed: u64) ->
     for s in sim.states() {
         h.bytes(format!("{s:?}").as_bytes());
     }
-    (h.0, r)
+    (h.0, r, ms)
 }
 
 #[test]
@@ -456,8 +473,10 @@ fn paper_protocol_streams_are_pinned() {
     let got: Vec<u64> = PAPER_MODES
         .iter()
         .flat_map(|&m| {
-            [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved]
-                .map(|algorithm| paper_digest(algorithm, &Counts::bias_one(400, 3), m, SEED).0)
+            [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved].map(|algorithm| {
+                let counts = Counts::bias_one(400, 3);
+                paper_digest(algorithm, &counts, m, SEED, paper_budget(m)).0
+            })
         })
         .collect();
     assert_pinned("paper protocols n=400", &got, &PAPER);
@@ -470,7 +489,15 @@ fn paper_protocol_streams_are_pinned() {
 #[test]
 fn improved_pruning_stream_is_pinned() {
     let counts = Counts::one_large(1_000, 4, 400);
-    let got = [paper_digest(Algorithm::Improved, &counts, Mode::Clean, SEED).0];
+    let clean = Mode::Clean;
+    let got = [paper_digest(
+        Algorithm::Improved,
+        &counts,
+        clean,
+        SEED,
+        paper_budget(clean),
+    )
+    .0];
     assert_pinned("paper improved one_large n=1e3", &got, &PAPER_PRUNING);
 }
 
@@ -490,7 +517,8 @@ fn paper_protocols_at_eight_opinions_are_pinned() {
         (Algorithm::Improved, 12, 5, 26_376_000),
     ];
     let got = runs.map(|(algorithm, seed, output, interactions)| {
-        let (digest, r) = paper_digest(algorithm, &counts, Mode::Clean, seed);
+        let (digest, r, _) =
+            paper_digest(algorithm, &counts, Mode::Clean, seed, PAPER_CLEAN_BUDGET);
         let name = algorithm.name();
         assert_eq!(r.status, RunStatus::Converged, "{name}");
         assert_eq!(r.output, Some(output), "{name}");
@@ -498,6 +526,45 @@ fn paper_protocols_at_eight_opinions_are_pinned() {
         digest
     });
     assert_pinned("paper protocols bias_one(2000, 8)", &got, &PAPER_EIGHT);
+}
+
+/// The deep-tournament pins: each algorithm on `bias_one(1000, 4)` for
+/// `DEEP_BUDGET` parallel time under a `starve` scheduler, an adaptive
+/// adversary and a fault plan. The unordered variants release their
+/// clocks (`le_done`) near 2,100 parallel time here, so these runs reach
+/// the tournaments' non-uniform paths that the `n = 400` pins, capped at
+/// 600, mostly stop short of; every strike of `DEEP_FAULTS` lands after
+/// that release.
+const DEEP_MODES: [Mode; 3] = [
+    Mode::Scheduler("starve:1:0.5"),
+    Mode::Adversary("adaptive:0.05"),
+    Mode::FaultPlan(DEEP_FAULTS),
+];
+const DEEP_FAULTS: &str = "corrupt@2500:0.05,churn@2600:0.05,inject@2700:0.05:2";
+const DEEP_BUDGET: f64 = 3_000.0;
+
+#[test]
+fn paper_protocols_deep_in_the_tournament_are_pinned() {
+    let counts = Counts::bias_one(1_000, 4);
+    let n = counts.n() as u64;
+    let got: Vec<u64> = DEEP_MODES
+        .iter()
+        .flat_map(|&mode| {
+            [Algorithm::Simple, Algorithm::Unordered, Algorithm::Improved].map(|algorithm| {
+                let (digest, _, ms) = paper_digest(algorithm, &counts, mode, SEED, DEEP_BUDGET);
+                if matches!(mode, Mode::FaultPlan(_)) && algorithm != Algorithm::Simple {
+                    let released = ms.le_done.map(|t| t / n);
+                    assert!(
+                        released.is_some_and(|t| t < 2_500),
+                        "{}: clocks released at {released:?}, after the first strike",
+                        algorithm.name()
+                    );
+                }
+                digest
+            })
+        })
+        .collect();
+    assert_pinned("paper protocols deep, bias_one(1000, 4)", &got, &PAPER_DEEP);
 }
 
 // Recorded digests, in `seq_modes()` order for the sequential engine and
@@ -600,6 +667,19 @@ const PAPER: [u64; 12] = [
 
 /// `Algorithm::Improved` on `one_large(1000, 4, 400)`, clean.
 const PAPER_PRUNING: [u64; 1] = [0x7471_ea52_c16d_62d4];
+
+/// `DEEP_MODES` order; simple, unordered, then improved in each.
+const PAPER_DEEP: [u64; 9] = [
+    0x8223_07ea_b703_96b4,
+    0x5743_c664_593b_eb7c,
+    0x43e4_3103_df41_456c,
+    0xa24e_ec1a_c7a0_15bc,
+    0x1d93_915d_2b55_0e1a,
+    0x417e_fbef_ea63_9306,
+    0xff2e_42a1_1bb3_eddf,
+    0xeb20_9b12_b564_086e,
+    0xac52_d677_953f_c3a6,
+];
 
 /// Simple (seed 5), unordered (seed 13), then improved (seed 12) on
 /// `bias_one(2000, 8)`, clean.
