@@ -172,6 +172,28 @@ pub fn usd() -> Arm {
     })
 }
 
+/// The 3-state approximate-majority baseline as an engine-erased arm, on
+/// the grid point's first two opinions.
+pub fn three_state() -> Arm {
+    table("3-state", |c: &Counts| {
+        (
+            pp_majority::ThreeState,
+            vec![0, c.support(1) as u64, c.support(2) as u64],
+        )
+    })
+}
+
+/// The 4-state exact-majority baseline as an engine-erased arm, on the grid
+/// point's first two opinions as strong tokens.
+pub fn four_state() -> Arm {
+    table("4-state", |c: &Counts| {
+        (
+            pp_majority::FourState,
+            pp_majority::four_state_counts(c.support(1) as u64, c.support(2) as u64),
+        )
+    })
+}
+
 /// A bespoke sequential arm from a closure, for protocols outside both the
 /// [`Algorithm`] set and the table interface (e.g. the cancel/split majority).
 pub fn from_fn<F>(label: impl Into<String>, f: F) -> Arm

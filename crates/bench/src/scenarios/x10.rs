@@ -15,7 +15,7 @@
 use std::io;
 
 use pp_engine::{RunOptions, Simulation};
-use pp_majority::{cancel_split::CancelSplitRun, four_state_counts, FourState, ThreeState};
+use pp_majority::cancel_split::CancelSplitRun;
 use pp_stats::wilson_interval;
 use pp_workloads::Counts;
 
@@ -34,16 +34,6 @@ pub const SCENARIO: Scenario = Scenario {
     run,
 };
 
-/// 3-state approximate majority as an engine-erased table arm.
-fn three_state_arm() -> arm::Arm {
-    arm::table("3-state", |c: &Counts| {
-        (
-            ThreeState,
-            vec![0, c.support(1) as u64, c.support(2) as u64],
-        )
-    })
-}
-
 fn run(ctx: &mut Ctx) -> io::Result<()> {
     // ---- Part A: exactness at bias 1 and time scaling in n. ----
     let sizes: Vec<usize> = if ctx.full() {
@@ -61,12 +51,6 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         let r = sim.run(&RunOptions::with_parallel_time_budget(a + b, spec.budget));
         TrialOutcome::of(r, 1, None)
     });
-    let four_state = arm::table("4-state", |c: &Counts| {
-        (
-            FourState,
-            four_state_counts(c.support(1) as u64, c.support(2) as u64),
-        )
-    });
 
     Study::new(
         "X10a: bias-1 majority across substrates",
@@ -78,9 +62,9 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
             .map(|&n| GridPoint::new(Counts::from_supports(vec![n / 2 + 1, n / 2]), 100_000.0)),
     )
     .arm(cancel_split)
-    .arm(three_state_arm())
+    .arm(arm::three_state())
     // 4-state pays Θ(n) at bias 1: larger budget, capped population.
-    .arm_with(four_state, Some(5.0e6), Some(4001))
+    .arm_with(arm::four_state(), Some(5.0e6), Some(4001))
     .cols(vec![
         col::arm("protocol"),
         col::n(),
@@ -111,7 +95,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
             // Tag the bias actually materialised (a − b), not the nominal one.
             .tag((2 * a - n).to_string())
     }))
-    .arm(three_state_arm())
+    .arm(arm::three_state())
     .cols(vec![
         col::n(),
         col::tag("bias"),

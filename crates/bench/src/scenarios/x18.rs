@@ -19,7 +19,6 @@
 use std::io;
 
 use pp_engine::FaultSpec;
-use pp_majority::{four_state_counts, FourState, ThreeState};
 use pp_workloads::Counts;
 
 use crate::arm;
@@ -52,18 +51,8 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
             .faults(vec![FaultSpec::Corrupt { at: 50.0, frac }])
     }))
     .arm(arm::usd())
-    .arm(arm::table("3-state", |c: &Counts| {
-        (
-            ThreeState,
-            vec![0, c.support(1) as u64, c.support(2) as u64],
-        )
-    }))
-    .arm(arm::table("4-state", |c: &Counts| {
-        (
-            FourState,
-            four_state_counts(c.support(1) as u64, c.support(2) as u64),
-        )
-    }))
+    .arm(arm::three_state())
+    .arm(arm::four_state())
     .cols(vec![
         col::tag("frac"),
         col::arm("protocol"),

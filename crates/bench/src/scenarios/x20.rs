@@ -14,7 +14,6 @@
 use std::io;
 
 use pp_engine::FaultSpec;
-use pp_majority::ThreeState;
 use pp_stats::{fit_affine, Table};
 use pp_workloads::Counts;
 
@@ -52,12 +51,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
             .map(|n| GridPoint::new(Counts::geometric(n, 2, 0.5), 2_000.0).faults(strikes.clone())),
     )
     .arm(arm::usd())
-    .arm(arm::table("3-state", |c: &Counts| {
-        (
-            ThreeState,
-            vec![0, c.support(1) as u64, c.support(2) as u64],
-        )
-    }))
+    .arm(arm::three_state())
     .cols(vec![
         col::arm("protocol"),
         col::n(),

@@ -24,7 +24,6 @@ use std::io;
 
 use plurality_core::Algorithm;
 use pp_engine::AdversarySpec;
-use pp_majority::{four_state_counts, FourState, ThreeState};
 use pp_workloads::Counts;
 
 use crate::arm;
@@ -63,18 +62,8 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         }
     }))
     .arm(arm::usd())
-    .arm(arm::table("3-state", |c: &Counts| {
-        (
-            ThreeState,
-            vec![0, c.support(1) as u64, c.support(2) as u64],
-        )
-    }))
-    .arm(arm::table("4-state", |c: &Counts| {
-        (
-            FourState,
-            four_state_counts(c.support(1) as u64, c.support(2) as u64),
-        )
-    }))
+    .arm(arm::three_state())
+    .arm(arm::four_state())
     // The paper's tournament needs its usual Θ(log n · log n) headroom.
     .arm_with(arm::protocol(Algorithm::Simple), Some(500_000.0), None)
     .cols(vec![

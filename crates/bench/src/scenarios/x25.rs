@@ -21,7 +21,6 @@
 use std::io;
 
 use pp_engine::FaultSpec;
-use pp_majority::ThreeState;
 use pp_stats::{fit_affine, Table};
 use pp_workloads::Counts;
 
@@ -70,12 +69,7 @@ fn run(ctx: &mut Ctx) -> io::Result<()> {
         })
     }))
     .arm(arm::usd())
-    .arm(arm::table("3-state", |c: &Counts| {
-        (
-            ThreeState,
-            vec![0, c.support(1) as u64, c.support(2) as u64],
-        )
-    }))
+    .arm(arm::three_state())
     .cols(vec![
         col::tag("frac"),
         col::arm("protocol"),

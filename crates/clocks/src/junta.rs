@@ -159,10 +159,6 @@ impl Protocol for FormJuntaRun {
             .all(|s| !s.active)
             .then(|| states.iter().filter(|s| self.election.is_junta(s)).count() as u32)
     }
-
-    fn encode(&self, state: &JuntaState) -> u64 {
-        u64::from(state.level) << 1 | u64::from(state.active)
-    }
 }
 
 #[cfg(test)]

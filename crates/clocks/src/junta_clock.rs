@@ -11,10 +11,6 @@
 //! modulo a constant multiple of `m` with circular comparison, which is how
 //! the census accounts it (see [`JuntaClock::encode_counter`]).
 
-use pp_engine::{Protocol, SimRng};
-
-use crate::junta::{FormJunta, JuntaState};
-
 /// The clock component: hour length `m` plus the max-propagation rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JuntaClock {
@@ -65,88 +61,9 @@ impl JuntaClock {
     }
 }
 
-/// Agent state of the standalone combined protocol: the junta race plus the
-/// clock counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct JuntaClockAgent {
-    /// Junta-election state (the race runs concurrently with the clock; the
-    /// counter stays near 0 until the first junta member exists).
-    pub junta: JuntaState,
-    /// Clock counter `p`.
-    pub p: u64,
-}
-
-/// Standalone protocol: junta election + clock on a full population,
-/// recording the `s(i)` milestones (first agent to reach hour `i`).
-#[derive(Debug, Clone)]
-pub struct JuntaClockRun {
-    election: FormJunta,
-    clock: JuntaClock,
-    /// `first_hour_at[i]` = interaction at which the first agent reached
-    /// hour `i + 1`.
-    pub first_hour_at: Vec<u64>,
-}
-
-impl JuntaClockRun {
-    /// A standalone run over `n` agents.
-    pub fn new(n: usize, hour_len: u32) -> (Self, Vec<JuntaClockAgent>) {
-        (
-            Self {
-                election: FormJunta::for_population(n),
-                clock: JuntaClock::new(hour_len),
-                first_hour_at: Vec::new(),
-            },
-            vec![JuntaClockAgent::default(); n],
-        )
-    }
-
-    /// The clock component.
-    pub fn clock(&self) -> &JuntaClock {
-        &self.clock
-    }
-
-    /// The election component.
-    pub fn election(&self) -> &FormJunta {
-        &self.election
-    }
-}
-
-impl Protocol for JuntaClockRun {
-    type State = JuntaClockAgent;
-
-    fn interact(
-        &mut self,
-        t: u64,
-        a: &mut JuntaClockAgent,
-        b: &mut JuntaClockAgent,
-        _rng: &mut SimRng,
-    ) {
-        self.election.interact(&mut a.junta, &b.junta);
-        let is_junta = self.election.is_junta(&a.junta);
-        let before_hour = self.clock.hour(a.p);
-        self.clock.interact(is_junta, &mut a.p, b.p);
-        let after_hour = self.clock.hour(a.p);
-        if after_hour > before_hour {
-            while (self.first_hour_at.len() as u64) < after_hour {
-                self.first_hour_at.push(t);
-            }
-        }
-    }
-
-    fn converged(&self, _states: &[JuntaClockAgent]) -> Option<u32> {
-        None
-    }
-
-    fn encode(&self, state: &JuntaClockAgent) -> u64 {
-        let j = u64::from(state.junta.level) << 1 | u64::from(state.junta.active);
-        j << 16 | self.clock.encode_counter(state.p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::{RunOptions, Simulation};
 
     #[test]
     fn hours_partition_the_counter() {
@@ -173,28 +90,6 @@ mod tests {
         let mut y = 9u64;
         c.interact(false, &mut y, 2);
         assert_eq!(y, 9);
-    }
-
-    #[test]
-    fn clock_ticks_and_hours_are_spaced() {
-        let n = 10_000;
-        let (proto, states) = JuntaClockRun::new(n, 4);
-        let mut sim = Simulation::new(proto, states, 41);
-        sim.run(&RunOptions::with_parallel_time_budget(n, 800.0));
-        let marks = &sim.protocol().first_hour_at;
-        assert!(
-            marks.len() >= 4,
-            "expected several hours, got {}",
-            marks.len()
-        );
-        // Spacing after warm-up should be positive and not wildly irregular.
-        let gaps: Vec<f64> = marks.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
-        let tail = &gaps[1..];
-        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-        assert!(mean > 0.0);
-        for g in tail {
-            assert!(*g < 6.0 * mean, "hour gap {g} vs mean {mean}");
-        }
     }
 
     #[test]

@@ -186,10 +186,6 @@ impl Protocol for LeaderlessClockRun {
     fn converged(&self, _states: &[ClockAgent]) -> Option<u32> {
         None
     }
-
-    fn encode(&self, state: &ClockAgent) -> u64 {
-        u64::from(state.g)
-    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,12 @@
 //!   insignificant ones never tick at all — which is exactly what the
 //!   pruning phase exploits.
 //!
-//! Each module exposes the transition function as an embeddable component
-//! plus a standalone [`pp_engine::Protocol`] used to measure its guarantees
-//! (experiments X8 and X12).
+//! Each module exposes the transition function as an embeddable component.
+//! The leaderless clock, the junta race and the per-opinion clocks also come
+//! as standalone [`pp_engine::Protocol`]s that measure their guarantees
+//! (experiments X8 and X12). The junta clock has no harness of its own: it
+//! is measured through [`subpop::SubpopClocks`] with every agent holding
+//! one opinion, where every interaction is meaningful.
 
 pub mod junta;
 pub mod junta_clock;

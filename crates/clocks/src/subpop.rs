@@ -108,11 +108,6 @@ impl Protocol for SubpopClocks {
     fn converged(&self, _states: &[SubpopAgent]) -> Option<u32> {
         None
     }
-
-    fn encode(&self, state: &SubpopAgent) -> u64 {
-        let j = u64::from(state.junta.level) << 1 | u64::from(state.junta.active);
-        u64::from(state.opinion) << 24 | j << 16 | self.clock.encode_counter(state.p)
-    }
 }
 
 #[cfg(test)]
@@ -161,6 +156,30 @@ mod tests {
         sim.run(&RunOptions::with_parallel_time_budget(n, 2000.0));
         assert!(sim.protocol().hours_of(1) >= 1);
         assert_eq!(sim.protocol().hours_of(2), 0, "tiny opinion ticked");
+    }
+
+    #[test]
+    fn clock_ticks_and_hours_are_spaced() {
+        // One opinion: every interaction is meaningful, so this is the
+        // junta clock on the whole population.
+        let n = 10_000;
+        let (proto, states) = SubpopClocks::new(&vec![1; n], 4);
+        let mut sim = Simulation::new(proto, states, 41);
+        sim.run(&RunOptions::with_parallel_time_budget(n, 800.0));
+        let marks = &sim.protocol().first_hour_at[0];
+        assert!(
+            marks.len() >= 4,
+            "expected several hours, got {}",
+            marks.len()
+        );
+        // Spacing after warm-up should be positive and not wildly irregular.
+        let gaps: Vec<f64> = marks.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
+        let tail = &gaps[1..];
+        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
+        assert!(mean > 0.0);
+        for g in tail {
+            assert!(*g < 6.0 * mean, "hour gap {g} vs mean {mean}");
+        }
     }
 
     #[test]

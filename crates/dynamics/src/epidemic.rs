@@ -42,10 +42,6 @@ impl Protocol for Epidemic {
     fn converged(&self, states: &[bool]) -> Option<u32> {
         states.iter().all(|&s| s).then_some(1)
     }
-
-    fn encode(&self, state: &bool) -> u64 {
-        u64::from(*state)
-    }
 }
 
 #[cfg(test)]

@@ -42,12 +42,6 @@ impl Protocol for LoadBalance {
         let max = *states.iter().max().expect("non-empty");
         (max - min <= 2).then_some(0)
     }
-
-    fn encode(&self, state: &i64) -> u64 {
-        // Loads in the paper's use are confined to [−10, 10]; widen a little
-        // for the standalone experiments.
-        (*state).clamp(-1 << 20, 1 << 20) as u64 ^ (1 << 63)
-    }
 }
 
 /// Discrepancy (`max − min`) of a configuration; the quantity bounded by

@@ -643,26 +643,37 @@ impl<P: TableProtocol> BatchSimulation<P> {
         }
     }
 
+    /// A state's participation weight under `sched`: its count times its
+    /// opinion's weight.
+    fn scheduled_weight(&self, sched: SchedulerSpec, s: usize) -> f64 {
+        self.counts[s] as f64 * sched.opinion_weight(self.protocol.opinion(s))
+    }
+
+    /// The raw counts of the opinion class `want`, zero outside it.
+    fn class_counts(&self, want: Option<u32>) -> impl Iterator<Item = u64> + '_ {
+        self.counts.iter().enumerate().map(move |(s, &c)| {
+            if self.protocol.opinion(s) == want {
+                c
+            } else {
+                0
+            }
+        })
+    }
+
     /// One tally attempt under an adversarial scheduler: participation
-    /// weights become `counts[s] · opinion_weight(opinion(s))`, drawn
+    /// weights become [`scheduled_weight`](Self::scheduled_weight)s, drawn
     /// through real-valued multinomials, and the scheduler's assortativity
     /// share of the batch forces responders into the initiator's opinion
-    /// class. Feasibility checking and application are shared with
-    /// [`try_tally`](Self::try_tally).
+    /// class, by raw counts. That class is never empty: an initiator is
+    /// drawn only from a state of positive weight, which is occupied and
+    /// belongs to its own class. Feasibility checking and application are
+    /// shared with [`try_tally`](Self::try_tally).
     fn try_tally_scheduled(&mut self, len: u64, sched: SchedulerSpec) -> bool {
         self.delta.fill(0);
         self.usage.fill(0);
 
-        let weights: Vec<f64> = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(s, &c)| {
-                c as f64
-                    * sched
-                        .opinion_weight(self.protocol.opinion(s))
-                        .clamp(0.0, 1.0)
-            })
+        let weights: Vec<f64> = (0..self.counts.len())
+            .map(|s| self.scheduled_weight(sched, s))
             .collect();
         let total: f64 = weights.iter().sum();
         if total <= 0.0 {
@@ -672,99 +683,48 @@ impl<P: TableProtocol> BatchSimulation<P> {
             return self.try_tally(len);
         }
 
-        let assort = sched.assortativity().clamp(0.0, 1.0);
+        let assort = sched.assortativity();
         let forced = if assort > 0.0 {
             binomial(&mut self.rng, len, assort)
         } else {
             0
         };
 
-        let mut initiators = std::mem::take(&mut self.initiators);
-        let mut responders = std::mem::take(&mut self.responders);
-
-        // Free pairs: weighted initiators, weighted responders.
-        initiators.clear();
-        multinomial_weighted_into(
-            &mut self.rng,
-            len - forced,
-            &weights,
-            total,
-            &mut initiators,
-        );
-        for &(a, multiplicity) in &initiators {
-            responders.clear();
-            multinomial_weighted_into(
-                &mut self.rng,
-                multiplicity,
-                &weights,
-                total,
-                &mut responders,
-            );
-            for &(b, m) in &responders {
-                tally::accumulate(
-                    &TallyCtx {
-                        protocol: &*self.protocol,
-                        deterministic: self.deterministic,
-                        lie: self.lie,
-                        states: self.counts.len(),
-                    },
-                    &mut self.rng,
-                    &mut self.delta,
-                    &mut self.usage,
-                    a,
-                    b,
-                    m,
-                );
-            }
-        }
-
-        // Forced like-with-like pairs: the responder is drawn from the
-        // initiator's opinion class, by raw counts. An empty class (the
-        // initiator is its sole member) degrades to a free draw.
-        if forced > 0 {
-            initiators.clear();
-            multinomial_weighted_into(&mut self.rng, forced, &weights, total, &mut initiators);
-            for &(a, multiplicity) in &initiators {
-                let want = self.protocol.opinion(a);
-                let class: Vec<f64> = self
-                    .counts
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &c)| {
-                        if self.protocol.opinion(s) == want {
-                            c as f64
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                let class_total: f64 = class.iter().sum();
-                responders.clear();
-                if class_total > 0.0 {
-                    multinomial_weighted_into(
-                        &mut self.rng,
-                        multiplicity,
-                        &class,
-                        class_total,
-                        &mut responders,
-                    );
+        let ctx = TallyCtx {
+            protocol: &*self.protocol,
+            deterministic: self.deterministic,
+            lie: self.lie,
+            states: self.counts.len(),
+        };
+        // Free pairs take weighted responders; forced like-with-like pairs
+        // take them from the initiator's opinion class.
+        for (pairs, like_with_like) in [(len - forced, false), (forced, true)] {
+            self.initiators.clear();
+            multinomial_weighted_into(&mut self.rng, pairs, &weights, total, &mut self.initiators);
+            for &(a, multiplicity) in &self.initiators {
+                let class: Vec<f64>;
+                let (responder_weights, responder_total) = if like_with_like {
+                    class = self
+                        .class_counts(ctx.protocol.opinion(a))
+                        .map(|c| c as f64)
+                        .collect();
+                    let class_total: f64 = class.iter().sum();
+                    assert!(class_total > 0.0, "initiator state {a} holds an agent");
+                    (&class, class_total)
                 } else {
-                    multinomial_weighted_into(
-                        &mut self.rng,
-                        multiplicity,
-                        &weights,
-                        total,
-                        &mut responders,
-                    );
-                }
-                for &(b, m) in &responders {
+                    (&weights, total)
+                };
+                self.responders.clear();
+                multinomial_weighted_into(
+                    &mut self.rng,
+                    multiplicity,
+                    responder_weights,
+                    responder_total,
+                    &mut self.responders,
+                );
+                for &(b, m) in &self.responders {
                     tally::accumulate(
-                        &TallyCtx {
-                            protocol: &*self.protocol,
-                            deterministic: self.deterministic,
-                            lie: self.lie,
-                            states: self.counts.len(),
-                        },
+                        &ctx,
                         &mut self.rng,
                         &mut self.delta,
                         &mut self.usage,
@@ -775,11 +735,6 @@ impl<P: TableProtocol> BatchSimulation<P> {
                 }
             }
         }
-
-        initiators.clear();
-        responders.clear();
-        self.initiators = initiators;
-        self.responders = responders;
         self.commit()
     }
 
@@ -787,13 +742,12 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// [`apply_pairwise`](Self::apply_pairwise)): every draw samples from
     /// the live weighted configuration, so no overdraw is possible.
     fn apply_pairwise_scheduled(&mut self, len: u64, sched: SchedulerSpec) {
-        let assort = sched.assortativity().clamp(0.0, 1.0);
+        let assort = sched.assortativity();
         for _ in 0..len {
             let a = self.sample_state_weighted(sched);
             let mut b = if assort > 0.0 && self.rng.gen_bool(assort) {
                 let want = self.protocol.opinion(a);
                 self.sample_state_in_class(want)
-                    .unwrap_or_else(|| self.sample_state_weighted(sched))
             } else {
                 self.sample_state_weighted(sched)
             };
@@ -819,9 +773,8 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// the scheduler saturated when none of the others carries weight.
     fn sample_other_agent(&mut self, a: usize, sched: SchedulerSpec) -> usize {
         debug_assert_eq!(self.counts[a], 1);
-        let weighted = (0..self.counts.len()).any(|s| {
-            s != a && self.counts[s] > 0 && sched.opinion_weight(self.protocol.opinion(s)) > 0.0
-        });
+        let weighted =
+            (0..self.counts.len()).any(|s| s != a && self.scheduled_weight(sched, s) > 0.0);
         if !weighted {
             self.scheduler_saturated = true;
         }
@@ -835,19 +788,12 @@ impl<P: TableProtocol> BatchSimulation<P> {
         unreachable!("the other agents' counts sum to n - 1")
     }
 
-    /// One weighted state draw (linear scan over `counts · weight`); falls
-    /// back to the uniform Fenwick draw if every weight is zero.
+    /// One weighted state draw (linear scan over the scheduled weights);
+    /// falls back to the uniform Fenwick draw if every weight is zero.
+    /// Either way the state drawn is occupied.
     fn sample_state_weighted(&mut self, sched: SchedulerSpec) -> usize {
-        let total: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(s, &c)| {
-                c as f64
-                    * sched
-                        .opinion_weight(self.protocol.opinion(s))
-                        .clamp(0.0, 1.0)
-            })
+        let total: f64 = (0..self.counts.len())
+            .map(|s| self.scheduled_weight(sched, s))
             .sum();
         if total <= 0.0 {
             self.scheduler_saturated = true;
@@ -860,11 +806,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             .rposition(|&c| c > 0)
             .expect("population is non-empty");
         for s in 0..self.counts.len() {
-            let w = self.counts[s] as f64
-                * sched
-                    .opinion_weight(self.protocol.opinion(s))
-                    .clamp(0.0, 1.0);
-            target -= w;
+            target -= self.scheduled_weight(sched, s);
             if target < 0.0 && self.counts[s] > 0 {
                 return s;
             }
@@ -872,28 +814,19 @@ impl<P: TableProtocol> BatchSimulation<P> {
         last // float residue: land on the last occupied state
     }
 
-    /// One draw from the opinion class `want`, by raw counts; `None` when
-    /// the class is empty.
-    fn sample_state_in_class(&mut self, want: Option<u32>) -> Option<usize> {
-        let total: u64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| self.protocol.opinion(s) == want)
-            .map(|(_, &c)| c)
-            .sum();
-        if total == 0 {
-            return None;
-        }
+    /// One draw from the opinion class `want`, by raw counts. `want` is
+    /// the class of an initiator from an occupied state, so it is never
+    /// empty.
+    fn sample_state_in_class(&mut self, want: Option<u32>) -> usize {
+        let class: Vec<u64> = self.class_counts(want).collect();
+        let total: u64 = class.iter().sum();
+        assert!(total > 0, "the initiator's class {want:?} holds an agent");
         let mut target = self.rng.gen_range(0..total);
-        for s in 0..self.counts.len() {
-            if self.protocol.opinion(s) != want {
-                continue;
+        for (s, &c) in class.iter().enumerate() {
+            if target < c {
+                return s;
             }
-            if target < self.counts[s] {
-                return Some(s);
-            }
-            target -= self.counts[s];
+            target -= c;
         }
         unreachable!("class counts sum to total")
     }
@@ -1012,18 +945,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             };
             // An opinion-free census degrades to uniform departures.
             if let Some(want) = want {
-                let class: Vec<u64> = self
-                    .counts
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &c)| {
-                        if self.protocol.opinion(s) == Some(want) {
-                            c
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
+                let class: Vec<u64> = self.class_counts(Some(want)).collect();
                 let class_total: u64 = class.iter().sum();
                 let k = remaining.min(class_total);
                 if k > 0 {

@@ -224,35 +224,22 @@ fn one_sided_fixed<P: TableProtocol>(
     f: usize,
     a_lies: bool,
 ) {
-    if ctx.deterministic {
-        if a_lies {
-            let (_, b2) = ctx.protocol.delta(f, b, rng);
-            if b2 != b {
-                delta[b] -= m as i64;
-                delta[b2] += m as i64;
-            }
-        } else {
-            let (a2, _) = ctx.protocol.delta(a, f, rng);
-            if a2 != a {
-                delta[a] -= m as i64;
-                delta[a2] += m as i64;
-            }
-        }
+    // A deterministic table moves all `m` interactions with one
+    // evaluation; a randomized one evaluates each.
+    let (evals, per) = if ctx.deterministic {
+        (1, m as i64)
     } else {
-        for _ in 0..m {
-            if a_lies {
-                let (_, b2) = ctx.protocol.delta(f, b, rng);
-                if b2 != b {
-                    delta[b] -= 1;
-                    delta[b2] += 1;
-                }
-            } else {
-                let (a2, _) = ctx.protocol.delta(a, f, rng);
-                if a2 != a {
-                    delta[a] -= 1;
-                    delta[a2] += 1;
-                }
-            }
+        (m, 1)
+    };
+    for _ in 0..evals {
+        let (from, to) = if a_lies {
+            (b, ctx.protocol.delta(f, b, rng).1)
+        } else {
+            (a, ctx.protocol.delta(a, f, rng).0)
+        };
+        if to != from {
+            delta[from] -= per;
+            delta[to] += per;
         }
     }
 }

@@ -642,8 +642,9 @@ pub enum SchedulerSpec {
 }
 
 impl SchedulerSpec {
-    /// Relative weight in `[0, 1]` with which an agent advocating
-    /// `opinion` is drawn (`None` = undecided/helper agents).
+    /// Relative weight with which an agent advocating `opinion` is drawn
+    /// (`None` = undecided/helper agents). The value is already in
+    /// `[0, 1]` (a NaN weight stays NaN), so callers add no clamp.
     pub(crate) fn opinion_weight(self, opinion: Option<u32>) -> f64 {
         match self {
             // Weight 0 is meaningful: it makes saturation (the starved
@@ -659,7 +660,8 @@ impl SchedulerSpec {
     }
 
     /// Probability that the responder is forced to share the initiator's
-    /// opinion.
+    /// opinion. The value is already in `[0, 1]` (a NaN stays NaN), so
+    /// callers add no clamp.
     pub(crate) fn assortativity(self) -> f64 {
         match self {
             SchedulerSpec::PairBias { assort } => assort.clamp(0.0, 1.0),

@@ -270,11 +270,8 @@ impl<P: Protocol> Simulation<P> {
         if self.scheduler_saturated {
             return sample_pair(&mut self.rng, n);
         }
-        let weight_of = |protocol: &P, state: &P::State| {
-            sched
-                .opinion_weight(protocol.opinion_of(state))
-                .clamp(0.0, 1.0)
-        };
+        let weight_of =
+            |protocol: &P, state: &P::State| sched.opinion_weight(protocol.opinion_of(state));
         let (mut i, mut j) = sample_pair(&mut self.rng, n);
         let mut exhausted = true;
         for _ in 0..SCHEDULER_RETRIES {
@@ -293,7 +290,7 @@ impl<P: Protocol> Simulation<P> {
         } else {
             self.starve_streak = 0;
         }
-        let assort = sched.assortativity().clamp(0.0, 1.0);
+        let assort = sched.assortativity();
         if assort > 0.0 && self.rng.gen_bool(assort) {
             // Like-with-like pairing: redraw the responder until it shares
             // the initiator's opinion (bounded).

@@ -150,18 +150,6 @@ impl Lottery {
             b.done = true;
         }
     }
-
-    /// Census encoding (counter accounted modulo the circular window, hours
-    /// modulo 64 — see `JuntaClock::encode_counter`).
-    pub fn encode(&self, s: &LotteryState) -> u64 {
-        let flags = u64::from(s.candidate)
-            | u64::from(s.coin) << 1
-            | u64::from(s.best_coin) << 2
-            | u64::from(s.leader) << 3
-            | u64::from(s.done) << 4;
-        let j = u64::from(s.junta.level) << 1 | u64::from(s.junta.active);
-        flags << 40 | (s.best_hour % 64) << 32 | j << 24 | self.clock.encode_counter(s.p)
-    }
 }
 
 /// Standalone leader election (experiment X11).
@@ -196,10 +184,6 @@ impl Protocol for LeaderElectionRun {
             .iter()
             .all(|s| s.done)
             .then(|| states.iter().filter(|s| s.leader).count() as u32)
-    }
-
-    fn encode(&self, state: &LotteryState) -> u64 {
-        self.lottery.encode(state)
     }
 }
 

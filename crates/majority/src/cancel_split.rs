@@ -244,13 +244,6 @@ impl CancelSplit {
             b.out = a.out;
         }
     }
-
-    /// Census encoding: `(sign, level, out, capped t)` — `O(log n)` distinct
-    /// values.
-    pub fn encode(&self, s: &MajState) -> u64 {
-        let sign = (s.sign + 1) as u64; // 0..=2
-        sign << 40 | u64::from(s.level) << 32 | u64::from(s.out.code()) << 24 | u64::from(s.t)
-    }
 }
 
 /// Standalone protocol over a pure two-opinion population (experiment X10).
@@ -291,10 +284,6 @@ impl Protocol for CancelSplitRun {
             .iter()
             .all(|s| s.t >= thr && s.out == first)
             .then_some(first.code())
-    }
-
-    fn encode(&self, state: &MajState) -> u64 {
-        self.cfg.encode(state)
     }
 }
 

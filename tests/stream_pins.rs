@@ -22,10 +22,12 @@
 //! writes; adversarial runs of `ThreeState` and `UsdTable::new(2)` at
 //! `n = 4·10⁶`, whose batches (`ℓ ≈ 1,250` interactions, against about
 //! 63 at `n = 10⁴`) split over initiators with many interactions per
-//! subtree; and clean runs of `ThreeState` and `UsdTable::new(64)` at
+//! subtree; clean runs of `ThreeState` and `UsdTable::new(64)` at
 //! `n = 10⁸`, the benchmark's regime, whose lumped batches (`ℓ ≈ 6,300`)
-//! draw most of their cells with the large-mean binomial sampler. The
-//! paper's three protocols are pinned on the sequential engine at
+//! draw most of their cells with the large-mean binomial sampler; and runs
+//! of a few agents that reach the per-pair fallback, churned on both
+//! batched tables and scheduled on `UsdTable::new(2)`. The paper's three
+//! protocols are pinned on the sequential engine at
 //! `n = 400`, each in a clean run to consensus and in a faulted, a
 //! scheduled and an adversarial run, `Algorithm::Improved` also on
 //! `one_large(1000, 4, 400)`, clean to consensus, and each algorithm on
@@ -414,6 +416,47 @@ fn batch_pairwise_fallback_streams_are_pinned() {
     assert_pinned("batch per-pair fallback", &got, &BATCH_PAIRWISE_FALLBACK);
 }
 
+/// The scheduled per-pair fallback pins: `UsdTable::new(2)` for 20,000
+/// interactions with one agent alone in its state. Its weighted or
+/// like-with-like partner is often itself, so scheduled tallies overdraw
+/// it, and some batches fall back to pair-by-pair draws from the live
+/// weighted configuration: under `pairbias:1`, and under a weight-0
+/// starvation of everyone else, which the public field accepts and the
+/// CLI refuses.
+fn scheduled_fallback_digest(init: Vec<u64>, sched: SchedulerSpec, seed: u64) -> (u64, TallyPaths) {
+    let mut sim = BatchSimulation::new(UsdTable::new(2), init, seed);
+    sim.set_scheduler(sched);
+    let r = sim.run(&RunOptions {
+        max_interactions: 20_000,
+        check_every: 0,
+    });
+    (batch_hash(&r, &sim), sim.tally_paths())
+}
+
+#[test]
+fn batch_scheduled_pairwise_fallback_streams_are_pinned() {
+    let pairbias = scheduler("pairbias:1");
+    let starve = SchedulerSpec::Starve {
+        opinion: 1,
+        weight: 0.0,
+    };
+    let runs = [
+        scheduled_fallback_digest(vec![0, 5, 1], pairbias, 1),
+        scheduled_fallback_digest(vec![0, 5, 1], pairbias, 2),
+        scheduled_fallback_digest(vec![0, 5, 1], pairbias, 3),
+        scheduled_fallback_digest(vec![0, 1_000, 1], starve, SEED),
+    ];
+    for (i, (_, paths)) in runs.iter().enumerate() {
+        assert!(paths.pairwise > 0, "run #{i} never fell back: {paths:?}");
+    }
+    let got = runs.map(|(digest, _)| digest);
+    assert_pinned(
+        "batch scheduled per-pair fallback",
+        &got,
+        &BATCH_SCHEDULED_FALLBACK,
+    );
+}
+
 /// The paper-protocol pins: a clean run to consensus, then a faulted,
 /// a scheduled and an adversarial run capped at `PAPER_BUDGET`.
 const PAPER_MODES: [Mode; 4] = [
@@ -648,6 +691,15 @@ const BATCH_CLEAN_HUGE: [u64; 2] = [0x739a_35b2_d1de_32e0, 0x3690_82df_2ddd_e238
 /// `ThreeState` on `[0, 2, 2]` under `churn:0.3`, then `UsdTable::new(2)`
 /// on `[0, 1, 1]` under `churn:0.5`.
 const BATCH_PAIRWISE_FALLBACK: [u64; 2] = [0x0b85_4c6b_2175_2989, 0x4897_8d12_90f3_3589];
+
+/// `UsdTable::new(2)` on `[0, 5, 1]` under `pairbias:1` at seeds 1, 2
+/// and 3, then on `[0, 1000, 1]` starving opinion 1 at weight 0.
+const BATCH_SCHEDULED_FALLBACK: [u64; 4] = [
+    0xc08f_bde4_1dc3_8a7d,
+    0xaf9c_04fe_83cb_26f3,
+    0xd620_df16_8a0b_8c2e,
+    0x5076_bc03_55c7_9679,
+];
 
 /// `PAPER_MODES` order; simple, unordered, then improved in each.
 const PAPER: [u64; 12] = [

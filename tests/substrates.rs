@@ -1,7 +1,6 @@
 //! Cross-crate substrate checks: each building block delivers the guarantee
 //! the plurality protocols lean on.
 
-use exact_plurality::clocks::junta_clock::JuntaClockRun;
 use exact_plurality::clocks::subpop::SubpopClocks;
 use exact_plurality::dynamics::load_balance::discrepancy;
 use exact_plurality::dynamics::{Epidemic, LoadBalance};
@@ -72,11 +71,12 @@ fn leader_election_is_unique_over_seeds() {
 
 #[test]
 fn junta_clock_hours_strictly_increase() {
+    // One opinion: the junta clock on the whole population.
     let n = 8000;
-    let (proto, states) = JuntaClockRun::new(n, 8);
+    let (proto, states) = SubpopClocks::new(&vec![1; n], 8);
     let mut sim = Simulation::new(proto, states, 3);
     sim.run(&RunOptions::with_parallel_time_budget(n, 1500.0));
-    let marks = &sim.protocol().first_hour_at;
+    let marks = &sim.protocol().first_hour_at[0];
     assert!(marks.len() >= 2, "clock produced {} hours", marks.len());
     for w in marks.windows(2) {
         assert!(w[1] > w[0], "hour milestones must strictly increase");
